@@ -113,8 +113,9 @@ int main() {
   report.value("geom_cache_hits", hits);
   report.value("geom_cache_misses", misses);
   report.value("construction_wall_seconds", cwall);
-  std::cout << "\nexpected shape: one miss per distinct configuration and "
-               "thousands of hits — every robot's labeling pass reuses the "
-               "one SEC/radii computation of the shared t0 snapshot.\n";
+  std::cout << "\nexpected shape: one miss per robot (each sees t0 in its "
+               "own frame) and about as many hits — each robot's radii pass "
+               "reuses its SEC entry, and the swarm's one set of naming "
+               "tables is built from robot 0's view.\n";
   return all_identical ? 0 : 1;
 }

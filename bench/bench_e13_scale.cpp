@@ -17,18 +17,31 @@
 // holds n granulars per robot core (n^2 total), which at 4096 costs
 // multiple GiB before the first instant runs — see EXPERIMENTS.md E13.
 //
-// Deterministic keys (activations, instants, bits) are baseline-gated by
-// `stigreport diff`; per-instant and per-second keys carry the skip
-// suffixes of the obs/metric_keys.hpp convention.
+// Table C measures construction alone for the relative (chirality-only)
+// naming at n in {128, 256, 512, 1024}: build time, live heap after
+// construction, peak heap during it, and allocation count (obs::alloc,
+// so deterministic). The n x n rank tables are built once per swarm; what
+// grows beyond n^2 is per-robot granular state. n = 1024 is printed but
+// not gated. The binary also exits non-zero when n = 512 leaves more than
+// 64 MB live.
+//
+// Deterministic keys (activations, instants, bits, live bytes and
+// allocations) are baseline-gated by `stigreport diff`; per-instant,
+// per-second and `_ns` keys carry the skip suffixes of the
+// obs/metric_keys.hpp convention.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/chat_network.hpp"
+#include "obs/alloc_track.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
@@ -180,8 +193,51 @@ int main() {
       return 1;
     }
   }
+
+  // ---- Table C: relative-naming construction (one shared naming
+  // substrate per swarm).
+  std::cout << "\nrelative-naming construction: sliced synchronous "
+               "protocol, anonymous, chirality only:\n";
+  bench::Table tc({"n", "build ms", "live MB", "peak MB", "allocs"}, report,
+                  "relative-naming construction");
+  const bool tracking = obs::alloc::active();
+  report.value("alloc_tracking", tracking);
+  bool memory_ok = true;
+  for (std::size_t idx = 0; idx < 4; ++idx) {
+    const std::size_t n = std::vector<std::size_t>{128, 256, 512, 1024}[idx];
+    core::ChatNetworkOptions opt;
+    opt.synchrony = core::Synchrony::synchronous;
+    opt.protocol = core::ProtocolKind::sliced;
+    opt.seed = bench::case_seed(1304, idx);
+    std::vector<geom::Vec2> start =
+        grid_scatter(n, bench::case_seed(1305, idx));
+    obs::alloc::reset_peak();
+    const obs::alloc::Counters a0 = obs::alloc::snapshot();
+    const Clock::time_point t0 = Clock::now();
+    const core::ChatNetwork net(std::move(start), opt);
+    const double wall =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    const obs::alloc::Counters a1 = obs::alloc::snapshot();
+    const std::int64_t live = a1.live_bytes - a0.live_bytes;
+    const std::int64_t peak = a1.peak_live_bytes - a0.live_bytes;
+    const std::uint64_t allocs = a1.allocs - a0.allocs;
+    tc.row(n, wall * 1e3, static_cast<double>(live) / 1e6,
+           static_cast<double>(peak) / 1e6, allocs);
+    const std::string suffix = "_n" + std::to_string(n);
+    report.value("relative_build_ns" + suffix, wall * 1e9);
+    if (n == 1024) continue;  // Reported, not gated.
+    report.value("relative_build_live_bytes" + suffix,
+                 static_cast<std::uint64_t>(std::max<std::int64_t>(live, 0)));
+    report.value("relative_build_allocs" + suffix, allocs);
+    if (n == 512 && tracking && live > 64'000'000) memory_ok = false;
+  }
+  std::cout << "n=512 construction live heap "
+            << (memory_ok ? "within" : "OVER") << " the 64 MB bound\n";
+
   std::cout << "\nexpected shape: bits scale with n (every robot receives "
                "the byte), instants grow slowly, and Table A stays ~linear "
-               "in n per instant — the wall is gone end to end.\n";
-  return scaling_ok ? 0 : 1;
+               "in n per instant — the wall is gone end to end. Table C "
+               "grows ~n^2: one shared set of rank tables plus n granulars "
+               "per robot.\n";
+  return scaling_ok && memory_ok ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "par/seed.hpp"
 #include "proto/async2.hpp"
@@ -62,6 +63,23 @@ std::unique_ptr<sim::Scheduler> make_scheduler(
                                                      opt.record_schedule);
   }
   return base;
+}
+
+/// The naming tables robot `observer` builds from its t0 view: `specs`
+/// seen in its frame, listed in its t0 snapshot order `order`.
+std::shared_ptr<const proto::NamingTables> tables_in_view_of(
+    std::span<const sim::RobotSpec> specs,
+    const std::vector<sim::RobotIndex>& order, sim::RobotIndex observer,
+    proto::NamingMode naming) {
+  const sim::Frame frame = sim::frame_of(specs[observer]);
+  std::vector<geom::Vec2> points;
+  std::vector<sim::VisibleId> ids;
+  points.reserve(order.size());
+  for (const sim::RobotIndex j : order) {
+    points.push_back(frame.to_local(specs[j].position));
+    if (naming == proto::NamingMode::by_ids) ids.push_back(*specs[j].id);
+  }
+  return std::make_shared<const proto::NamingTables>(points, ids, naming);
 }
 
 }  // namespace
@@ -142,7 +160,42 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
     specs.push_back(s);
   }
 
+  // t0 observation orders: orders[i][k] is the simulator index of the
+  // k-th robot in robot i's t0 snapshot. They translate slots to simulator
+  // indices and place each robot's view of the shared naming tables.
+  std::vector<std::vector<sim::RobotIndex>> orders(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    orders[i] = sim::initial_observation_order(specs, i);
+  }
+
+  // One set of naming tables per swarm (DESIGN.md §9), built in robot 0's
+  // t0 view — not the global frame, whose "clockwise" mirrored frames
+  // flip — and read by every robot through its permutation into robot
+  // 0's order. Exact only while every t0 view is a similarity image of
+  // robot 0's, which quantized observation breaks: then every robot
+  // builds its own.
   const proto::NamingMode naming = naming_for(options_.caps);
+  std::shared_ptr<const proto::NamingTables> tables;
+  std::vector<std::uint32_t> canonical(n);  // Simulator index -> index in
+                                            // robot 0's t0 order.
+  if ((kind_ == ProtocolKind::sliced || kind_ == ProtocolKind::ksegment ||
+       kind_ == ProtocolKind::asyncn) &&
+      options_.observation_quantum <= 0.0) {
+    tables = tables_in_view_of(specs, orders[0], 0, naming);
+    for (std::size_t k = 0; k < n; ++k) {
+      canonical[orders[0][k]] = static_cast<std::uint32_t>(k);
+    }
+  }
+  const auto shared_naming = [&](std::size_t i) {
+    proto::SharedNaming view;
+    if (tables == nullptr) return view;
+    view.tables = tables;
+    view.to_canonical.reserve(n);
+    for (const sim::RobotIndex j : orders[i]) {
+      view.to_canonical.push_back(canonical[j]);
+    }
+    return view;
+  };
   std::vector<std::unique_ptr<sim::Robot>> programs;
   programs.reserve(n);
   chat_.reserve(n);
@@ -165,7 +218,8 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
             sim::Frame(geom::Vec2{0, 0}, specs[i].frame_rotation,
                        specs[i].frame_unit, specs[i].frame_mirrored)
                     .to_local(options_.flock_velocity);
-        robot = std::make_unique<proto::SyncSlicedRobot>(o);
+        o.shared_naming = shared_naming(i);
+        robot = std::make_unique<proto::SyncSlicedRobot>(std::move(o));
         break;
       }
       case ProtocolKind::ksegment: {
@@ -173,7 +227,8 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
         o.naming = naming;
         o.k = options_.ksegment_k;
         o.sigma_local = sigma_local;
-        robot = std::make_unique<proto::KSegmentRobot>(o);
+        o.shared_naming = shared_naming(i);
+        robot = std::make_unique<proto::KSegmentRobot>(std::move(o));
         break;
       }
       case ProtocolKind::async2: {
@@ -190,7 +245,8 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
         o.naming = naming;
         o.sigma_local = sigma_local;
         o.ack_changes = 2 + 2 * options_.observation_delay;
-        robot = std::make_unique<proto::AsyncNRobot>(o);
+        o.shared_naming = shared_naming(i);
+        robot = std::make_unique<proto::AsyncNRobot>(std::move(o));
         break;
       }
       case ProtocolKind::automatic:
@@ -212,11 +268,9 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
   // slot <-> simulator-index translation, per robot.
   slot_to_engine_.assign(n, std::vector<sim::RobotIndex>(n));
   for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<sim::RobotIndex> order =
-        engine_->initial_observation_order(i);
     for (std::size_t t0_index = 0; t0_index < n; ++t0_index) {
       const std::size_t slot = chat_[i]->slot_of_t0_index(t0_index);
-      slot_to_engine_[i][slot] = order[t0_index];
+      slot_to_engine_[i][slot] = orders[i][t0_index];
     }
   }
   received_.assign(n, {});
@@ -371,10 +425,6 @@ void ChatNetwork::schedule_corruption(sim::RobotIndex i, sim::Time at,
                    [](const ScheduledCorruption& a,
                       const ScheduledCorruption& b) { return a.at < b.at; });
   corrupt_next_ = 0;
-  // Every robot runs its recovery audits: the corrupted one to repair
-  // itself, the others because a corrupted *peer* is indistinguishable
-  // from own damage at the stream level.
-  for (proto::ChatRobot* robot : chat_) robot->arm_stabilization();
 }
 
 void ChatNetwork::track_stabilization() {

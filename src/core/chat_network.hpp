@@ -210,8 +210,7 @@ class ChatNetwork {
   /// Schedules a transient state corruption: after the moves of instant
   /// `at`, robot `i`'s state machine `kind` is overwritten with arbitrary
   /// values drawn purely from (network seed, i, at, kind) — replaying the
-  /// same configuration replays the same damage bit-for-bit. Also arms
-  /// stabilization on every robot so the drivers' recovery audits run.
+  /// same configuration replays the same damage bit-for-bit.
   /// Emits a FaultInjected "corrupt_<target>" event and records a
   /// fault.plan -> fault.corrupt_<target> coverage edge when applied.
   /// Fuzz/fault-harness hook — see fault::arm_corruptions.

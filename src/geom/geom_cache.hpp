@@ -1,13 +1,15 @@
 // GeomCache — configuration-epoch memoization of the geometry substrate.
 //
-// The protocols recompute the same geometry of the same point set over and
-// over: every robot's SlicedCore runs the SEC-based relative naming against
-// the identical t0 configuration (n robots x n labelings x 2 SEC calls
-// before this cache), the watchdog and the conformance validator rebuild
-// the same granular radii, and the viz layer recomputes the Voronoi diagram
-// a figure at a time. All of these are pure functions of the point set, so
-// one memo entry per *configuration epoch* — the interval during which no
-// robot has moved — collapses them to a single computation.
+// The protocols ask for the same geometry of the same point set more than
+// once: a SlicedCore asks for the SEC of its t0 view and then for the
+// granular radii of the same view, a swarm's shared naming tables are
+// built from robot 0's view (which robot 0's core asks for again), the
+// watchdog and the conformance validator rebuild the same granular radii,
+// and the viz layer recomputes the Voronoi diagram a figure at a time. All
+// of these are pure functions of the point set, so one memo entry per
+// *configuration epoch* — the interval during which no robot has moved —
+// collapses them to a single computation. Robots see t0 in different
+// frames, so each robot's view is its own configuration.
 //
 // Keying and invalidation: an entry is keyed by the FNV-1a hash of the raw
 // coordinate bytes, guarded by an exact point-by-point comparison (a hash
@@ -46,9 +48,8 @@ class GeomCache {
   /// shrink candidates need a handful.
   static constexpr std::size_t kCapacity = 8;
 
-  /// The calling thread's cache. Protocol construction, the watchdog and
-  /// the validators all share it, which is what makes the n-robots-build-
-  /// n-SlicedCores pattern O(1) geometry instead of O(n).
+  /// The calling thread's cache, shared by protocol construction, the
+  /// watchdog and the validators.
   [[nodiscard]] static GeomCache& local();
 
   /// Smallest enclosing circle of `points`, memoized.

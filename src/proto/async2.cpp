@@ -100,7 +100,9 @@ geom::Vec2 Async2Robot::on_activate(const sim::Snapshot& snap) {
       note_phase("march");
       const auto bit = peek_bit();
       if (bit && barrier_.satisfied(tracker_)) {
-        assert(bit->first == 1 && "2-robot chat: the peer is slot 1");
+        // Slot 1 is the peer; slot 0 (our own) is the broadcast lane,
+        // which with two robots reaches the same single peer, as in Sync2.
+        assert(bit->first < slot_count());
         exc_dir_ = bit->second == 0 ? east_ : -east_;
         barrier_.arm(tracker_, 1, options_.ack_changes);
         note_ack_window();

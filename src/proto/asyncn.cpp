@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 namespace stig::proto {
 namespace {
@@ -21,7 +22,8 @@ constexpr double kArrive = 1e-9;
 
 void AsyncNRobot::initialize(const sim::Snapshot& snap) {
   // n + 1 diameters: kappa plus one per rank.
-  core_ = SlicedCore(snap, options_.naming, snap.robots.size() + 1);
+  core_ = SlicedCore(snap, options_.naming, snap.robots.size() + 1,
+                     std::move(options_.shared_naming));
   double min_radius = std::numeric_limits<double>::infinity();
   for (std::size_t j = 0; j < core_.robot_count(); ++j) {
     min_radius = std::min(min_radius, core_.radius(j));
@@ -99,11 +101,11 @@ geom::Vec2 AsyncNRobot::on_activate(const sim::Snapshot& snap) {
   note_activation(snap);
   const std::size_t self = core_.self_index();
 
-  // Granular-naming audit (stabilization): armed runs only — see
-  // SyncSlicedRobot. A repair invalidates all rank-keyed reassembly, and
-  // this protocol's idle-resync heuristic is far too slow to be trusted
-  // with it, so the repair resets everything itself.
-  if (stabilization_armed() && core_.audit_naming()) {
+  // Granular-naming audit (stabilization) — see SyncSlicedRobot. A repair
+  // invalidates all rank-keyed reassembly, and this protocol's idle-resync
+  // heuristic is far too slow to be trusted with it, so the repair resets
+  // everything itself.
+  if (core_.audit_naming()) {
     for (std::size_t j = 0; j < core_.robot_count(); ++j) {
       reset_streams_from(j);
       peer_state_[j] = 0;

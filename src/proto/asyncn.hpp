@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "proto/common.hpp"
@@ -52,11 +53,15 @@ struct AsyncNOptions {
   /// Observed changes required per acknowledgment window: 2 under atomic
   /// observation (Lemma 4.1), 2d + 2 with d-stale observations.
   std::uint64_t ack_changes = 2;
+  /// The swarm's naming tables and this robot's permutation into them
+  /// (core::ChatNetwork fills it); empty = build own tables at t0.
+  SharedNaming shared_naming;
 };
 
 class AsyncNRobot final : public ChatRobot {
  public:
-  explicit AsyncNRobot(AsyncNOptions options) : options_(options) {}
+  explicit AsyncNRobot(AsyncNOptions options)
+      : options_(std::move(options)) {}
 
   void initialize(const sim::Snapshot& snap) override;
   geom::Vec2 on_activate(const sim::Snapshot& snap) override;

@@ -147,14 +147,6 @@ class ChatRobot : public sim::Robot {
   /// discipline — see docs/STABILIZATION.md.
   void corrupt_state(CorruptKind kind, std::uint64_t garbage);
 
-  /// Tells the robot a transient corruption is scheduled this run: drivers
-  /// with a naming audit (the granular protocols) re-verify their tables on
-  /// activation only when armed, keeping fault-free runs allocation-free.
-  void arm_stabilization() noexcept { stab_armed_ = true; }
-  [[nodiscard]] bool stabilization_armed() const noexcept {
-    return stab_armed_;
-  }
-
   /// True while an armed decode fault has bits left to fire. A pending
   /// fault at the end of a run means the injection never happened (the
   /// robot never decoded that many signals) — the harness asked for a
@@ -277,7 +269,6 @@ class ChatRobot : public sim::Robot {
   const char* phase_name_ = nullptr;
   std::optional<geom::Vec2> last_pos_;  ///< Self position, last activation.
   bool last_was_idle_ = false;
-  bool stab_armed_ = false;  ///< A corruption is scheduled this run.
 
   // Coverage plumbing (inactive until set_coverage).
   obs::cov::CovMap* cov_ = nullptr;      ///< Not owned; null when off.

@@ -3,17 +3,20 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace stig::proto {
 
-KSegmentRobot::KSegmentRobot(KSegmentOptions options) : options_(options) {
+KSegmentRobot::KSegmentRobot(KSegmentOptions options)
+    : options_(std::move(options)) {
   if (options_.k < 2) {
     throw std::invalid_argument("KSegmentRobot requires k >= 2");
   }
 }
 
 void KSegmentRobot::initialize(const sim::Snapshot& snap) {
-  core_ = SlicedCore(snap, options_.naming, options_.k + 1);
+  core_ = SlicedCore(snap, options_.naming, options_.k + 1,
+                     std::move(options_.shared_naming));
   digits_ = encode::digits_needed(snap.robots.size(), options_.k);
   decode_.clear();
   decode_.resize(snap.robots.size());
@@ -23,9 +26,9 @@ geom::Vec2 KSegmentRobot::on_activate(const sim::Snapshot& snap) {
   note_activation(snap);
   const std::size_t self = core_.self_index();
 
-  // Granular-naming audit (stabilization): armed runs only — see
-  // SyncSlicedRobot. A repair invalidates all rank-keyed reassembly.
-  if (stabilization_armed() && core_.audit_naming()) {
+  // Granular-naming audit (stabilization) — see SyncSlicedRobot. A repair
+  // invalidates all rank-keyed reassembly.
+  if (core_.audit_naming()) {
     for (std::size_t j = 0; j < core_.robot_count(); ++j) {
       reset_streams_from(j);
       DecodeState& st = decode_[j];

@@ -36,6 +36,9 @@ struct KSegmentOptions {
   double sigma_local = 1.0;
   /// Fraction of the granular radius used as signal amplitude.
   double amplitude_fraction = 0.45;
+  /// The swarm's naming tables and this robot's permutation into them
+  /// (core::ChatNetwork fills it); empty = build own tables at t0.
+  SharedNaming shared_naming;
 };
 
 class KSegmentRobot final : public ChatRobot {
@@ -54,6 +57,8 @@ class KSegmentRobot final : public ChatRobot {
   [[nodiscard]] std::size_t slot_of_t0_index(std::size_t i) const override {
     return core_.rank(core_.self_index(), i);
   }
+
+  [[nodiscard]] const SlicedCore& core() const noexcept { return core_; }
 
   /// Movement symbols needed per message of `payload_bits` framed bits:
   /// the digit prefix plus the payload.

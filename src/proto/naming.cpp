@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "geom/angle.hpp"
 #include "geom/geom_cache.hpp"
@@ -48,10 +49,12 @@ std::vector<std::size_t> id_ranks(std::span<const sim::VisibleId> ids) {
 
 geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
                              std::size_t self) {
+  return horizon_direction(points, self, geom::cached_sec(points));
+}
+
+geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
+                             std::size_t self, const geom::Circle& sec) {
   assert(points.size() >= 2);
-  // Memoized: every robot's labeling pass asks for the SEC of the same t0
-  // configuration; the cache turns n^2 Welzl runs per swarm into one.
-  const geom::Circle sec = geom::cached_sec(points);
   const geom::Vec2 off = points[self] - sec.center;
   // Scale-aware degeneracy threshold: "at the center" relative to the SEC
   // radius, so the rule is unit-independent.
@@ -93,11 +96,15 @@ geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
 
 RelativeNaming relative_naming(std::span<const geom::Vec2> points,
                                std::size_t self) {
+  return relative_naming(points, self, geom::cached_sec(points));
+}
+
+RelativeNaming relative_naming(std::span<const geom::Vec2> points,
+                               std::size_t self, const geom::Circle& sec) {
   assert(points.size() >= 2);
   RelativeNaming naming;
-  const geom::Circle sec = geom::cached_sec(points);
   naming.sec_center = sec.center;
-  naming.reference = horizon_direction(points, self);
+  naming.reference = horizon_direction(points, self, sec);
 
   // Sort key per robot: (clockwise angle of its SEC radius from H_self,
   // distance from O). A robot exactly at O has no radius; it precedes
@@ -132,6 +139,46 @@ RelativeNaming relative_naming(std::span<const geom::Vec2> points,
     naming.ranks[keys[r].index] = r;
   }
   return naming;
+}
+
+NamingTables::NamingTables(std::span<const geom::Vec2> points,
+                           std::span<const sim::VisibleId> ids,
+                           NamingMode mode)
+    : n_(points.size()),
+      mode_(mode),
+      stride_(mode == NamingMode::relative ? points.size() : 0) {
+  const auto append_row = [this](const std::vector<std::size_t>& row) {
+    for (const std::size_t r : row) {
+      ranks_.push_back(static_cast<std::uint32_t>(r));
+    }
+  };
+  switch (mode) {
+    case NamingMode::by_ids:
+      if (ids.size() != n_) {
+        throw std::invalid_argument(
+            "NamingMode::by_ids requires an identified system");
+      }
+      append_row(id_ranks(ids));
+      break;
+    case NamingMode::lexicographic:
+      append_row(lex_ranks(points));
+      break;
+    case NamingMode::relative: {
+      // One SEC for all n labelings of this view.
+      const geom::Circle sec = geom::cached_sec(points);
+      ranks_.reserve(n_ * n_);
+      for (std::size_t i = 0; i < n_; ++i) {
+        append_row(relative_naming(points, i, sec).ranks);
+      }
+      break;
+    }
+  }
+  inverse_.assign(ranks_.size(), 0);
+  for (std::size_t row = 0; row < ranks_.size(); row += n_) {
+    for (std::size_t j = 0; j < n_; ++j) {
+      inverse_[row + ranks_[row + j]] = static_cast<std::uint32_t>(j);
+    }
+  }
 }
 
 }  // namespace stig::proto

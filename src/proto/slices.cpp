@@ -3,6 +3,7 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "geom/geom_cache.hpp"
 
@@ -23,38 +24,72 @@ constexpr std::size_t kAssociateGridThreshold = 64;
 }  // namespace
 
 SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
-                       std::size_t diameter_count)
+                       std::size_t diameter_count, SharedNaming shared)
     : n_(t0.robots.size()),
       self_(t0.self),
       diameters_(diameter_count),
-      naming_(naming) {
+      shared_(std::move(shared.tables)) {
   assert(diameter_count >= 1);
   centers_.reserve(n_);
   for (const sim::ObservedRobot& r : t0.robots) {
     centers_.push_back(r.position);
   }
-  if (naming == NamingMode::by_ids) {
-    ids_.reserve(n_);
-    for (const sim::ObservedRobot& r : t0.robots) {
-      if (!r.id) {
-        throw std::invalid_argument(
-            "NamingMode::by_ids requires an identified system");
+
+  if (shared_ == nullptr) {
+    std::vector<sim::VisibleId> ids;
+    if (naming == NamingMode::by_ids) {
+      ids.reserve(n_);
+      for (const sim::ObservedRobot& r : t0.robots) {
+        if (!r.id) {
+          throw std::invalid_argument(
+              "NamingMode::by_ids requires an identified system");
+        }
+        ids.push_back(*r.id);
       }
-      ids_.push_back(*r.id);
+    }
+    shared_ = std::make_shared<const NamingTables>(centers_, ids, naming);
+  } else {
+    if (shared_->robot_count() != n_ || shared_->mode() != naming ||
+        shared.to_canonical.size() != n_) {
+      throw std::invalid_argument(
+          "SlicedCore: shared naming tables do not match the snapshot");
+    }
+    const auto unset = static_cast<std::uint32_t>(n_);
+    std::vector<std::uint32_t> inverse(n_, unset);
+    bool identity = true;
+    for (std::size_t i = 0; i < n_; ++i) {
+      const std::uint32_t c = shared.to_canonical[i];
+      if (c >= n_ || inverse[c] != unset) {
+        throw std::invalid_argument(
+            "SlicedCore: to_canonical is not a permutation");
+      }
+      inverse[c] = static_cast<std::uint32_t>(i);
+      identity = identity && c == i;
+    }
+    if (!identity) {
+      to_canonical_ = std::move(shared.to_canonical);
+      from_canonical_ = std::move(inverse);
     }
   }
+  view_ = shared_.get();
 
-  shared_ranks_ = naming != NamingMode::relative;
-  std::vector<geom::Vec2> references(n_);
-  compute_ranks(ranks_, inverse_ranks_, &references);
+  // Reference directions stay per robot and in its own frame: they place
+  // its own signal points. One SEC of this frame serves every horizon.
+  std::vector<geom::Vec2> references(n_, geom::Vec2{0.0, 1.0});  // North.
+  if (naming == NamingMode::relative) {
+    const geom::Circle sec = geom::cached_sec(centers_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      references[i] = horizon_direction(centers_, i, sec);
+    }
+  }
 
   if (n_ >= kAssociateGridThreshold) {
     center_grid_.build(centers_);
   }
 
   granulars_.reserve(n_);
-  // Memoized per configuration epoch: all n robots build their SlicedCore
-  // from the same t0 snapshot, so one O(n^2) radii pass serves the swarm.
+  // Memoized per configuration: under relative naming the SEC lookup
+  // above already created the cache entry for these centers.
   const std::vector<double>& radii =
       geom::GeomCache::local().granular_radii(centers_);
   for (std::size_t i = 0; i < n_; ++i) {
@@ -66,75 +101,30 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
   }
 }
 
-void SlicedCore::compute_ranks(std::vector<std::uint32_t>& ranks,
-                               std::vector<std::uint32_t>& inverse,
-                               std::vector<geom::Vec2>* references) const {
-  // Reference directions and labelings. Shared namings (by_ids,
-  // lexicographic) flatten to a single row; relative naming stores one
-  // row per observer.
-  ranks.clear();
-  ranks.reserve(shared_ranks_ ? n_ : n_ * n_);
-  const auto append_row = [&ranks](const std::vector<std::size_t>& row) {
-    for (const std::size_t r : row) {
-      ranks.push_back(static_cast<std::uint32_t>(r));
-    }
-  };
-  switch (naming_) {
-    case NamingMode::by_ids: {
-      append_row(id_ranks(ids_));
-      if (references != nullptr) {
-        for (std::size_t i = 0; i < n_; ++i) {
-          // North (sense of direction).
-          (*references)[i] = geom::Vec2{0.0, 1.0};
-        }
-      }
-      break;
-    }
-    case NamingMode::lexicographic: {
-      append_row(lex_ranks(centers_));
-      if (references != nullptr) {
-        for (std::size_t i = 0; i < n_; ++i) {
-          (*references)[i] = geom::Vec2{0.0, 1.0};
-        }
-      }
-      break;
-    }
-    case NamingMode::relative: {
-      for (std::size_t i = 0; i < n_; ++i) {
-        RelativeNaming rel = relative_naming(centers_, i);
-        append_row(rel.ranks);
-        if (references != nullptr) (*references)[i] = rel.reference;
-      }
-      break;
-    }
-  }
-
-  inverse.assign(ranks.size(), 0);
-  const std::size_t rows = shared_ranks_ ? 1 : n_;
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      inverse[i * n_ + ranks[i * n_ + j]] = static_cast<std::uint32_t>(j);
-    }
-  }
-}
-
 void SlicedCore::scramble_naming(std::uint64_t garbage) {
-  if (ranks_.empty() || n_ == 0) return;
-  ranks_[garbage % ranks_.size()] =
+  if (n_ == 0) return;
+  if (scrambled_ == nullptr) {
+    scrambled_ = std::make_unique<NamingTables>(*shared_);
+    view_ = scrambled_.get();
+  }
+  // Entry e of an own-indexed row-major table is cell (e / n, e % n); the
+  // one-row namings have e < n, so the row part is 0 (and ignored). Robot
+  // indices go through the permutation, ranks do not.
+  NamingTables& t = *scrambled_;
+  const std::size_t e = garbage % t.entries();
+  t.rank_cell(canonical(e / n_), canonical(e % n_)) =
       static_cast<std::uint32_t>((garbage >> 8) % n_);
-  inverse_ranks_[(garbage >> 16) % inverse_ranks_.size()] =
-      static_cast<std::uint32_t>((garbage >> 24) % n_);
+  const std::size_t f = (garbage >> 16) % t.entries();
+  t.inverse_cell(canonical(f / n_), f % n_) =
+      static_cast<std::uint32_t>(canonical((garbage >> 24) % n_));
 }
 
 bool SlicedCore::audit_naming() {
-  if (n_ == 0) return false;
-  std::vector<std::uint32_t> ranks;
-  std::vector<std::uint32_t> inverse;
-  compute_ranks(ranks, inverse, nullptr);
-  if (ranks == ranks_ && inverse == inverse_ranks_) return false;
-  ranks_ = std::move(ranks);
-  inverse_ranks_ = std::move(inverse);
-  return true;
+  if (scrambled_ == nullptr) return false;
+  const bool repaired = !(*scrambled_ == *shared_);
+  scrambled_.reset();
+  view_ = shared_.get();
+  return repaired;
 }
 
 std::vector<geom::Vec2> SlicedCore::associate(

@@ -9,7 +9,8 @@
 //   * each robot's reference direction (North with sense of direction, or
 //     the horizon line H_r of the SEC-based relative naming);
 //   * each robot's labeling of all robots (every observer can reconstruct
-//     every sender's labeling — the property Section 3.4 relies on);
+//     every sender's labeling — the property Section 3.4 relies on), read
+//     from NamingTables that a whole swarm can share;
 //   * association of an observed configuration back to persistent robot
 //     identities (granulars are disjoint, so nearest-center is unambiguous);
 //   * classification of a robot's displacement into (diameter, side).
@@ -17,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -29,21 +31,21 @@
 
 namespace stig::proto {
 
-/// Which naming scheme labels the diameters.
-enum class NamingMode : unsigned char {
-  by_ids,         ///< Rank of visible IDs (Section 3.2). Requires an
-                  ///< identified system and sense of direction.
-  lexicographic,  ///< Rank of coordinates in the shared axes (Section 3.3).
-                  ///< Requires sense of direction (+ chirality).
-  relative,       ///< Per-robot SEC naming (Section 3.4). Chirality only.
-};
-
 /// A movement signal: which labeled diameter, which half.
 struct Signal {
   std::size_t diameter = 0;
   geom::DiameterSide side{};
 
   friend constexpr bool operator==(const Signal&, const Signal&) = default;
+};
+
+/// One robot's handle on a swarm's shared naming tables: the tables, built
+/// in some canonical robot's t0 indexing, plus this robot's map from its
+/// own t0 snapshot indices to the canonical ones. Empty `tables` means
+/// "build your own".
+struct SharedNaming {
+  std::shared_ptr<const NamingTables> tables;
+  std::vector<std::uint32_t> to_canonical;  ///< Own t0 index -> canonical.
 };
 
 class SlicedCore {
@@ -57,8 +59,13 @@ class SlicedCore {
   /// k+1 for the k-segment variant.
   /// Precondition for `NamingMode::by_ids`: the snapshot carries visible
   /// ids.
+  ///
+  /// `shared`: the swarm's naming tables and this robot's permutation
+  /// into them. Sharing is exact only when every robot's t0 view is a
+  /// similarity image of the canonical one (see DESIGN.md §9); without
+  /// it the core builds its own tables from `t0` (identity permutation).
   SlicedCore(const sim::Snapshot& t0, NamingMode naming,
-             std::size_t diameter_count);
+             std::size_t diameter_count, SharedNaming shared = {});
 
   [[nodiscard]] std::size_t robot_count() const noexcept { return n_; }
   [[nodiscard]] std::size_t self_index() const noexcept { return self_; }
@@ -78,13 +85,21 @@ class SlicedCore {
 
   /// Rank of robot `j` in robot `i`'s labeling.
   [[nodiscard]] std::size_t rank(std::size_t i, std::size_t j) const {
-    return ranks_.at(row(i) + check_index(j));
+    return view_->rank(canonical(i), canonical(j));
   }
 
   /// Robot whose rank in `i`'s labeling is `r`.
   [[nodiscard]] std::size_t robot_with_rank(std::size_t i,
                                             std::size_t r) const {
-    return inverse_ranks_.at(row(i) + check_index(r));
+    if (r >= n_) throw std::out_of_range("SlicedCore: rank index");
+    const std::size_t c = view_->robot_with_rank(canonical(i), r);
+    return from_canonical_.empty() ? c : from_canonical_[c];
+  }
+
+  /// The naming tables this core reads when uncorrupted — the swarm's
+  /// shared ones, or its own. Tests compare addresses to see sharing.
+  [[nodiscard]] const NamingTables& naming_tables() const {
+    return *shared_;
   }
 
   /// Associates the observed configuration to persistent robot indices:
@@ -125,54 +140,42 @@ class SlicedCore {
   /// failure — instead of tripping a bounds check (fail-stop, which needs
   /// no stabilization). May be vacuous when the garbage equals the stored
   /// value; the audit then finds nothing to repair.
+  ///
+  /// Copy-on-write: the shared tables are immutable, so the first scramble
+  /// gives this core a private copy (same size as the tables) and damages
+  /// that. `garbage` picks an entry of the row-major table in this robot's
+  /// own indexing, which the permutation maps to the copy's cell, so every
+  /// lookup reads as if the robot owned an own-indexed table.
   void scramble_naming(std::uint64_t garbage);
 
-  /// Stabilization audit: recomputes the naming tables from the stored t0
-  /// geometry (and ids), compares them to the live tables, and swaps the
-  /// recomputed ones in when they differ. Returns true exactly when a
-  /// repair happened — the caller must then treat all reassembly state
-  /// keyed by ranks as suspect. Bit-exact no-op (but an O(n log n)
-  /// recompute + allocation) on an uncorrupted core, which is why drivers
-  /// only call it when stabilization is armed.
+  /// Stabilization audit: when a scrambled private copy exists, compares
+  /// it with the shared tables, drops it, and returns true exactly when
+  /// they differed — the caller must then treat all reassembly state keyed
+  /// by ranks as suspect. Without a copy it is O(1) and allocation-free.
   [[nodiscard]] bool audit_naming();
 
  private:
-  /// Computes the rank tables (and, when `references` is non-null, each
-  /// robot's reference direction) from centers_/ids_/naming_. Shared by
-  /// the constructor and the stabilization audit so the audit compares
-  /// against exactly the construction-time derivation.
-  void compute_ranks(std::vector<std::uint32_t>& ranks,
-                     std::vector<std::uint32_t>& inverse,
-                     std::vector<geom::Vec2>* references) const;
-
-  [[nodiscard]] std::size_t row(std::size_t i) const {
-    // Shared labelings (by_ids, lexicographic: every robot ranks every
-    // robot identically) store ONE row for the whole swarm; only the
-    // relative naming, which is genuinely per-observer, stores n rows.
-    // Each robot holds its own core, so without sharing an n-robot swarm
-    // carried n * n^2 rank entries — the memory wall that capped the
-    // sliced protocols near n = 256.
+  /// Canonical index of this robot's t0 index `i` (bounds-checked).
+  [[nodiscard]] std::size_t canonical(std::size_t i) const {
     if (i >= n_) throw std::out_of_range("SlicedCore: robot index");
-    return shared_ranks_ ? 0 : i * n_;
-  }
-  [[nodiscard]] std::size_t check_index(std::size_t j) const {
-    if (j >= n_) throw std::out_of_range("SlicedCore: rank index");
-    return j;
+    return to_canonical_.empty() ? i : to_canonical_[i];
   }
 
   std::size_t n_ = 0;
   std::size_t self_ = 0;
   std::size_t diameters_ = 0;
-  bool shared_ranks_ = false;
-  NamingMode naming_ = NamingMode::lexicographic;
-  std::vector<sim::VisibleId> ids_;  ///< t0 visible ids (by_ids only).
   std::vector<geom::Vec2> centers_;
   std::vector<geom::Granular> granulars_;
-  /// Flat rank tables: row-major rows of length n_ (one shared row when
-  /// `shared_ranks_`). uint32 halves the footprint of the old size_t
-  /// nested vectors; swarms stay far below 2^32 robots.
-  std::vector<std::uint32_t> ranks_;
-  std::vector<std::uint32_t> inverse_ranks_;
+  /// The naming tables: shared across the swarm, or built by this core.
+  std::shared_ptr<const NamingTables> shared_;
+  /// Own t0 index <-> index into the tables; both empty for the identity
+  /// (standalone cores, and every by_ids swarm), which skips the lookup.
+  std::vector<std::uint32_t> to_canonical_;
+  std::vector<std::uint32_t> from_canonical_;
+  /// Private copy made by scramble_naming; null while uncorrupted.
+  std::unique_ptr<NamingTables> scrambled_;
+  /// What the lookups read: `shared_`, or `scrambled_` when set.
+  const NamingTables* view_ = nullptr;
   /// Nearest-center index for `associate_into`, built once over the t0
   /// centers for large swarms (empty below the threshold — the brute scan
   /// wins there).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace stig::proto {
 
@@ -14,7 +15,8 @@ constexpr std::uint8_t kResyncGap = 3;
 }  // namespace
 
 void SyncSlicedRobot::initialize(const sim::Snapshot& snap) {
-  core_ = SlicedCore(snap, options_.naming, snap.robots.size());
+  core_ = SlicedCore(snap, options_.naming, snap.robots.size(),
+                     std::move(options_.shared_naming));
   peer_was_off_.assign(core_.robot_count(), false);
   peer_idle_.assign(core_.robot_count(), 0);
 }
@@ -29,13 +31,11 @@ geom::Vec2 SyncSlicedRobot::on_activate(const sim::Snapshot& snap) {
   step_ = snap.t;
   const geom::Vec2 drift = drift_at(step_);
 
-  // Granular-naming audit (stabilization): only when a corruption is
-  // scheduled this run — recomputing the tables allocates, and fault-free
-  // runs must stay allocation-free. A detected repair also resets every
-  // stream: a robot with corrupted names has been filing decoded bits
-  // under the wrong (sender, addressee) keys, so all reassembly state is
-  // suspect.
-  if (stabilization_armed() && core_.audit_naming()) {
+  // Granular-naming audit (stabilization), O(1) unless this robot's
+  // tables were scrambled. A detected repair also resets every stream: a
+  // robot with corrupted names has been filing decoded bits under the
+  // wrong (sender, addressee) keys, so all reassembly state is suspect.
+  if (core_.audit_naming()) {
     for (std::size_t j = 0; j < core_.robot_count(); ++j) {
       reset_streams_from(j);
       peer_was_off_[j] = false;

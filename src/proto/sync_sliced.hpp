@@ -16,6 +16,7 @@
 // decoding, so the swarm travels while chatting.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "proto/common.hpp"
@@ -35,12 +36,15 @@ struct SyncSlicedOptions {
   /// movement"); zero disables flocking. With flocking enabled the protocol
   /// is no longer silent.
   geom::Vec2 flock_velocity{0.0, 0.0};
+  /// The swarm's naming tables and this robot's permutation into them
+  /// (core::ChatNetwork fills it); empty = build own tables at t0.
+  SharedNaming shared_naming;
 };
 
 class SyncSlicedRobot final : public ChatRobot {
  public:
   explicit SyncSlicedRobot(SyncSlicedOptions options)
-      : options_(options) {}
+      : options_(std::move(options)) {}
 
   void initialize(const sim::Snapshot& snap) override;
   geom::Vec2 on_activate(const sim::Snapshot& snap) override;

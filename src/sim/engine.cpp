@@ -23,6 +23,34 @@ double collision_radius2(double cd) { return cd * cd * 1.00001; }
 
 }  // namespace
 
+std::vector<RobotIndex> initial_observation_order(
+    std::span<const RobotSpec> specs, RobotIndex observer) {
+  if (observer >= specs.size()) {
+    throw std::out_of_range("initial_observation_order: robot index");
+  }
+  const bool identified = std::all_of(
+      specs.begin(), specs.end(),
+      [](const RobotSpec& s) { return s.id.has_value(); });
+  std::vector<RobotIndex> order(specs.size());
+  for (std::size_t j = 0; j < specs.size(); ++j) order[j] = j;
+  if (identified) {
+    std::sort(order.begin(), order.end(), [&](RobotIndex a, RobotIndex b) {
+      return *specs[a].id < *specs[b].id;
+    });
+    return order;
+  }
+  // Local positions once, not per comparison.
+  const Frame f = frame_of(specs[observer]);
+  std::vector<geom::Vec2> local(specs.size());
+  for (std::size_t j = 0; j < specs.size(); ++j) {
+    local[j] = f.to_local(specs[j].position);
+  }
+  std::sort(order.begin(), order.end(), [&](RobotIndex a, RobotIndex b) {
+    return local[a] < local[b];
+  });
+  return order;
+}
+
 Engine::Engine(std::vector<RobotSpec> specs,
                std::vector<std::unique_ptr<Robot>> programs,
                std::unique_ptr<Scheduler> scheduler, EngineOptions options)
@@ -56,8 +84,7 @@ Engine::Engine(std::vector<RobotSpec> specs,
     if (s.sigma <= 0.0) {
       throw std::invalid_argument("Engine: sigma must be positive");
     }
-    frames_.emplace_back(s.position, s.frame_rotation, s.frame_unit,
-                         s.frame_mirrored);
+    frames_.push_back(frame_of(s));
     sigmas_.push_back(s.sigma);
     p0.push_back(s.position);
   }
@@ -167,26 +194,6 @@ void Engine::set_coverage(obs::cov::CovMap* map) {
   // The first instant's 2-gram starts from an explicit start state, so a
   // run's very first interleaving class is itself an edge.
   cov_prev_ = cov_->state("start");
-}
-
-std::vector<RobotIndex> Engine::initial_observation_order(
-    RobotIndex i) const {
-  const Frame& f = frames_.at(i);
-  std::vector<RobotIndex> order(specs_.size());
-  for (std::size_t j = 0; j < specs_.size(); ++j) order[j] = j;
-  if (identified_) {
-    std::sort(order.begin(), order.end(),
-              [&](RobotIndex a, RobotIndex b) {
-                return specs_[a].id.value() < specs_[b].id.value();
-              });
-  } else {
-    std::sort(order.begin(), order.end(),
-              [&](RobotIndex a, RobotIndex b) {
-                return f.to_local(specs_[a].position) <
-                       f.to_local(specs_[b].position);
-              });
-  }
-  return order;
 }
 
 Snapshot Engine::make_snapshot_at(RobotIndex i,

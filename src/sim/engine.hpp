@@ -49,6 +49,20 @@ struct RobotSpec {
   std::optional<VisibleId> id;  ///< Visible identifier (identified systems).
 };
 
+/// The private frame `spec` describes, anchored at its t0 position.
+[[nodiscard]] inline Frame frame_of(const RobotSpec& spec) noexcept {
+  return Frame(spec.position, spec.frame_rotation, spec.frame_unit,
+               spec.frame_mirrored);
+}
+
+/// Indices into `specs` in the order robot `observer` lists the swarm in
+/// its t0 snapshot with exact sensors: by visible id in identified systems
+/// (every spec has an id), else lexicographically by t0 position in the
+/// observer's frame. `Engine::initial_observation_order` and
+/// core::ChatNetwork's slot and naming tables all come from here.
+[[nodiscard]] std::vector<RobotIndex> initial_observation_order(
+    std::span<const RobotSpec> specs, RobotIndex observer);
+
 /// Engine construction options.
 struct EngineOptions {
   bool record_positions = false;  ///< Keep full per-instant history.
@@ -221,7 +235,9 @@ class Engine {
   /// application layer translate between simulator indices and each robot's
   /// local peer numbering.
   [[nodiscard]] std::vector<RobotIndex> initial_observation_order(
-      RobotIndex i) const;
+      RobotIndex i) const {
+    return sim::initial_observation_order(specs_, i);
+  }
 
   /// Fault injection: instantly moves robot `i` to `global_position`
   /// (bypassing its program and sigma). Models a transient fault — a shove,

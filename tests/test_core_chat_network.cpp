@@ -126,6 +126,25 @@ TEST(ChatNetwork, Async2Delivers) {
   EXPECT_EQ(net.received(1)[0].payload, payload("async"));
 }
 
+TEST(ChatNetwork, Async2BroadcastReachesThePeer) {
+  // A broadcast queues on the sender's own slot, the broadcast lane. With
+  // two robots that lane reaches the single peer, as with Sync2; it once
+  // tripped Async2's "the peer is slot 1" assertion.
+  ChatNetworkOptions opt;
+  opt.synchrony = Synchrony::asynchronous;
+  opt.activation_probability = 0.5;
+  ChatNetwork net({geom::Vec2{-2.0, 0.0}, geom::Vec2{2.0, 0.0}}, opt);
+  ASSERT_EQ(net.protocol_kind(), ProtocolKind::async2);
+
+  net.broadcast(1, payload("all"));
+  ASSERT_TRUE(net.run_until_quiescent(100'000));
+  net.run(64);
+  ASSERT_EQ(net.received(0).size(), 1u);
+  EXPECT_EQ(net.received(0)[0].payload, payload("all"));
+  EXPECT_EQ(net.received(0)[0].from, 1u);
+  EXPECT_TRUE(net.received(1).empty());
+}
+
 TEST(ChatNetwork, AsyncNDelivers) {
   ChatNetworkOptions opt;
   opt.synchrony = Synchrony::asynchronous;

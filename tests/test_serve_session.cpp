@@ -138,6 +138,31 @@ TEST(ServeSession, AsyncOptionsMatchDirectChatNetwork) {
   }
 }
 
+TEST(ServeSession, TwoRobotAsyncBroadcastDelivers) {
+  // Any client can broadcast on a 2-robot async session; the broadcast
+  // lane must reach the peer (it once aborted assert-enabled builds).
+  const std::uint64_t seed = 77;
+  const Request open = open_request(seed, 2, kOpenAsync);
+  core::ChatNetwork direct(scatter_positions(2, seed), session_options(open));
+  direct.broadcast(0, std::vector<std::uint8_t>{'b', 'c'});
+  direct.run(20000);
+  ASSERT_EQ(direct.received(1).size(), 1u);
+
+  SessionRegistry registry;
+  const std::uint64_t id = registry.apply(open).session;
+  ASSERT_EQ(
+      registry.apply(send_request(id, 0, 1, {'b', 'c'}, kSendBroadcast))
+          .status,
+      Status::ok);
+  ASSERT_EQ(registry.apply(step_request(id, 20000)).status, Status::ok);
+  const Response polled = registry.apply(poll_request(id, 1));
+  ASSERT_EQ(polled.status, Status::ok);
+  ASSERT_EQ(polled.deliveries.size(), 1u);
+  EXPECT_EQ(polled.deliveries[0].from, 0u);
+  EXPECT_EQ(polled.deliveries[0].payload,
+            (std::vector<std::uint8_t>{'b', 'c'}));
+}
+
 // ---------------------------------------------------------------------------
 // Backpressure: BUSY never drops, never reorders.
 
