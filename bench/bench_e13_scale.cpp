@@ -11,15 +11,18 @@
 // prediction (4096/32)^2 — so CI fails if the wall ever comes back.
 //
 // Table B measures end-to-end chat throughput (sliced synchronous
-// protocol, by_ids naming, one 1-byte broadcast) at n in
-// {32, 128, 512, 1024}: instants to quiescence, bits delivered, and
-// machine-dependent bits/sec. n = 4096 is omitted: a full chat swarm
-// holds n granulars per robot core (n^2 total), which at 4096 costs
-// multiple GiB before the first instant runs — see EXPERIMENTS.md E13.
+// protocol, one 1-byte broadcast): by_ids naming at n in
+// {32, 128, 512, 1024} and relative naming (anonymous, chirality only) at
+// n in {128, 256, 512}. Instants to quiescence and bits delivered are
+// gated; construction and run times and bits/sec are machine-dependent.
+// n = 4096 is omitted: a full chat swarm holds n granulars per robot core
+// (n^2 total), which at 4096 costs multiple GiB before the first instant
+// runs — see EXPERIMENTS.md E13.
 //
 // Table C measures construction alone for the relative (chirality-only)
-// naming at n in {128, 256, 512, 1024}: build time, live heap after
-// construction, peak heap during it, and allocation count (obs::alloc,
+// naming at n in {128, 256, 512, 1024}, each from an empty geometry
+// cache: build time, live heap after construction (the cache entries it
+// leaves included), peak heap during it, and allocation count (obs::alloc,
 // so deterministic). The n x n rank tables are built once per swarm; what
 // grows beyond n^2 is per-robot granular state. n = 1024 is printed but
 // not gated. The binary also exits non-zero when n = 512 leaves more than
@@ -41,6 +44,7 @@
 
 #include "bench_util.hpp"
 #include "core/chat_network.hpp"
+#include "geom/geom_cache.hpp"
 #include "obs/alloc_track.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -153,26 +157,33 @@ int main() {
             << "% of quadratic) -> " << (scaling_ok ? "ok" : "REGRESSION")
             << "\n\n";
 
-  // ---- Table B: end-to-end chat throughput (sliced sync, by_ids).
+  // ---- Table B: end-to-end chat throughput (sliced sync), construction
+  // to quiescence.
   std::cout << "chat throughput: 1-byte broadcast, sliced synchronous "
-               "protocol, by_ids naming:\n";
-  bench::Table tb({"n", "instants", "bits", "bits/instant", "bits/s"},
+               "protocol:\n";
+  bench::Table tb({"naming", "n", "instants", "bits", "bits/instant",
+                   "build ms", "run ms", "bits/s"},
                   report, "chat throughput");
   const std::vector<std::uint8_t> one_byte{0xA5};
-  for (std::size_t idx = 0; idx < 4; ++idx) {
-    const std::size_t n = std::vector<std::size_t>{32, 128, 512, 1024}[idx];
+  // by_ids: identified robots with sense of direction. relative:
+  // anonymous robots with chirality only, so every observer sorts.
+  const auto chat = [&](bool by_ids, std::size_t n, std::uint64_t seed,
+                        std::uint64_t place_seed) {
     core::ChatNetworkOptions opt;
     opt.synchrony = core::Synchrony::synchronous;
     opt.protocol = core::ProtocolKind::sliced;
-    opt.caps.visible_ids = true;
-    opt.caps.sense_of_direction = true;
-    opt.seed = bench::case_seed(1302, idx);
-    core::ChatNetwork net(grid_scatter(n, bench::case_seed(1303, idx)), opt);
+    opt.caps.visible_ids = by_ids;
+    opt.caps.sense_of_direction = by_ids;
+    opt.seed = seed;
+    std::vector<geom::Vec2> start = grid_scatter(n, place_seed);
     const Clock::time_point t0 = Clock::now();
+    core::ChatNetwork net(std::move(start), opt);
+    const Clock::time_point t1 = Clock::now();
     net.broadcast(0, one_byte);
     const bool done = net.run_until_quiescent(1'000'000);
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    const Clock::time_point t2 = Clock::now();
+    const double build = std::chrono::duration<double>(t1 - t0).count();
+    const double run = std::chrono::duration<double>(t2 - t1).count();
     const std::uint64_t instants = net.engine().trace().instants();
     std::uint64_t bits = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -180,16 +191,33 @@ int main() {
         bits += 8 * d.payload.size();
       }
     }
-    tb.row(n, instants, bits,
+    tb.row(by_ids ? "by_ids" : "relative", n, instants, bits,
            static_cast<double>(bits) / static_cast<double>(instants),
-           static_cast<double>(bits) / wall);
+           build * 1e3, run * 1e3, static_cast<double>(bits) / run);
+    const std::string key = by_ids ? "chat_" : "relative_chat_";
     const std::string suffix = "_n" + std::to_string(n);
-    report.value("chat_instants" + suffix, instants);
-    report.value("chat_bits_delivered" + suffix, bits);
-    report.value("chat_bits_per_sec" + suffix,
-                 static_cast<double>(bits) / wall);
+    report.value(key + "instants" + suffix, instants);
+    report.value(key + "bits_delivered" + suffix, bits);
+    report.value(key + "build_ns" + suffix, build * 1e9);
+    report.value(key + "run_ns" + suffix, run * 1e9);
+    report.value(key + "bits_per_sec" + suffix,
+                 static_cast<double>(bits) / run);
     if (!done) {
       std::cout << "broadcast did not quiesce at n = " << n << "\n";
+    }
+    return done;
+  };
+  for (std::size_t idx = 0; idx < 4; ++idx) {
+    const std::size_t n = std::vector<std::size_t>{32, 128, 512, 1024}[idx];
+    if (!chat(true, n, bench::case_seed(1302, idx),
+              bench::case_seed(1303, idx))) {
+      return 1;
+    }
+  }
+  for (std::size_t idx = 0; idx < 3; ++idx) {
+    const std::size_t n = std::vector<std::size_t>{128, 256, 512}[idx];
+    if (!chat(false, n, bench::case_seed(1306, idx),
+              bench::case_seed(1307, idx))) {
       return 1;
     }
   }
@@ -211,6 +239,9 @@ int main() {
     opt.seed = bench::case_seed(1304, idx);
     std::vector<geom::Vec2> start =
         grid_scatter(n, bench::case_seed(1305, idx));
+    // From an empty geometry cache: otherwise the delta would subtract
+    // whatever entries the previous swarm left for this one to evict.
+    geom::GeomCache::local().clear();
     obs::alloc::reset_peak();
     const obs::alloc::Counters a0 = obs::alloc::snapshot();
     const Clock::time_point t0 = Clock::now();

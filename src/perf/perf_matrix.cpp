@@ -105,6 +105,12 @@ std::vector<Scenario> fast_matrix() {
            2, 15),
       cell("asyncn_n8", ProtocolKind::asyncn, Synchrony::asynchronous, 8, 4,
            1, 16),
+      // n >= 64 is where SlicedCore association switches to the center
+      // grid; with linear-time observation both cells take milliseconds.
+      cell("sliced_n64", ProtocolKind::sliced, Synchrony::synchronous, 64, 2,
+           1, 17),
+      cell("asyncn_n16", ProtocolKind::asyncn, Synchrony::asynchronous, 16,
+           2, 1, 18),
   };
 }
 
@@ -112,10 +118,6 @@ std::vector<Scenario> full_matrix() {
   using core::ProtocolKind;
   using core::Synchrony;
   std::vector<Scenario> m = fast_matrix();
-  m.push_back(cell("sliced_n64", ProtocolKind::sliced,
-                   Synchrony::synchronous, 64, 2, 1, 17));
-  m.push_back(cell("asyncn_n16", ProtocolKind::asyncn,
-                   Synchrony::asynchronous, 16, 2, 1, 18));
   // The post-epoch-ring large cell: one 2-byte message across a
   // 1024-robot sliced swarm. Exists to pin the hot-path allocation
   // profile at a size where the old per-robot configuration copies and

@@ -60,13 +60,12 @@ struct ScenarioResult {
   std::vector<obs::prof::PhaseStats> phases;
 };
 
-/// The default matrix: one cell per protocol family, small enough for a CI
-/// smoke job (sync2_n2, sliced_n8, sliced_n32, ksegment_n9, async2_n2,
-/// asyncn_n8).
+/// The default matrix: one cell per protocol family plus the grid-backed
+/// association size, small enough for every push (sync2_n2, sliced_n8,
+/// sliced_n32, ksegment_n9, async2_n2, asyncn_n8, sliced_n64, asyncn_n16).
 [[nodiscard]] std::vector<Scenario> fast_matrix();
 
-/// The fast matrix plus the nightly-only large cells (sliced_n64,
-/// asyncn_n16, sliced_n1024).
+/// The fast matrix plus the nightly-only large cell (sliced_n1024).
 [[nodiscard]] std::vector<Scenario> full_matrix();
 
 /// Runs `s` (warmup + measured) on the calling thread.

@@ -21,6 +21,14 @@ constexpr double kCenterFraction = 1e-7;
 /// see geom/point_grid.hpp's exactness contract).
 constexpr std::size_t kAssociateGridThreshold = 64;
 
+/// Snapshot entry k is matched to granular k without a search when it lies
+/// within this fraction of r_k from center k. r_k is half the distance from
+/// center k to its nearest other center (geom::granular_radius), so such a
+/// point is at least 2 r_k - 0.9 r_k = 1.1 r_k from every other center: the
+/// nearest-center search would return k, with no tie. The squared margin
+/// (0.81 vs 1.21) dwarfs the few-ulp error of dist2.
+constexpr double kOwnSlotFraction = 0.9;
+
 }  // namespace
 
 SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
@@ -134,36 +142,47 @@ std::vector<geom::Vec2> SlicedCore::associate(
   return positions;
 }
 
+std::size_t SlicedCore::nearest_center(const geom::Vec2& p) const {
+  if (!center_grid_.empty()) return center_grid_.nearest(p);
+  std::size_t best = 0;
+  double best_d2 = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double d2 = geom::dist2(p, centers_[i]);
+    if (d2 < best_d2) {
+      best_d2 = d2;
+      best = i;
+    }
+  }
+  return best;
+}
+
 void SlicedCore::associate_into(const sim::Snapshot& snap,
                                 std::vector<geom::Vec2>& out) const {
   assert(snap.robots.size() == n_);
   out.assign(n_, geom::Vec2{});
   std::vector<bool>& filled = assoc_filled_;
   filled.assign(n_, false);
-  for (const sim::ObservedRobot& obs : snap.robots) {
-    // Nearest granular center; robots never leave their granulars, and
-    // granular interiors are pairwise disjoint, so this is unambiguous.
-    // Large swarms query the t0-center grid (same nearest index as the
-    // scan — lowest index on exact ties); small ones keep the brute scan.
-    std::size_t best;
-    if (!center_grid_.empty()) {
-      best = center_grid_.nearest(obs.position);
-    } else {
-      best = 0;
-      double best_d2 = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < n_; ++i) {
-        const double d2 = geom::dist2(obs.position, centers_[i]);
-        if (d2 < best_d2) {
-          best_d2 = d2;
-          best = i;
-        }
-      }
-    }
+  for (std::size_t k = 0; k < snap.robots.size(); ++k) {
+    // Every observed point goes to its nearest granular center. Without
+    // faults each robot stays inside its own granular and granular
+    // interiors are disjoint, so that is the robot itself. A fault
+    // (Engine::teleport, a jitter) may push a robot out of every granular;
+    // it still goes to its nearest center, which is what the drivers'
+    // walk-back needs. The watchdog (check_granular) and
+    // validate_sliced_trace report such a robot.
+    //
+    // t0 listed the swarm in the order snapshots still list it unless two
+    // robots passed each other, so entry k is first tried against granular
+    // k (kOwnSlotFraction: exact, O(1)). Otherwise large swarms query the
+    // t0-center grid and small ones scan; both return the lowest index on
+    // exact ties.
+    const geom::Vec2& p = snap.robots[k].position;
+    const double own =
+        k < n_ ? kOwnSlotFraction * granulars_[k].radius() : 0.0;
+    const bool own_slot = k < n_ && geom::dist2(p, centers_[k]) <= own * own;
+    const std::size_t best = own_slot ? k : nearest_center(p);
     assert(!filled[best] && "two robots associated to one granular");
-    assert(geom::dist2(obs.position, centers_[best]) <=
-               granulars_[best].radius() * granulars_[best].radius() &&
-           "observed robot outside every granular");
-    out[best] = obs.position;
+    out[best] = p;
     filled[best] = true;
   }
 }

@@ -12,7 +12,8 @@
 //     every sender's labeling — the property Section 3.4 relies on), read
 //     from NamingTables that a whole swarm can share;
 //   * association of an observed configuration back to persistent robot
-//     identities (granulars are disjoint, so nearest-center is unambiguous);
+//     identities (granulars are disjoint, so nearest-center is unambiguous),
+//     O(1) per robot that still holds its t0 listing slot;
 //   * classification of a robot's displacement into (diameter, side).
 #pragma once
 
@@ -104,7 +105,12 @@ class SlicedCore {
 
   /// Associates the observed configuration to persistent robot indices:
   /// result[i] is the current position of robot i. Every observed point is
-  /// assigned to the granular that contains it.
+  /// assigned to its nearest granular center — without faults, the granular
+  /// that contains it. Entry k is first tried against granular k (the t0
+  /// listing order), accepted in O(1) when within 0.9 of that granular's
+  /// radius of its center, where no other center can be nearer; otherwise
+  /// the t0-center grid (n >= 64) or a scan decides. O(n) per snapshot
+  /// while robots keep their t0 listing order (DESIGN.md §10).
   [[nodiscard]] std::vector<geom::Vec2> associate(
       const sim::Snapshot& snap) const;
 
@@ -155,6 +161,9 @@ class SlicedCore {
   [[nodiscard]] bool audit_naming();
 
  private:
+  /// Index of the t0 center nearest to `p`; lowest index on exact ties.
+  [[nodiscard]] std::size_t nearest_center(const geom::Vec2& p) const;
+
   /// Canonical index of this robot's t0 index `i` (bounds-checked).
   [[nodiscard]] std::size_t canonical(std::size_t i) const {
     if (i >= n_) throw std::out_of_range("SlicedCore: robot index");

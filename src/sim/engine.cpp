@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <string>
 
 namespace stig::sim {
@@ -20,6 +21,48 @@ constexpr std::size_t kGridThreshold = 128;
 /// and the grid's squared-distance prefilter; every candidate is re-checked
 /// with the exact legacy predicate.
 double collision_radius2(double cd) { return cd * cd * 1.00001; }
+
+// The two listing helpers are templates only because Engine::Sighting,
+// the row type of `seen`, is private.
+
+/// The legacy listing from scratch: the visible robots in index order,
+/// std::sort-ed by local position, then the hidden ones in index order.
+template <typename Sighting>
+void sort_from_index_order(std::span<std::uint32_t> order,
+                           const std::vector<Sighting>& seen) {
+  std::size_t shown = 0;
+  for (std::size_t j = 0; j < seen.size(); ++j) {
+    if (seen[j].visible) order[shown++] = static_cast<std::uint32_t>(j);
+  }
+  std::size_t hidden = shown;
+  for (std::size_t j = 0; j < seen.size(); ++j) {
+    if (!seen[j].visible) order[hidden++] = static_cast<std::uint32_t>(j);
+  }
+  std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(shown),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return seen[a].obs.position < seen[b].obs.position;
+            });
+}
+
+/// Insertion-sorts `order` by local position: O(n + inversions), so O(n)
+/// when no robot passed another since the listing was stored. Returns
+/// false on an exact tie, leaving `order` some permutation: which of two
+/// equal entries comes first is the legacy std::sort's call.
+template <typename Sighting>
+bool insertion_sort(std::span<std::uint32_t> order,
+                    const std::vector<Sighting>& seen) {
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const std::uint32_t v = order[k];
+    const geom::Vec2 p = seen[v].obs.position;
+    std::size_t m = k;
+    for (; m > 0 && p < seen[order[m - 1]].obs.position; --m) {
+      order[m] = order[m - 1];
+    }
+    order[m] = v;
+    if (m > 0 && !(seen[order[m - 1]].obs.position < p)) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -116,18 +159,22 @@ Engine::Engine(std::vector<RobotSpec> specs,
         "Engine: initial positions must be pairwise distinct");
   }
 
+  orders_.resize(identified_ ? n : n * n);
   if (identified_) {
-    id_order_.resize(n);
-    for (std::size_t j = 0; j < n; ++j) id_order_[j] = j;
-    std::sort(id_order_.begin(), id_order_.end(),
-              [this](RobotIndex a, RobotIndex b) {
+    std::iota(orders_.begin(), orders_.end(), std::uint32_t{0});
+    std::sort(orders_.begin(), orders_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
                 return specs_[a].id.value() < specs_[b].id.value();
               });
   }
 
-  // Paper Section 4.2: every robot knows P(t0) — wake all at t0 once.
-  for (std::size_t i = 0; i < programs_.size(); ++i) {
-    programs_[i]->initialize(make_snapshot_at(i, p0, p0, 0));
+  // Paper Section 4.2: every robot knows P(t0) — wake all at t0 once. The
+  // t0 sort seeds each anonymous observer's stored listing.
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<Sighting> seen;
+    Snapshot snap;
+    build_observation(i, p0, p0, 0, listing(i), /*repair=*/false, seen, snap);
+    programs_[i]->initialize(snap);
   }
 }
 
@@ -138,7 +185,14 @@ Snapshot Engine::make_snapshot(RobotIndex i) const {
   // current coincide.
   const Time d = options_.observation_delay;
   const Time stale_e = d == 0 ? t_ : (t_ > d ? t_ - 1 - d : 0);
-  return make_snapshot_at(i, ring_[slot(t_)], ring_[slot(stale_e)], t_);
+  // Repairs a copy: the stored listing belongs to `step`.
+  const std::span<const std::uint32_t> stored = listing(i);
+  std::vector<std::uint32_t> order(stored.begin(), stored.end());
+  std::vector<Sighting> seen;
+  Snapshot snap;
+  build_observation(i, ring_[slot(t_)], ring_[slot(stale_e)], t_, order,
+                    /*repair=*/true, seen, snap);
+  return snap;
 }
 
 void Engine::teleport(RobotIndex i, const geom::Vec2& global_position) {
@@ -196,65 +250,50 @@ void Engine::set_coverage(obs::cov::CovMap* map) {
   cov_prev_ = cov_->state("start");
 }
 
-Snapshot Engine::make_snapshot_at(RobotIndex i,
-                                  std::span<const geom::Vec2> config,
-                                  std::span<const geom::Vec2> stale_config,
-                                  Time t) const {
-  std::vector<SnapshotEntry> entries;
-  Snapshot snap;
-  build_observation(i, config, stale_config, t, entries, snap);
-  return snap;
-}
-
 void Engine::build_observation(RobotIndex i,
                                std::span<const geom::Vec2> config,
                                std::span<const geom::Vec2> stale_config,
-                               Time t, std::vector<SnapshotEntry>& entries,
+                               Time t, std::span<std::uint32_t> order,
+                               bool repair, std::vector<Sighting>& seen,
                                Snapshot& out) const {
   const Frame& f = frames_.at(i);
   const double q = options_.observation_quantum;
-  const auto quantize = [q](const geom::Vec2& p) {
-    if (q <= 0.0) return p;
-    return geom::Vec2{std::round(p.x / q) * q, std::round(p.y / q) * q};
-  };
-  entries.clear();
-  entries.reserve(config.size());
-  const auto append = [&](std::size_t j) {
-    // Self: current and exact (odometry). Others: possibly stale (CORDA-ish
-    // delay), quantized (sensor resolution), and dropped when out of the
-    // visibility radius.
-    const geom::Vec2 global = j == i ? config[j] : stale_config[j];
-    if (j != i && options_.visibility_radius > 0.0 &&
-        geom::dist(global, config[i]) > options_.visibility_radius) {
-      return;
+  const double radius = options_.visibility_radius;
+  // What robot i sees of each robot, in index order. Self: current and
+  // exact (odometry). Others: possibly stale (CORDA-ish delay), quantized
+  // (sensor resolution), and hidden when out of the visibility radius.
+  seen.resize(config.size());
+  std::size_t visible = 0;
+  for (std::size_t j = 0; j < config.size(); ++j) {
+    Sighting& s = seen[j];
+    if (j == i) {
+      s.obs.position = f.to_local(config[j]);
+      s.visible = true;
+    } else {
+      const geom::Vec2& g = stale_config[j];
+      s.visible = !(radius > 0.0 && geom::dist(g, config[i]) > radius);
+      s.obs.position = f.to_local(
+          q > 0.0 ? geom::Vec2{std::round(g.x / q) * q, std::round(g.y / q) * q}
+                  : g);
     }
-    SnapshotEntry e;
-    e.obs.position = f.to_local(j == i ? global : quantize(global));
-    e.obs.id = identified_ ? specs_[j].id : std::nullopt;
-    e.index = j;
-    entries.push_back(e);
-  };
-  // Identified systems expose entries sorted by id; appending in the
-  // precomputed id order (ids are unique and never change) yields exactly
-  // the order the per-activation sort used to produce, without the sort.
-  // Anonymous systems sort lexicographically by local position, which
-  // carries no identity and genuinely depends on this instant's geometry.
-  if (identified_) {
-    for (const RobotIndex j : id_order_) append(j);
-  } else {
-    for (std::size_t j = 0; j < config.size(); ++j) append(j);
-    std::sort(entries.begin(), entries.end(),
-              [](const SnapshotEntry& a, const SnapshotEntry& b) {
-                return a.obs.position < b.obs.position;
-              });
+    s.obs.id = identified_ ? specs_[j].id : std::nullopt;
+    visible += s.visible ? 1 : 0;
+  }
+  // Identified: the id order is the listing. Anonymous: lexicographic by
+  // local position, which carries no identity and depends on this
+  // instant's geometry — repaired from the previous listing when there is
+  // one; distinct positions have exactly one such order.
+  if (!identified_ && !(repair && insertion_sort(order, seen))) {
+    sort_from_index_order(order, seen);
   }
   out.t = t;
   out.self = 0;
   out.robots.clear();
-  out.robots.reserve(entries.size());
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    if (entries[k].index == i) out.self = k;
-    out.robots.push_back(entries[k].obs);
+  out.robots.reserve(visible);
+  for (const std::uint32_t j : order) {
+    if (!seen[j].visible) continue;
+    if (j == i) out.self = out.robots.size();
+    out.robots.push_back(seen[j].obs);
   }
 }
 
@@ -363,7 +402,8 @@ void Engine::step_impl() {
     if (!active[i]) continue;
     {
       obs::prof::Scope s(prof_, ph_observe_);
-      build_observation(i, before, stale, t_, entry_scratch_, snap_scratch_);
+      build_observation(i, before, stale, t_, listing(i), /*repair=*/true,
+                        seen_scratch_, snap_scratch_);
     }
     geom::Vec2 local_target;
     {

@@ -15,8 +15,18 @@
 // recycle. Robots never receive copies of the configuration — every
 // consumer shares the one array per instant (the PR-8 copy-on-write
 // snapshot refactor; see DESIGN.md "Epoch snapshots").
+//
+// Observation is linear per activation. An identified swarm is listed in
+// its fixed id order. An anonymous observer's listing is lexicographic by
+// local position, and the engine keeps the order it listed last (one
+// uint32 permutation per observer, 4n^2 bytes per swarm, seeded by the t0
+// sort): each activation repairs it with an insertion sort, O(n +
+// inversions), and falls back to a fresh std::sort from index order on an
+// exact tie. Distinct positions have one lexicographic order, so the
+// stored order changes speed only, never a snapshot (DESIGN.md §10).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -228,6 +238,7 @@ class Engine {
 
   /// Builds the snapshot robot `i` would observe right now (exposed for
   /// tests; the engine itself uses `build_observation` during `step`).
+  /// Reads robot i's stored listing order but never writes it.
   [[nodiscard]] Snapshot make_snapshot(RobotIndex i) const;
 
   /// Engine indices in the order robot `i` observed them at t0 (the order
@@ -251,29 +262,41 @@ class Engine {
   void teleport(RobotIndex i, const geom::Vec2& global_position);
 
  private:
-  /// One candidate row of a snapshot before sorting (observation order).
-  struct SnapshotEntry {
+  /// What an observer sees of one robot: its observed position and id,
+  /// and whether it is within the visibility radius.
+  struct Sighting {
     ObservedRobot obs;
-    RobotIndex index = 0;
+    bool visible = true;
   };
 
   [[nodiscard]] std::size_t slot(Time e) const noexcept {
     return static_cast<std::size_t>(e % ring_.size());
   }
 
-  [[nodiscard]] Snapshot make_snapshot_at(
-      RobotIndex i, std::span<const geom::Vec2> config,
-      std::span<const geom::Vec2> stale_config, Time t) const;
+  /// Robot i's stored listing order: the shared id order of an identified
+  /// swarm, or row i of an anonymous swarm's per-observer orders.
+  [[nodiscard]] std::span<const std::uint32_t> listing(
+      RobotIndex i) const noexcept {
+    const std::size_t n = specs_.size();
+    return {orders_.data() + (identified_ ? 0 : i * n), n};
+  }
+  [[nodiscard]] std::span<std::uint32_t> listing(RobotIndex i) noexcept {
+    const std::size_t n = specs_.size();
+    return {orders_.data() + (identified_ ? 0 : i * n), n};
+  }
 
-  /// The snapshot builder behind `make_snapshot_at`, writing into
-  /// caller-provided storage so the hot loop can reuse engine-owned
-  /// scratch instead of allocating per activation. `config` and
-  /// `stale_config` are epoch-ring views — the builder reads them in
-  /// place and never copies the configuration.
+  /// Writes robot i's observation into `out`, listing the visible robots in
+  /// `order`, a permutation of every robot index. Identified swarms pass the
+  /// id order, which is never written. Anonymous swarms pass the order to
+  /// sort by local position: with `repair`, the observer's previous listing,
+  /// insertion-sorted in place; without it, or on an exact tie, a fresh
+  /// std::sort of the visible robots in index order (the legacy listing,
+  /// whose unstable tie placement decides the snapshot). `config` and
+  /// `stale_config` are epoch-ring views, read in place; `seen` is scratch.
   void build_observation(RobotIndex i, std::span<const geom::Vec2> config,
                          std::span<const geom::Vec2> stale_config, Time t,
-                         std::vector<SnapshotEntry>& entries,
-                         Snapshot& out) const;
+                         std::span<std::uint32_t> order, bool repair,
+                         std::vector<Sighting>& seen, Snapshot& out) const;
 
   /// Throws CollisionError for the lexicographically first colliding pair
   /// in `config` (same pair the all-pairs scan reports); grid-accelerated
@@ -291,10 +314,10 @@ class Engine {
   /// into a flat array so the commit loop touches 8 contiguous bytes per
   /// robot instead of striding over 72-byte RobotSpec rows.
   std::vector<double> sigmas_;
-  /// Identified systems only: robot indices sorted by visible id, computed
-  /// once. Ids never change, so appending snapshot entries in this order
-  /// yields the id-sorted observation without a per-activation sort.
-  std::vector<RobotIndex> id_order_;
+  /// Listing orders (see `listing`). Identified: the robot indices sorted
+  /// by visible id, computed once (ids never change). Anonymous: n rows,
+  /// row i the order robot i listed its last snapshot in.
+  std::vector<std::uint32_t> orders_;
   /// The epoch ring: slot `e % ring_.size()` holds the configuration of
   /// instant e, for the last `observation_delay + 2` instants — newest
   /// (t_), every delayed-observation epoch down to t_ - delay, and one
@@ -303,7 +326,7 @@ class Engine {
   /// recycled in place; a fault-free steady-state instant copies the
   /// configuration exactly once (current slot -> next slot).
   std::vector<std::vector<geom::Vec2>> ring_;
-  std::vector<SnapshotEntry> entry_scratch_;
+  std::vector<Sighting> seen_scratch_;
   Snapshot snap_scratch_;
   ActivationSet active_scratch_;
   std::vector<geom::Vec2> pre_scratch_;  ///< Interceptor before-image.

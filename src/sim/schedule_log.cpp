@@ -10,11 +10,11 @@ std::uint64_t ScheduleLog::digest() const noexcept {
       h *= 0x100000001b3ULL;
     }
   };
-  for (std::size_t t = 0; t < sets.size(); ++t) {
+  for (std::size_t t = 0; t < ends_.size(); ++t) {
     mix(t);
-    mix(sets[t].size());
-    for (std::size_t i = 0; i < sets[t].size(); ++i) {
-      h ^= sets[t][i] ? 1U : 0U;
+    mix(robots(t));
+    for (std::size_t i = begin(t); i < ends_[t]; ++i) {
+      h ^= bits_[i] ? 1U : 0U;
       h *= 0x100000001b3ULL;
     }
   }

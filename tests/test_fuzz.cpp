@@ -145,7 +145,7 @@ TEST(FuzzSchedule, RecordThenReplayIsBitIdentical) {
     for (sim::Time t = 0; t < 500; ++t) (void)rec.activate(t, 4);
   }
   EXPECT_EQ(recorded.digest(), replayed.digest());
-  EXPECT_EQ(recorded.sets, replayed.sets);
+  EXPECT_EQ(recorded, replayed);
 
   // Past the end of the log the replay falls back to all-active.
   sim::ReplayScheduler tail(&recorded);

@@ -171,11 +171,13 @@ TEST(ReplayScheduler, TruncatedLogFallsBackToAllActive) {
   // come back all-active (the fallback the fuzz replay tail relies on),
   // including when the log held sets for a different swarm size.
   ScheduleLog log;
-  log.sets = {ActivationSet{true, false, false},
-              ActivationSet{false, true, false}};
+  log.push(ActivationSet{true, false, false});
+  log.push(ActivationSet{false, true, false});
+  ASSERT_EQ(log.instants(), 2u);
+  EXPECT_EQ(log.robots(1), 3u);
   ReplayScheduler s(&log);
-  EXPECT_EQ(s.activate(0, 3), log.sets[0]);
-  EXPECT_EQ(s.activate(1, 3), log.sets[1]);
+  EXPECT_EQ(s.activate(0, 3), (ActivationSet{true, false, false}));
+  EXPECT_EQ(s.activate(1, 3), (ActivationSet{false, true, false}));
   for (Time t = 2; t < 10; ++t) {
     EXPECT_EQ(s.activate(t, 3), ActivationSet(3, true));
   }
@@ -185,6 +187,13 @@ TEST(ReplayScheduler, TruncatedLogFallsBackToAllActive) {
   ReplayScheduler wrong_n(&log);
   EXPECT_EQ(wrong_n.activate(0, 5), ActivationSet(5, true));
   EXPECT_EQ(wrong_n.activate(1, 5), ActivationSet(5, true));
+
+  // Truncation keeps the prefix: instant 0 replays, instant 1 falls back.
+  log.truncate(1);
+  ASSERT_EQ(log.instants(), 1u);
+  ReplayScheduler cut(&log);
+  EXPECT_EQ(cut.activate(0, 3), (ActivationSet{true, false, false}));
+  EXPECT_EQ(cut.activate(1, 3), ActivationSet(3, true));
 }
 
 TEST(ReplayScheduler, TruncatedScheduleStillReachesQuiescence) {
@@ -208,7 +217,8 @@ TEST(ReplayScheduler, TruncatedScheduleStillReachesQuiescence) {
   ASSERT_GT(full.instants(), 4u);
 
   ScheduleLog truncated = full;
-  truncated.sets.resize(full.instants() / 2);  // Ends before quiescence.
+  truncated.truncate(full.instants() / 2);  // Ends before quiescence.
+  ASSERT_EQ(truncated.instants(), full.instants() / 2);
   opt.record_schedule = nullptr;
   opt.replay_schedule = &truncated;
   core::ChatNetwork b(pts, opt);

@@ -10,7 +10,7 @@
 // run_ns, wall_seconds) are informational per obs/metric_keys.hpp.
 //
 //   stigperf                  fast matrix, artifacts in the working dir
-//   stigperf --full           adds the nightly-only large cells
+//   stigperf --full           adds the nightly-only large cell
 //   stigperf --out DIR        artifact directory
 //   stigperf --jobs N         fan cells across N BatchRunner workers
 //                             (artifacts are byte-identical at any N)
