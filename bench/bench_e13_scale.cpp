@@ -47,6 +47,7 @@
 #include "geom/geom_cache.hpp"
 #include "obs/alloc_track.hpp"
 #include "sim/engine.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -54,23 +55,11 @@ namespace {
 using namespace stig;
 using Clock = std::chrono::steady_clock;
 
-/// Deterministic jittered grid: unlike bench::scatter's rejection sampling
-/// (which cannot fit 4096 points with a 3-unit gap in its fixed box), this
-/// scales the box with n and needs no retries.
-std::vector<geom::Vec2> grid_scatter(std::size_t n, std::uint64_t seed,
-                                     double spacing = 3.0) {
+/// The E13 swarms are jittered grids: their baselines were captured on
+/// that layout, and it places any n without rejection.
+std::vector<geom::Vec2> grid_scatter(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
-  const auto side = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(n))));
-  std::vector<geom::Vec2> pts;
-  pts.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = static_cast<double>(i % side) * spacing;
-    const double y = static_cast<double>(i / side) * spacing;
-    pts.push_back(geom::Vec2{x + rng.uniform(-0.5, 0.5),
-                             y + rng.uniform(-0.5, 0.5)});
-  }
-  return pts;
+  return sim::jittered_grid(rng, n);
 }
 
 /// Oscillates +-0.01 around its start: every activation commits a real

@@ -15,6 +15,7 @@
 
 #include "core/chat_network.hpp"
 #include "encode/bits.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 int main() {
@@ -22,15 +23,7 @@ int main() {
 
   sim::Rng rng(99);
   const std::size_t n = 5;
-  std::vector<geom::Vec2> start;
-  while (start.size() < n) {
-    const geom::Vec2 p{rng.uniform(-15, 15), rng.uniform(-15, 15)};
-    bool ok = true;
-    for (const geom::Vec2& q : start) {
-      if (geom::dist(p, q) < 4.0) ok = false;
-    }
-    if (ok) start.push_back(p);
-  }
+  const std::vector<geom::Vec2> start = sim::scatter(rng, n, 15.0, 4.0);
 
   core::ChatNetworkOptions opt;
   opt.synchrony = core::Synchrony::synchronous;

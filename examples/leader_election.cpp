@@ -29,6 +29,7 @@
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
 #include "obs/watchdog.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -51,15 +52,7 @@ int main() {
 
   sim::Rng rng(4242);
   const std::size_t n = 8;
-  std::vector<geom::Vec2> positions;
-  while (positions.size() < n) {
-    const geom::Vec2 p{rng.uniform(-30, 30), rng.uniform(-30, 30)};
-    bool ok = true;
-    for (const geom::Vec2& q : positions) {
-      if (geom::dist(p, q) < 4.0) ok = false;
-    }
-    if (ok) positions.push_back(p);
-  }
+  const std::vector<geom::Vec2> positions = sim::scatter(rng, n, 30.0, 4.0);
 
   core::ChatNetworkOptions opt;
   opt.synchrony = core::Synchrony::synchronous;

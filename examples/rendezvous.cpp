@@ -16,6 +16,7 @@
 #include "core/chat_network.hpp"
 #include "geom/angle.hpp"
 #include "sim/engine.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -42,15 +43,7 @@ class ParkRobot final : public sim::Robot {
 int main() {
   sim::Rng rng(515);
   const std::size_t n = 7;
-  std::vector<geom::Vec2> start;
-  while (start.size() < n) {
-    const geom::Vec2 p{rng.uniform(-25, 25), rng.uniform(-25, 25)};
-    bool ok = true;
-    for (const geom::Vec2& q : start) {
-      if (geom::dist(p, q) < 4.0) ok = false;
-    }
-    if (ok) start.push_back(p);
-  }
+  const std::vector<geom::Vec2> start = sim::scatter(rng, n, 25.0, 4.0);
 
   // ---- Phase 1: decide, using movement-signals only.
   std::cout << "phase 1: elect a leader by broadcast (anonymous swarm, "

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/chat_network.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 int main() {
@@ -26,15 +27,7 @@ int main() {
 
   sim::Rng rng(2026);
   const std::size_t n = 10;
-  std::vector<geom::Vec2> positions;
-  while (positions.size() < n) {
-    const geom::Vec2 p{rng.uniform(-40, 40), rng.uniform(-40, 40)};
-    bool ok = true;
-    for (const geom::Vec2& q : positions) {
-      if (geom::dist(p, q) < 4.0) ok = false;
-    }
-    if (ok) positions.push_back(p);
-  }
+  const std::vector<geom::Vec2> positions = sim::scatter(rng, n, 40.0, 4.0);
 
   core::ChatNetworkOptions opt;
   opt.synchrony = core::Synchrony::synchronous;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "par/seed.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace stig::fuzz {
@@ -87,19 +88,7 @@ std::vector<core::ProtocolKind> equivalence_class(core::ProtocolKind kind,
 
 std::vector<geom::Vec2> scatter(std::uint64_t seed, std::size_t n) {
   sim::Rng rng(seed ^ 0x5745);
-  std::vector<geom::Vec2> pts;
-  const double extent = 30.0;
-  const double min_gap = 3.0;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-extent, extent),
-                       rng.uniform(-extent, extent)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, 30.0, 3.0);
 }
 
 sim::Time instant_budget(const FuzzConfig& cfg) {

@@ -65,8 +65,9 @@ struct FuzzConfig {
 [[nodiscard]] std::vector<core::ProtocolKind> equivalence_class(
     core::ProtocolKind kind, std::size_t n);
 
-/// The stigsim scatter recipe: n points in [-30, 30]^2, pairwise gap >= 3,
-/// drawn from Rng(seed ^ 0x5745). Geometry is derived, never stored.
+/// The stigsim scatter recipe: `sim::scatter` of n points in [-30, 30]^2
+/// (widened above n = 100), pairwise gap >= 3, drawn from
+/// Rng(seed ^ 0x5745). Geometry is derived, never stored.
 [[nodiscard]] std::vector<geom::Vec2> scatter(std::uint64_t seed,
                                               std::size_t n);
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace stig::serve {
@@ -25,24 +26,12 @@ Response fail(Verb verb, Status status, std::string detail) {
 
 std::vector<geom::Vec2> scatter_positions(std::size_t n,
                                           std::uint64_t seed) {
-  // The box widens with sqrt(n) so the rejection scatter stays fast and
-  // the swarm density (hence protocol geometry) stays comparable at every
-  // session size.
+  // The box widens with sqrt(n) so the swarm density (hence protocol
+  // geometry) stays comparable at every session size.
   const double extent =
       std::max(30.0, 6.0 * std::sqrt(static_cast<double>(n)));
-  const double min_gap = 3.0;
   sim::Rng rng(seed ^ 0x53455256ULL);  // "SERV"
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-extent, extent),
-                       rng.uniform(-extent, extent)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, extent, 3.0);
 }
 
 core::ChatNetworkOptions session_options(const Request& req) {

@@ -10,6 +10,7 @@
 #include "geom/convex.hpp"
 #include "geom/granular.hpp"
 #include "geom/voronoi.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace stig::geom {
@@ -18,16 +19,7 @@ namespace {
 std::vector<Vec2> random_sites(std::size_t n, std::uint64_t seed,
                                double extent = 50.0) {
   sim::Rng rng(seed);
-  std::vector<Vec2> pts;
-  while (pts.size() < n) {
-    const Vec2 p{rng.uniform(-extent, extent), rng.uniform(-extent, extent)};
-    bool ok = true;
-    for (const Vec2& q : pts) {
-      if (dist(p, q) < 1e-3) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, extent, 1e-3);
 }
 
 TEST(ConvexPolygon, RectangleBasics) {

@@ -22,6 +22,7 @@
 #include "proto/ksegment.hpp"
 #include "proto/slices.hpp"
 #include "proto/sync_sliced.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace stig {
@@ -47,16 +48,7 @@ const char* mode_name(NamingMode mode) {
 /// Jittered grid: any n places without rejection sampling.
 std::vector<Vec2> scatter(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
-  const auto side = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(n))));
-  std::vector<Vec2> pts;
-  for (std::size_t i = 0; i < n; ++i) {
-    pts.push_back(Vec2{3.0 * static_cast<double>(i % side) +
-                           rng.uniform(-0.5, 0.5),
-                       3.0 * static_cast<double>(i / side) +
-                           rng.uniform(-0.5, 0.5)});
-  }
-  return pts;
+  return sim::jittered_grid(rng, n);
 }
 
 ChatNetworkOptions options_for(NamingMode mode, ProtocolKind kind,

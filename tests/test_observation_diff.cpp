@@ -24,6 +24,7 @@
 #include "geom/voronoi.hpp"
 #include "proto/slices.hpp"
 #include "sim/engine.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace stig {
@@ -374,14 +375,7 @@ Snapshot snapshot_of(const std::vector<Vec2>& pts) {
 /// Jittered-grid centers, lexicographically sorted like a t0 snapshot.
 std::vector<Vec2> t0_centers(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
-  const auto side =
-      static_cast<std::size_t>(std::ceil(std::sqrt(static_cast<double>(n))));
-  std::vector<Vec2> pts;
-  for (std::size_t i = 0; i < n; ++i) {
-    pts.push_back(Vec2{3.0 * static_cast<double>(i % side),
-                       3.0 * static_cast<double>(i / side)} +
-                  Vec2{rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)});
-  }
+  std::vector<Vec2> pts = sim::jittered_grid(rng, n);
   std::sort(pts.begin(), pts.end());
   return pts;
 }

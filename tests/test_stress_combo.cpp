@@ -6,6 +6,7 @@
 
 #include "core/chat_network.hpp"
 #include "geom/voronoi.hpp"
+#include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
 namespace stig {
@@ -20,16 +21,7 @@ using core::Synchrony;
 std::vector<geom::Vec2> scatter(std::size_t n, std::uint64_t seed,
                                 double min_gap = 4.0) {
   sim::Rng rng(seed);
-  std::vector<geom::Vec2> pts;
-  while (pts.size() < n) {
-    const geom::Vec2 p{rng.uniform(-30, 30), rng.uniform(-30, 30)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
-  return pts;
+  return sim::scatter(rng, n, 30.0, min_gap);
 }
 
 std::vector<std::uint8_t> random_payload(std::size_t len,

@@ -33,17 +33,17 @@
 #include "core/chat_network.hpp"
 #include "core/exit_codes.hpp"
 #include "encode/bits.hpp"
+#include "fuzz/fuzz_config.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/repro.hpp"
-#include "obs/binary_log.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_sink.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
 #include "obs/watchdog.hpp"
-#include "sim/rng.hpp"
 #include "sim/jsonl.hpp"
 #include "viz/figures.hpp"
 
@@ -71,7 +71,6 @@ struct Args {
   bool broadcast = false;
   double p = 0.5;
   double sigma = 0.25;
-  double extent = 30.0;
   double quantum = 0.0;
   sim::Time delay = 0;
   std::size_t k = 4;
@@ -323,12 +322,10 @@ int main(int argc, char** argv) {
 
   // Telemetry sinks: all attached through one fan-out point.
   obs::MultiSink sinks;
-  // The event log buffers compact binary records on the hot path
-  // (obs/binary_log.hpp) and renders the byte-identical JSONL only at
-  // export time; the file stream is opened up front so a bad path still
-  // fails before the run starts.
-  std::unique_ptr<obs::BinaryLogSink> event_log;
+  // The event log streams JSONL as the run goes; the file is opened up
+  // front so a bad path fails before the run starts.
   std::unique_ptr<std::ofstream> event_file;
+  std::unique_ptr<obs::JsonlEventSink> event_log;
   std::unique_ptr<obs::ChromeTraceSink> chrome;
   if (!args.events.empty()) {
     event_file = std::make_unique<std::ofstream>(args.events);
@@ -336,7 +333,7 @@ int main(int argc, char** argv) {
       std::cerr << "error: could not open " << args.events << "\n";
       return kExitRuntime;
     }
-    event_log = std::make_unique<obs::BinaryLogSink>();
+    event_log = std::make_unique<obs::JsonlEventSink>(*event_file);
     sinks.add(event_log.get());
   }
   if (!args.chrome_trace.empty()) {
@@ -363,19 +360,7 @@ int main(int argc, char** argv) {
   }
   std::unique_ptr<obs::Watchdog> watchdog;
 
-  // Scatter the swarm.
-  sim::Rng rng(args.seed ^ 0x5745);
-  std::vector<geom::Vec2> pts;
-  const double min_gap = 3.0;
-  while (pts.size() < args.n) {
-    const geom::Vec2 p{rng.uniform(-args.extent, args.extent),
-                       rng.uniform(-args.extent, args.extent)};
-    bool ok = true;
-    for (const geom::Vec2& q : pts) {
-      if (geom::dist(p, q) < min_gap) ok = false;
-    }
-    if (ok) pts.push_back(p);
-  }
+  const std::vector<geom::Vec2> pts = fuzz::scatter(args.seed, args.n);
 
   core::ChatNetworkOptions opt;
   opt.synchrony = args.async_mode ? core::Synchrony::asynchronous
@@ -436,13 +421,9 @@ int main(int argc, char** argv) {
     const double wall_seconds =
         std::chrono::duration<double>(Clock::now() - wall_start).count();
     sinks.flush();
-    if (event_log != nullptr) {
-      event_log->export_jsonl(*event_file);
-      event_file->flush();
-      if (!*event_file) {
-        std::cerr << "error: could not write " << args.events << "\n";
-        return kExitRuntime;
-      }
+    if (event_file != nullptr && !*event_file) {
+      std::cerr << "error: could not write " << args.events << "\n";
+      return kExitRuntime;
     }
 
     // "--report -" / "--spans -" / "--metrics -" reserve stdout for the
@@ -557,12 +538,8 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     // The black box: whatever unwound (collision, watchdog abort, I/O),
-    // leave the last events on disk for stigreport to inspect. The binary
-    // event log buffers in memory, so export whatever was captured.
-    if (event_log != nullptr && event_file != nullptr) {
-      event_log->export_jsonl(*event_file);
-      event_file->flush();
-    }
+    // leave the last events on disk for stigreport to inspect.
+    if (event_file != nullptr) event_file->flush();
     if (recorder != nullptr && !recorder->dump_to_file(args.flight_dump)) {
       std::cerr << "error: could not write " << args.flight_dump << "\n";
     } else if (recorder != nullptr) {
