@@ -57,10 +57,11 @@ int main() {
   int shown = 0;
   for (std::size_t step = 0; step < hist.size() && shown < 6; ++step) {
     const geom::Vec2 pos = hist[step][9];
-    const auto fix = g9.classify(pos, 1e-6);
+    const auto fix = g9.classify(pos, 1e-6, geom::kPi);
     if (!fix) continue;
     std::cout << "  t=" << step << ": robot 9 at distance " << std::fixed
-              << std::setprecision(3) << fix->distance << " on diameter "
+              << std::setprecision(3) << geom::dist(pos, g9.center())
+              << " on diameter "
               << fix->diameter << " ("
               << (fix->side == geom::DiameterSide::positive
                       ? "N/E side -> bit 0"

@@ -64,6 +64,36 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
   return from.rotated(-radians);
 }
 
+/// Bound the slice filter assumes on |atan2_bounded(y, x) - atan2(y, x)|.
+/// The polynomial's own error is 2e-8 (measured 1.4e-8, test_geom_filters
+/// holds it 1.5 times below this); the rest is headroom.
+inline constexpr double kAtan2Bound = 5e-8;
+
+/// atan2(y, x) in [-pi, pi] to within `kAtan2Bound`, without a libm call:
+/// Hastings' odd polynomial for atan on [0, 1] (Abramowitz & Stegun
+/// 4.4.49, |error| <= 2e-8) after reducing by octant. Precondition: x and
+/// y finite and not both zero (otherwise the result is NaN).
+[[nodiscard]] inline double atan2_bounded(double y, double x) noexcept {
+  const double ax = std::fabs(x);
+  const double ay = std::fabs(y);
+  const bool steep = ay > ax;
+  const double z = steep ? ax / ay : ay / ax;
+  const double z2 = z * z;
+  double a =
+      z * (1.0 +
+           z2 * (-0.3333314528 +
+                 z2 * (0.1999355085 +
+                       z2 * (-0.1420889944 +
+                             z2 * (0.1065626393 +
+                                   z2 * (-0.0752896400 +
+                                         z2 * (0.0429096138 +
+                                               z2 * (-0.0161657367 +
+                                                     z2 * 0.0028662257))))))));
+  if (steep) a = kPi / 2.0 - a;
+  if (std::signbit(x)) a = kPi - a;
+  return std::signbit(y) ? -a : a;
+}
+
 /// Smallest absolute angular difference between two angles, in [0, pi].
 [[nodiscard]] inline double angular_distance(double a, double b) noexcept {
   const double d = std::fabs(normalize_angle_signed(a - b));

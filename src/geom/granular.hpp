@@ -38,11 +38,8 @@ enum class DiameterSide : unsigned char { positive, negative };
 
 /// Result of classifying a displacement against a sliced granular.
 struct SliceFix {
-  std::size_t diameter = 0;    ///< Label of the nearest diameter, in [0, m).
-  DiameterSide side{};         ///< Which half of that diameter.
-  double distance = 0.0;       ///< Displacement magnitude.
-  double angular_error = 0.0;  ///< |angle between displacement and the
-                               ///< half-diameter|, in radians.
+  std::size_t diameter = 0;  ///< Label of the nearest diameter, in [0, m).
+  DiameterSide side{};       ///< Which half of that diameter.
 };
 
 /// A granular disc sliced into `2 * diameter_count` slices.
@@ -87,31 +84,21 @@ class Granular {
   }
 
   /// Classifies the displacement `p - center()` to the nearest
-  /// half-diameter. Returns nullopt when the displacement magnitude is at or
-  /// below `min_distance` (the point is indistinguishable from the center).
+  /// half-diameter. Returns nullopt when the displacement is not finite,
+  /// when its magnitude is at or below `min_distance` (the point is
+  /// indistinguishable from the center), or when its angle to that
+  /// half-diameter is not at most `max_error` radians.
   ///
-  /// A well-formed sender moves exactly along a half-diameter, so
-  /// `angular_error` of a genuine signal is ~0; observers reject fixes whose
-  /// error exceeds a fraction of the slice half-width.
-  [[nodiscard]] std::optional<SliceFix> classify(
-      const Vec2& p, double min_distance = 16.0 * kEps) const noexcept {
-    const Vec2 d = p - center_;
-    const double len = d.norm();
-    if (len <= min_distance) return std::nullopt;
-    const double theta = clockwise_angle(reference_, d);
-    const double half_width = slice_width();
-    const auto total_halves = static_cast<std::size_t>(2 * count_);
-    const auto nearest = static_cast<std::size_t>(
-        std::llround(theta / half_width)) % total_halves;
-    SliceFix fix;
-    fix.diameter = nearest % count_;
-    fix.side =
-        nearest < count_ ? DiameterSide::positive : DiameterSide::negative;
-    fix.distance = len;
-    fix.angular_error =
-        angular_distance(theta, static_cast<double>(nearest) * half_width);
-    return fix;
-  }
+  /// A well-formed sender moves exactly along a half-diameter, so a
+  /// genuine signal is ~0 rad off; observers pass a fraction of the slice
+  /// half-width as `max_error`. The answer equals the libm
+  /// classification (hypot, atan2, llround) bit for bit; it is computed
+  /// from the squared magnitude and a bounded-error atan2 except near a
+  /// decision boundary (DESIGN.md §12).
+  [[nodiscard]] std::optional<SliceFix> classify(const Vec2& p,
+                                                 double min_distance,
+                                                 double max_error) const
+      noexcept;
 
   /// True when `p` lies inside the granular disc (strictly, minus `eps`).
   [[nodiscard]] bool contains(const Vec2& p, double eps = kEps) const noexcept {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <compare>
 #include <iosfwd>
+#include <limits>
 
 namespace stig::geom {
 
@@ -131,6 +132,40 @@ struct Vec2 {
 /// Squared Euclidean distance between two points.
 [[nodiscard]] constexpr double dist2(const Vec2& a, const Vec2& b) noexcept {
   return (a - b).norm2();
+}
+
+/// Relative half-width of the band around r^2 inside which `dist_cmp`
+/// defers to hypot. In the normal range a squared norm is within a
+/// relative 3 * 2^-53 of the exact one and hypot within 2^-52 (glibc:
+/// < 1 ulp), so the band is over 10^3 times the rounding error of either
+/// side.
+inline constexpr double kDistBand = 0x1p-40;
+
+/// True when a squared norm lies in the range where `kDistBand` covers
+/// its rounding error: normal and finite (false for NaN).
+[[nodiscard]] constexpr bool in_dist_band_range(double s2) noexcept {
+  return s2 >= std::numeric_limits<double>::min() &&
+         s2 <= std::numeric_limits<double>::max();
+}
+
+/// Exactly `dist(a, b) <=> r`, NaN cases included, without the hypot call
+/// where the squared distance decides: a zero displacement, or squares of
+/// both sides in the normal range with the squared distance outside the
+/// `kDistBand` band around r^2. Inside the band, for r <= 0, and for
+/// squares outside the normal range it returns the hypot comparison
+/// itself (DESIGN.md §12).
+[[nodiscard]] inline std::partial_ordering dist_cmp(const Vec2& a,
+                                                    const Vec2& b,
+                                                    double r) noexcept {
+  const Vec2 d = a - b;
+  if (d.x == 0.0 && d.y == 0.0) return 0.0 <=> r;  // hypot(+-0, +-0) = +0.
+  const double s2 = d.norm2();
+  const double r2 = r * r;
+  if (r > 0.0 && in_dist_band_range(s2) && in_dist_band_range(r2)) {
+    if (s2 > r2 * (1.0 + kDistBand)) return std::partial_ordering::greater;
+    if (s2 < r2 * (1.0 - kDistBand)) return std::partial_ordering::less;
+  }
+  return d.norm() <=> r;
 }
 
 /// Midpoint of the segment [a, b].

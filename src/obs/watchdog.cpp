@@ -53,8 +53,10 @@ void Watchdog::check_granular(const Event& e) {
     return;
   }
   const auto i = static_cast<std::size_t>(e.robot);
-  const double d = geom::dist(geom::Vec2{e.x, e.y}, anchors_[i]);
-  if (d < radii_[i] + options_.granular_slack) return;
+  const geom::Vec2 p{e.x, e.y};
+  const double limit = radii_[i] + options_.granular_slack;
+  if (std::is_lt(geom::dist_cmp(p, anchors_[i], limit))) return;
+  const double d = geom::dist(p, anchors_[i]);
   WatchdogViolation v;
   v.invariant = "granular";
   v.t = e.t;

@@ -19,7 +19,8 @@ void Async2Robot::initialize(const sim::Snapshot& snap) {
   north_ = (self - peer).normalized();  // Away from the peer.
   east_ = geom::rotate_clockwise(north_, geom::kPi / 2.0);
   peer_east_ = geom::rotate_clockwise(-north_, geom::kPi / 2.0);
-  horizon_ = geom::Line{self, north_};
+  base_ = self;
+  h_unit_ = north_.normalized();
   tolerance_ = 1e-7 * sep_;
   // Initial march window doubles as the handshake: no bit is sent before
   // the peer has been observed to change twice (Corollary 4.2).
@@ -42,8 +43,8 @@ geom::Vec2 Async2Robot::march_move(const geom::Vec2& cur) {
   // window to heal through. Walk home first. Unreachable in a correct run
   // (the go_back -> march transition requires distance <= tolerance / 2,
   // and marching preserves the off-H component).
-  if (horizon_.distance(cur) > 0.5 * tolerance_) {
-    return horizon_.project(cur);  // sigma-clamped by the engine.
+  if (off_horizon(cur) > 0.5 * tolerance_) {
+    return onto_horizon(cur);  // sigma-clamped by the engine.
   }
   const double step = step_size();
   if (options_.bound == BoundKind::unbounded) {
@@ -51,7 +52,7 @@ geom::Vec2 Async2Robot::march_move(const geom::Vec2& cur) {
   }
   // Banded: bounce along H inside [0, band] North of the start position.
   const double band = options_.band_fraction * sep_;
-  const double offset = geom::dot(cur - horizon_.point, north_);
+  const double offset = geom::dot(cur - base_, north_);
   if (march_sign_ > 0 && offset + step > band) march_sign_ = -1;
   if (march_sign_ < 0 && offset - step < 0.0) march_sign_ = 1;
   return cur + north_ * (static_cast<double>(march_sign_) * step);
@@ -87,7 +88,7 @@ geom::Vec2 Async2Robot::on_activate(const sim::Snapshot& snap) {
 
   // Decode the peer: which side of H is it on? (East/West are relative to
   // the *peer's* North; chirality makes the convention common.)
-  const double e = geom::dot(peer - horizon_.project(peer), peer_east_);
+  const double e = geom::dot(peer - onto_horizon(peer), peer_east_);
   const int cls = e > tolerance_ ? 1 : (e < -tolerance_ ? -1 : 0);
   if (cls != 0 && cls != peer_state_) {
     on_bit_decoded(/*sender=*/1, /*addressee=*/0, cls > 0 ? 0 : 1);
@@ -120,19 +121,19 @@ geom::Vec2 Async2Robot::on_activate(const sim::Snapshot& snap) {
         advance_outbox();
         note_phase("return");
         phase_ = Phase::go_back;
-        return horizon_.project(self);
+        return onto_horizon(self);
       }
       return self + exc_dir_ * step_size();
     }
     case Phase::go_back: {
       note_phase("return");
-      if (horizon_.distance(self) <= 0.5 * tolerance_) {
+      if (off_horizon(self) <= 0.5 * tolerance_) {
         note_phase("march");
         phase_ = Phase::march;
         barrier_.arm(tracker_, 1, options_.ack_changes);  // Separator window.
         return march_move(self);
       }
-      return horizon_.project(self);  // sigma-clamped by the engine.
+      return onto_horizon(self);  // sigma-clamped by the engine.
     }
   }
   return self;  // Unreachable.

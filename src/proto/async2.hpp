@@ -26,7 +26,9 @@
 // strictly-East/West positions during a bit.
 #pragma once
 
-#include "geom/line.hpp"
+#include <cmath>
+
+#include "geom/vec.hpp"
 #include "proto/common.hpp"
 #include "sim/observation.hpp"
 
@@ -78,9 +80,20 @@ class Async2Robot final : public ChatRobot {
 
   [[nodiscard]] double step_size() const;
   [[nodiscard]] geom::Vec2 march_move(const geom::Vec2& cur);
+  /// Orthogonal projection of `p` onto H.
+  [[nodiscard]] geom::Vec2 onto_horizon(const geom::Vec2& p) const {
+    return base_ + h_unit_ * geom::dot(p - base_, h_unit_);
+  }
+  /// Euclidean distance from `p` to H.
+  [[nodiscard]] double off_horizon(const geom::Vec2& p) const {
+    return std::fabs(geom::cross(h_unit_, p - base_));
+  }
 
   Async2Options options_;
-  geom::Line horizon_;       ///< H, directed along North_self.
+  geom::Vec2 base_;          ///< t0 position; H passes through it.
+  /// H's unit direction, north_.normalized(): it may differ from north_
+  /// in the last bit, and the projections onto H are pinned with it.
+  geom::Vec2 h_unit_;
   geom::Vec2 north_;         ///< Unit North_self.
   geom::Vec2 east_;          ///< Unit East w.r.t. North_self.
   geom::Vec2 peer_east_;     ///< East w.r.t. the peer's North.

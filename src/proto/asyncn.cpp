@@ -32,6 +32,8 @@ void AsyncNRobot::initialize(const sim::Snapshot& snap) {
   peer_state_.assign(core_.robot_count(), 0);
   peer_idle_.assign(core_.robot_count(), 0);
   phase_ = Phase::idle;
+  kappa_dir_ = core_.granular(core_.self_index())
+                   .direction(kKappa, geom::DiameterSide::positive);
 }
 
 double AsyncNRobot::step_size() const {
@@ -41,27 +43,26 @@ double AsyncNRobot::step_size() const {
 
 geom::Vec2 AsyncNRobot::kappa_move(const geom::Vec2& cur) {
   const geom::Granular& g = core_.granular(core_.self_index());
-  const geom::Vec2 dir = g.direction(kKappa, geom::DiameterSide::positive);
   const double band = kKappaBand * g.radius();
   const double step = step_size();
-  const double offset = geom::dot(cur - g.center(), dir);
+  const double offset = geom::dot(cur - g.center(), kappa_dir_);
   if (kappa_sign_ > 0 && offset + step > band) kappa_sign_ = -1;
   if (kappa_sign_ < 0 && offset - step < -band) kappa_sign_ = 1;
   // Recomputing from the center keeps the orbit exactly on the kappa line.
   return g.center() +
-         dir * (offset + static_cast<double>(kappa_sign_) * step);
+         kappa_dir_ * (offset + static_cast<double>(kappa_sign_) * step);
 }
 
 geom::Vec2 AsyncNRobot::out_move(const geom::Vec2& cur) {
   const geom::Granular& g = core_.granular(core_.self_index());
-  const geom::Vec2 dir = g.direction(out_signal_.diameter, out_signal_.side);
   const double step = step_size();
   const double lo = kOutLow * g.radius();
   const double hi = kOutHigh * g.radius();
-  const double offset = geom::dot(cur - g.center(), dir);
+  const double offset = geom::dot(cur - g.center(), out_dir_);
   if (out_sign_ > 0 && offset + step > hi) out_sign_ = -1;
   if (out_sign_ < 0 && offset - step < lo) out_sign_ = 1;
-  return g.center() + dir * (offset + static_cast<double>(out_sign_) * step);
+  return g.center() +
+         out_dir_ * (offset + static_cast<double>(out_sign_) * step);
 }
 
 geom::Vec2 AsyncNRobot::center_move(const geom::Vec2& /*cur*/) const {
@@ -133,7 +134,7 @@ geom::Vec2 AsyncNRobot::on_activate(const sim::Snapshot& snap) {
 
     case Phase::go_center: {
       note_phase("go_center");
-      if (geom::dist(cur, core_.center(self)) > arrive) {
+      if (std::is_gt(geom::dist_cmp(cur, core_.center(self), arrive))) {
         return center_move(cur);
       }
       // At the center: start the bit. The ack window opens with this move.
@@ -145,10 +146,11 @@ geom::Vec2 AsyncNRobot::on_activate(const sim::Snapshot& snap) {
         phase_ = Phase::idle;
         return kappa_move(cur);
       }
-      // bit->first == self_slot() is the broadcast lane.
-      out_signal_ = Signal{bit->first + 1,  // kappa occupies diameter 0.
-                           bit->second == 0 ? geom::DiameterSide::positive
-                                            : geom::DiameterSide::negative};
+      // bit->first == self_slot() is the broadcast lane; kappa occupies
+      // diameter 0.
+      out_dir_ = core_.granular(self).direction(
+          bit->first + 1, bit->second == 0 ? geom::DiameterSide::positive
+                                           : geom::DiameterSide::negative);
       barrier_.arm(tracker_, self, options_.ack_changes);
       note_ack_window();
       out_sign_ = 1;
@@ -171,7 +173,7 @@ geom::Vec2 AsyncNRobot::on_activate(const sim::Snapshot& snap) {
 
     case Phase::back:
       note_phase("return");
-      if (geom::dist(cur, core_.center(self)) > arrive) {
+      if (std::is_gt(geom::dist_cmp(cur, core_.center(self), arrive))) {
         return center_move(cur);
       }
       barrier_.arm(tracker_, self, options_.ack_changes);  // Separator.

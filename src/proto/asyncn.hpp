@@ -106,7 +106,8 @@ class AsyncNRobot final : public ChatRobot {
   AsyncNOptions options_;
   SlicedCore core_;
   Phase phase_ = Phase::idle;
-  Signal out_signal_{};      ///< Ray of the bit in flight.
+  geom::Vec2 kappa_dir_;     ///< Positive half of kappa (own granular).
+  geom::Vec2 out_dir_;       ///< Ray of the bit in flight.
   int kappa_sign_ = 1;       ///< Idle bounce direction along kappa.
   int out_sign_ = 1;         ///< Data bounce direction along the ray.
   sim::ChangeTracker tracker_{0};

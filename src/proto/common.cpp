@@ -18,7 +18,7 @@ void ChatRobot::note_activation(const sim::Snapshot& snap) {
   if (idle) ++stats_.idle_activations;
   const geom::Vec2 self = snap.self_robot().position;
   if (last_pos_ && last_was_idle_ &&
-      geom::dist(*last_pos_, self) > geom::kEps) {
+      std::is_gt(geom::dist_cmp(*last_pos_, self, geom::kEps))) {
     ++stats_.idle_moves;
   }
   last_pos_ = self;

@@ -39,8 +39,7 @@ std::vector<Violation> validate_sliced_trace(
         continue;
       }
       if (d <= 1e-7 * g.radius()) continue;  // At the center.
-      const auto fix = g.classify(pos, 1e-7 * g.radius());
-      if (!fix || fix->angular_error > angle_tolerance) {
+      if (!g.classify(pos, 1e-7 * g.radius(), angle_tolerance)) {
         violations.push_back({i, t, "off every labeled ray"});
       }
     }

@@ -190,9 +190,9 @@ void SlicedCore::associate_into(const sim::Snapshot& snap,
 std::optional<Signal> SlicedCore::classify(std::size_t i,
                                            const geom::Vec2& pos) const {
   const geom::Granular& g = granulars_.at(i);
-  const auto fix = g.classify(pos, kCenterFraction * g.radius());
+  const auto fix = g.classify(pos, kCenterFraction * g.radius(),
+                              g.slice_width() / 4.0);
   if (!fix) return std::nullopt;
-  if (fix->angular_error > g.slice_width() / 4.0) return std::nullopt;
   return Signal{fix->diameter, fix->side};
 }
 

@@ -67,7 +67,7 @@ geom::Vec2 Sync2Robot::on_activate(const sim::Snapshot& snap) {
 
   // Decode: the peer's displacement from its base along its "right" axis.
   const geom::Vec2 disp = peer - base_peer_;
-  const bool off = disp.norm() > tolerance_;
+  const bool off = std::is_gt(geom::dist_cmp(peer, base_peer_, tolerance_));
   if (off && !peer_was_off_) {
     const double amplitude = geom::dot(disp, right_peer_);
     if (const auto level = codec_.decode(amplitude)) {

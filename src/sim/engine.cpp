@@ -19,7 +19,7 @@ constexpr std::size_t kGridThreshold = 128;
 /// Candidate radius for grid collision queries: collision_distance^2 with
 /// enough slack to cover the ulp gap between `hypot` (the legacy predicate)
 /// and the grid's squared-distance prefilter; every candidate is re-checked
-/// with the exact legacy predicate.
+/// with `dist_cmp`, which answers exactly as the legacy predicate.
 double collision_radius2(double cd) { return cd * cd * 1.00001; }
 
 // The two listing helpers are templates only because Engine::Sighting,
@@ -271,7 +271,8 @@ void Engine::build_observation(RobotIndex i,
       s.visible = true;
     } else {
       const geom::Vec2& g = stale_config[j];
-      s.visible = !(radius > 0.0 && geom::dist(g, config[i]) > radius);
+      s.visible =
+          !(radius > 0.0 && std::is_gt(geom::dist_cmp(g, config[i], radius)));
       s.obs.position = f.to_local(
           q > 0.0 ? geom::Vec2{std::round(g.x / q) * q, std::round(g.y / q) * q}
                   : g);
@@ -318,7 +319,9 @@ void Engine::check_collisions(std::span<const geom::Vec2> after) {
   if (n < kGridThreshold) {
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
-        if (geom::dist(after[i], after[j]) <= cd) report(i, j);
+        if (std::is_lteq(geom::dist_cmp(after[i], after[j], cd))) {
+          report(i, j);
+        }
       }
     }
     return;
@@ -328,7 +331,10 @@ void Engine::check_collisions(std::span<const geom::Vec2> after) {
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t hit = n;
     grid_scratch_.for_each_within(after[i], r2, [&](std::size_t j) {
-      if (j > i && j < hit && geom::dist(after[i], after[j]) <= cd) hit = j;
+      if (j > i && j < hit &&
+          std::is_lteq(geom::dist_cmp(after[i], after[j], cd))) {
+        hit = j;
+      }
     });
     // Lexicographically first pair, as the all-pairs scan reports: lowest
     // i first (outer loop), lowest j among its collisions (min above).
@@ -411,11 +417,12 @@ void Engine::step_impl() {
       local_target = programs_[i]->on_activate(snap_scratch_);
     }
     const geom::Vec2 target = frames_[i].to_global(local_target);
-    const geom::Vec2 d_move = target - before[i];
-    const double len = d_move.norm();
-    after[i] = len <= sigmas_[i]
-                   ? target
-                   : before[i] + d_move * (sigmas_[i] / len);
+    if (std::is_lteq(geom::dist_cmp(target, before[i], sigmas_[i]))) {
+      after[i] = target;
+    } else {
+      const geom::Vec2 d_move = target - before[i];
+      after[i] = before[i] + d_move * (sigmas_[i] / d_move.norm());
+    }
   }
 
   {

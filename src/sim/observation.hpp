@@ -35,7 +35,7 @@ class ChangeTracker {
   /// position differs from the previous observation.
   void observe(std::size_t peer, const geom::Vec2& position) {
     PeerState& s = states_.at(peer);
-    if (s.last && geom::dist(*s.last, position) > tolerance_) {
+    if (s.last && std::is_gt(geom::dist_cmp(*s.last, position, tolerance_))) {
       ++s.changes;
     }
     s.last = position;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace stig::sim {
 
@@ -49,12 +50,11 @@ void Trace::record_step(const std::vector<bool>& active,
     e.value = 0.0;
     apply(e);
     if (forward != nullptr) forward->on_event(e);
-    const double d = geom::dist(before[i], after[i]);
-    if (d > geom::kEps) {
+    if (std::is_gt(geom::dist_cmp(before[i], after[i], geom::kEps))) {
       e.type = obs::EventType::Move;
       e.x = after[i].x;
       e.y = after[i].y;
-      e.value = d;
+      e.value = geom::dist(before[i], after[i]);
       apply(e);
       if (forward != nullptr) forward->on_event(e);
     }
@@ -62,8 +62,20 @@ void Trace::record_step(const std::vector<bool>& active,
 
   double step_min = std::numeric_limits<double>::infinity();
   if (n < 128) {
+    // hypot only for the pairs whose squared distance lies within
+    // dist_cmp's band of the smallest one: every other pair's hypot is
+    // larger. Outside the band's range, every pair.
+    double min_d2 = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
+        min_d2 = std::min(min_d2, geom::dist2(after[i], after[j]));
+      }
+    }
+    const bool filtered = geom::in_dist_band_range(min_d2);
+    const double limit = min_d2 * (1.0 + geom::kDistBand);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (filtered && !(geom::dist2(after[i], after[j]) <= limit)) continue;
         step_min = std::min(step_min, geom::dist(after[i], after[j]));
       }
     }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "geom/angle.hpp"
@@ -224,12 +225,11 @@ TEST(Granular, ClassifyRoundTrip) {
       for (const auto side :
            {DiameterSide::positive, DiameterSide::negative}) {
         const double r = rng.uniform(0.1, 2.9);
-        const auto fix = g.classify(g.point_on(d, side, r));
+        // A point on the half-diameter is accepted within 1e-7 rad.
+        const auto fix = g.classify(g.point_on(d, side, r), 16 * kEps, 1e-7);
         ASSERT_TRUE(fix.has_value());
         EXPECT_EQ(fix->diameter, d) << "m=" << m;
         EXPECT_EQ(fix->side, side) << "m=" << m;
-        EXPECT_NEAR(fix->distance, r, 1e-9);
-        EXPECT_NEAR(fix->angular_error, 0.0, 1e-7);
       }
     }
   }
@@ -237,8 +237,29 @@ TEST(Granular, ClassifyRoundTrip) {
 
 TEST(Granular, ClassifyCenterIsNull) {
   const Granular g(Vec2{1, 1}, 2.0, 6, Vec2{0, 1});
-  EXPECT_FALSE(g.classify(Vec2{1, 1}).has_value());
-  EXPECT_FALSE(g.classify(Vec2{1 + 1e-12, 1}).has_value());
+  EXPECT_FALSE(g.classify(Vec2{1, 1}, 16 * kEps, kPi).has_value());
+  EXPECT_FALSE(g.classify(Vec2{1 + 1e-12, 1}, 16 * kEps, kPi).has_value());
+}
+
+TEST(Granular, ClassifyNonFiniteIsNull) {
+  // A NaN or infinite position is no signal. llround(NaN) once picked an
+  // arbitrary half-diameter, and its NaN angular error passed every
+  // "error > threshold" rejection: (NaN, 0), (0.5, NaN) and (inf, 0)
+  // decoded as diameter 2, positive side, with m = 3.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Granular g(Vec2{0, 0}, 1.0, 3, Vec2{0, 1});
+  for (const Vec2 p : {Vec2{nan, 0}, Vec2{0.5, nan}, Vec2{inf, 0},
+                       Vec2{0, -inf}, Vec2{inf, inf}, Vec2{nan, nan}}) {
+    EXPECT_FALSE(g.classify(p, 1e-7, g.slice_width() / 4).has_value())
+        << p;
+    EXPECT_FALSE(g.classify(p, 0.0, kPi).has_value()) << p;
+  }
+  // The same granular still decodes a finite point on diameter 2.
+  const auto fix =
+      g.classify(g.point_on(2, DiameterSide::positive, 0.5), 1e-7, 1e-7);
+  ASSERT_TRUE(fix.has_value());
+  EXPECT_EQ(fix->diameter, 2U);
 }
 
 TEST(Granular, OppositeSide) {

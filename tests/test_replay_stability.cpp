@@ -8,10 +8,20 @@
 // DESIGN.md and update the table in the same commit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <exception>
+#include <iterator>
+#include <set>
 
+#include "core/chat_network.hpp"
+#include "fault/injector.hpp"
+#include "fault/redundant_group.hpp"
 #include "fuzz/fuzz_config.hpp"
 #include "fuzz/fuzzer.hpp"
+#include "obs/sink.hpp"
+#include "par/seed.hpp"
 
 namespace stig::fuzz {
 namespace {
@@ -66,6 +76,130 @@ TEST(ReplayStability, ReplayIsDeterministicWithinProcess) {
     EXPECT_EQ(a.kind, b.kind) << "seed " << seed;
     EXPECT_EQ(a.detail, b.detail) << "seed " << seed;
   }
+}
+
+/// FNV-1a over every Activation, Move and StepComplete event: its type, t,
+/// robot, and the bit patterns of x, y and value. No scheduler reads a
+/// position, so the schedule digests above cannot see an ulp move in a
+/// sigma-clamp, a move distance or a min separation; this digest can.
+class MotionDigest final : public obs::EventSink {
+ public:
+  void on_event(const obs::Event& e) override {
+    if (e.type != obs::EventType::Activation &&
+        e.type != obs::EventType::Move &&
+        e.type != obs::EventType::StepComplete) {
+      return;
+    }
+    mix(static_cast<std::uint64_t>(e.type));
+    mix(e.t);
+    mix(static_cast<std::uint64_t>(e.robot));
+    mix(std::bit_cast<std::uint64_t>(e.x));
+    mix(std::bit_cast<std::uint64_t>(e.y));
+    mix(std::bit_cast<std::uint64_t>(e.value));
+    ++events_;
+  }
+
+  /// Folds a run boundary (and whether the run threw) into the digest.
+  void end_run(bool threw) { mix(threw ? 0xdeadULL : 0xe0dULL); }
+
+  [[nodiscard]] std::uint64_t digest() const noexcept { return h_; }
+  [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
+
+ private:
+  void mix(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (v >> (8 * byte)) & 0xffU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+  std::uint64_t events_ = 0;
+};
+
+/// Runs `cfg` the way run_case runs its primary protocol — fault-masked
+/// configs through every lane, corruption plans armed — with every lane's
+/// events streamed into `sink`. Returns true when the run threw.
+bool run_motion(const FuzzConfig& cfg, obs::EventSink& sink) {
+  const std::vector<geom::Vec2> positions = scatter(cfg.seed, cfg.n);
+  const sim::Time budget = instant_budget(cfg);
+  const sim::Time settle = is_synchronous(cfg.protocol) ? 4 : 512;
+  try {
+    if (cfg.group_size > 1) {
+      fault::RedundantOptions ropt;
+      ropt.base = to_options(cfg, cfg.protocol);
+      ropt.group_size = cfg.group_size;
+      ropt.plan = cfg.fault_plan;
+      fault::RedundantChatNetwork net(positions, ropt);
+      for (std::size_t l = 0; l < cfg.group_size; ++l) {
+        net.attach_lane_sink(l, &sink);
+      }
+      if (cfg.broadcast) {
+        net.broadcast(0, cfg.payload);
+      } else {
+        net.send(0, 1, cfg.payload);
+      }
+      (void)net.run_until_settled(
+          budget, std::max<sim::Time>(512, budget / 64), settle);
+      return false;
+    }
+    core::ChatNetwork net(positions, to_options(cfg, cfg.protocol));
+    net.attach_event_sink(&sink);
+    fault::arm_corruptions(net, cfg.fault_plan);
+    if (cfg.broadcast) {
+      net.broadcast(0, cfg.payload);
+    } else {
+      net.send(0, 1, cfg.payload);
+    }
+    if (net.run_until_quiescent(budget)) net.run(settle);
+    return false;
+  } catch (const std::exception&) {
+    return true;
+  }
+}
+
+struct PinnedMotion {
+  const char* mode;
+  std::uint64_t digest;
+  std::uint64_t events;
+};
+
+// Captured before the exact distance and slice filters (DESIGN.md §12)
+// replaced hypot/atan2 on the activation path: those filters promise the
+// same bits, and this table holds them to it.
+constexpr PinnedMotion kPinnedMotion[] = {
+    {"plain", 0xad05fe2c26baa676ULL, 666333ULL},
+    {"faults", 0x015696dc648d2017ULL, 740567ULL},
+    {"corrupt", 0xecbd56c01f234a6eULL, 724865ULL},
+};
+
+TEST(ReplayStability, PinnedMotionDigests) {
+  // 100 case seeds per mode from one master seed; the plain mode keeps
+  // sample_config's own fault and corruption draws, the others force
+  // theirs like stigfuzz --faults and --corrupt.
+  constexpr std::uint64_t kMaster = 0x6d6f74696f6eULL;
+  constexpr std::size_t kCasesPerMode = 100;
+  std::set<core::ProtocolKind> protocols;
+  std::set<core::SchedulerKind> schedulers;
+  for (std::size_t m = 0; m < std::size(kPinnedMotion); ++m) {
+    MotionDigest sink;
+    for (std::size_t i = 0; i < kCasesPerMode; ++i) {
+      FuzzConfig cfg =
+          sample_config(par::derive_seed(kMaster, m * kCasesPerMode + i));
+      if (m == 1) force_fault_dimensions(cfg);
+      if (m == 2) force_corrupt_dimensions(cfg);
+      protocols.insert(cfg.protocol);
+      schedulers.insert(cfg.scheduler);
+      sink.end_run(run_motion(cfg, sink));
+    }
+    EXPECT_EQ(sink.digest(), kPinnedMotion[m].digest)
+        << kPinnedMotion[m].mode << ": a committed position, move distance "
+        << "or separation changed bits";
+    EXPECT_EQ(sink.events(), kPinnedMotion[m].events)
+        << kPinnedMotion[m].mode;
+  }
+  EXPECT_EQ(protocols.size(), 5U);
+  EXPECT_EQ(schedulers.size(), 4U);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/chat_network.hpp"
+#include "sim/rng.hpp"
 #include "sim/schedule_log.hpp"
 #include "sim/scheduler.hpp"
 
@@ -194,6 +195,47 @@ TEST(ReplayScheduler, TruncatedLogFallsBackToAllActive) {
   ReplayScheduler cut(&log);
   EXPECT_EQ(cut.activate(0, 3), (ActivationSet{true, false, false}));
   EXPECT_EQ(cut.activate(1, 3), ActivationSet(3, true));
+}
+
+/// The digest's definition: FNV-1a, one byte at a time, over each
+/// instant's index and robot count (8 little-endian bytes each) and then
+/// one byte per activation bit.
+std::uint64_t reference_digest(const std::vector<ActivationSet>& sets) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto byte = [&h](std::uint64_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  for (std::size_t t = 0; t < sets.size(); ++t) {
+    for (int k = 0; k < 8; ++k) byte((t >> (8 * k)) & 0xffU);
+    for (int k = 0; k < 8; ++k) byte((sets[t].size() >> (8 * k)) & 0xffU);
+    for (const bool b : sets[t]) byte(b ? 1U : 0U);
+  }
+  return h;
+}
+
+TEST(ScheduleLog, DigestEqualsByteLoop) {
+  // Random logs: sparse and dense sets, zero runs far past 64 bits, empty
+  // sets, and more than 256 instants so t spans two bytes.
+  Rng rng(2024);
+  for (int round = 0; round < 200; ++round) {
+    ScheduleLog log;
+    std::vector<ActivationSet> sets;
+    const std::size_t instants = rng.uniform_int(0, 600);
+    const double density = rng.uniform(0.0, 1.0);
+    for (std::size_t t = 0; t < instants; ++t) {
+      ActivationSet set(rng.uniform_int(0, rng.flip(0.1) ? 300 : 9));
+      for (std::size_t i = 0; i < set.size(); ++i) set[i] = rng.flip(density);
+      log.push(set);
+      sets.push_back(std::move(set));
+    }
+    ASSERT_EQ(log.digest(), reference_digest(sets)) << "round " << round;
+  }
+  // Past 65536 instants t takes three bytes.
+  ScheduleLog log;
+  std::vector<ActivationSet> sets(70'000, ActivationSet{false, true});
+  for (const ActivationSet& set : sets) log.push(set);
+  EXPECT_EQ(log.digest(), reference_digest(sets));
 }
 
 TEST(ReplayScheduler, TruncatedScheduleStillReachesQuiescence) {
