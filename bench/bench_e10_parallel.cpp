@@ -9,11 +9,11 @@
 // part that must hold everywhere.
 //
 // Part 2 counts geom::GeomCache traffic while a relative-naming swarm
-// constructs: n robots each run the SEC-based labeling against the same
-// t0 configuration, so all but the first computation hit the cache. The
-// hit/miss counts are deterministic and baseline-gated; the wall times are
-// not (they carry a "_wall"/"per_sec" suffix so the regression gate skips
-// them).
+// constructs: the swarm's one set of naming tables takes the SEC of robot
+// 0's view from the cache, and the robots' cores build their geometry on
+// first use, outside construction. The hit/miss counts are deterministic
+// and baseline-gated; the wall times are not (they carry a
+// "_wall"/"per_sec" suffix so the regression gate skips them).
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -113,9 +113,9 @@ int main() {
   report.value("geom_cache_hits", hits);
   report.value("geom_cache_misses", misses);
   report.value("construction_wall_seconds", cwall);
-  std::cout << "\nexpected shape: one miss per robot (each sees t0 in its "
-               "own frame) and about as many hits — each robot's radii pass "
-               "reuses its SEC entry, and the swarm's one set of naming "
-               "tables is built from robot 0's view.\n";
+  std::cout << "\nexpected shape: one miss and no hits — the swarm's one "
+               "set of naming tables is built from robot 0's view, and no "
+               "robot builds granulars, radii or horizons before it needs "
+               "them.\n";
   return all_identical ? 0 : 1;
 }

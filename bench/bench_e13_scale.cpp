@@ -15,17 +15,19 @@
 // {32, 128, 512, 1024} and relative naming (anonymous, chirality only) at
 // n in {128, 256, 512}. Instants to quiescence and bits delivered are
 // gated; construction and run times and bits/sec are machine-dependent.
-// n = 4096 is omitted: a full chat swarm holds n granulars per robot core
-// (n^2 total), which at 4096 costs multiple GiB before the first instant
-// runs — see EXPERIMENTS.md E13.
+// n = 4096 is omitted: a chat swarm holds O(n) state per robot (t0
+// centers, the decode memo, listing orders, naming views and slot
+// tables: about 70 bytes per pair of robots), over 1 GB at 4096 before
+// the first instant runs — see EXPERIMENTS.md E13.
 //
 // Table C measures construction alone for the relative (chirality-only)
 // naming at n in {128, 256, 512, 1024}, each from an empty geometry
 // cache: build time, live heap after construction (the cache entries it
 // leaves included), peak heap during it, and allocation count (obs::alloc,
-// so deterministic). The n x n rank tables are built once per swarm; what
-// grows beyond n^2 is per-robot granular state. n = 1024 is printed but
-// not gated. The binary also exits non-zero when n = 512 leaves more than
+// so deterministic). The n x n rank tables are built once per swarm, and
+// each robot keeps O(n): its t0 centers and decode memo; granulars are
+// built on first use, after construction. n = 1024 is printed but not
+// gated. The binary also exits non-zero when n = 512 leaves more than
 // 64 MB live.
 //
 // Deterministic keys (activations, instants, bits, live bytes and
@@ -257,7 +259,8 @@ int main() {
   std::cout << "\nexpected shape: bits scale with n (every robot receives "
                "the byte), instants grow slowly, and Table A stays ~linear "
                "in n per instant — the wall is gone end to end. Table C "
-               "grows ~n^2: one shared set of rank tables plus n granulars "
-               "per robot.\n";
+               "grows ~n^2: one shared set of rank tables plus each "
+               "robot's t0 centers and decode memo; no robot builds a "
+               "granular before it needs one.\n";
   return scaling_ok && memory_ok ? 0 : 1;
 }

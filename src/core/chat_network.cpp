@@ -160,12 +160,20 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
     specs.push_back(s);
   }
 
+  sim::EngineOptions eopt;
+  eopt.record_positions = options_.record_positions;
+  eopt.observation_quantum = options_.observation_quantum;
+  eopt.observation_delay = options_.observation_delay;
+  eopt.visibility_radius = options_.visibility_radius;
+
   // t0 observation orders: orders[i][k] is the simulator index of the
-  // k-th robot in robot i's t0 snapshot. They translate slots to simulator
-  // indices and place each robot's view of the shared naming tables.
+  // k-th robot in robot i's t0 snapshot, by the engine's own observation
+  // rule (a quantized sensor can list two robots in another order than
+  // their exact positions). They translate slots to simulator indices and
+  // place each robot's view of the shared naming tables.
   std::vector<std::vector<sim::RobotIndex>> orders(n);
   for (std::size_t i = 0; i < n; ++i) {
-    orders[i] = sim::initial_observation_order(specs, i);
+    orders[i] = sim::initial_observation_order(specs, i, eopt);
   }
 
   // One set of naming tables per swarm (DESIGN.md §9), built in robot 0's
@@ -256,11 +264,6 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
     programs.push_back(std::move(robot));
   }
 
-  sim::EngineOptions eopt;
-  eopt.record_positions = options_.record_positions;
-  eopt.observation_quantum = options_.observation_quantum;
-  eopt.observation_delay = options_.observation_delay;
-  eopt.visibility_radius = options_.visibility_radius;
   engine_ = std::make_unique<sim::Engine>(std::move(specs),
                                           std::move(programs),
                                           make_scheduler(options_), eopt);

@@ -1,9 +1,7 @@
 // GeomCache — configuration-epoch memoization of the geometry substrate.
 //
-// The protocols ask for the same geometry of the same point set more than
-// once: a SlicedCore asks for the SEC of its t0 view and then for the
-// granular radii of the same view, a swarm's shared naming tables are
-// built from robot 0's view (which robot 0's core asks for again), the
+// The library asks for the same geometry of the same point set more than
+// once: every relative labeling of one view needs that view's SEC, the
 // watchdog and the conformance validator rebuild the same granular radii,
 // and the viz layer recomputes the Voronoi diagram a figure at a time. All
 // of these are pure functions of the point set, so one memo entry per

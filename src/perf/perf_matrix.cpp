@@ -100,8 +100,9 @@ std::vector<Scenario> full_matrix() {
   // The post-epoch-ring large cell: one 2-byte message across a
   // 1024-robot sliced swarm. Exists to pin the hot-path allocation
   // profile at a size where the old per-robot configuration copies and
-  // all-pairs scans dominated; nightly-only because construction alone
-  // holds n granulars per robot core.
+  // all-pairs scans dominated; nightly-only because the swarm holds O(n)
+  // state per robot (t0 centers, decode memo, listing and slot tables),
+  // about 70 MB at this size.
   m.push_back(cell("sliced_n1024", ProtocolKind::sliced,
                    Synchrony::synchronous, 1024, 2, 1, 19));
   return m;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <utility>
 
 namespace stig::proto {
@@ -24,11 +23,8 @@ void AsyncNRobot::initialize(const sim::Snapshot& snap) {
   // n + 1 diameters: kappa plus one per rank.
   core_ = SlicedCore(snap, options_.naming, snap.robots.size() + 1,
                      std::move(options_.shared_naming));
-  double min_radius = std::numeric_limits<double>::infinity();
-  for (std::size_t j = 0; j < core_.robot_count(); ++j) {
-    min_radius = std::min(min_radius, core_.radius(j));
-  }
-  tracker_ = sim::ChangeTracker(core_.robot_count(), 1e-9 * min_radius);
+  tracker_ = sim::ChangeTracker(core_.robot_count(),
+                                1e-9 * core_.min_radius());
   peer_state_.assign(core_.robot_count(), 0);
   peer_idle_.assign(core_.robot_count(), 0);
   phase_ = Phase::idle;
@@ -70,11 +66,11 @@ geom::Vec2 AsyncNRobot::center_move(const geom::Vec2& /*cur*/) const {
   return core_.center(core_.self_index());
 }
 
-void AsyncNRobot::decode(const std::vector<geom::Vec2>& pos) {
+void AsyncNRobot::decode() {
   const std::size_t self = core_.self_index();
   for (std::size_t j = 0; j < core_.robot_count(); ++j) {
     if (j == self) continue;
-    const auto sig = core_.classify(j, pos[j]);
+    const auto sig = core_.signal(j);
     std::int64_t code = 0;
     if (sig && sig->diameter != kKappa) {
       code = static_cast<std::int64_t>(sig->diameter);
@@ -114,15 +110,13 @@ geom::Vec2 AsyncNRobot::on_activate(const sim::Snapshot& snap) {
     }
   }
 
-  // Driver-owned scratch: slice assembly reuses capacity per activation.
-  core_.associate_into(snap, pos_scratch_);
-  const std::vector<geom::Vec2>& pos = pos_scratch_;
+  core_.observe(snap);
   for (std::size_t j = 0; j < core_.robot_count(); ++j) {
-    if (j != self) tracker_.observe(j, pos[j]);
+    if (j != self) tracker_.observe(j, core_.position(j));
   }
-  decode(pos);
+  decode();
 
-  const geom::Vec2 cur = pos[self];
+  const geom::Vec2 cur = core_.position(self);
   const double arrive = kArrive * core_.radius(self);
 
   if (phase_ == Phase::idle && peek_bit()) phase_ = Phase::go_center;

@@ -101,7 +101,8 @@ class AsyncNRobot final : public ChatRobot {
   [[nodiscard]] geom::Vec2 kappa_move(const geom::Vec2& cur);
   [[nodiscard]] geom::Vec2 out_move(const geom::Vec2& cur);
   [[nodiscard]] geom::Vec2 center_move(const geom::Vec2& cur) const;
-  void decode(const std::vector<geom::Vec2>& pos);
+  /// Feeds every other robot's memoized signal to its decoder.
+  void decode();
 
   AsyncNOptions options_;
   SlicedCore core_;
@@ -117,8 +118,6 @@ class AsyncNRobot final : public ChatRobot {
   std::vector<std::int64_t> peer_state_;
   std::vector<std::uint32_t> peer_idle_;  ///< Consecutive neutral
                                           ///< observations (resync).
-  /// Per-activation scratch for the associated positions (capacity reused).
-  std::vector<geom::Vec2> pos_scratch_;
 };
 
 }  // namespace stig::proto

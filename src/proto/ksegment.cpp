@@ -40,15 +40,13 @@ geom::Vec2 KSegmentRobot::on_activate(const sim::Snapshot& snap) {
     }
   }
 
-  // Driver-owned scratch: slice assembly reuses capacity per activation.
-  core_.associate_into(snap, pos_scratch_);
-  const std::vector<geom::Vec2>& pos = pos_scratch_;
+  core_.observe(snap);
 
   // --- Decode all other robots' symbols.
   for (std::size_t j = 0; j < core_.robot_count(); ++j) {
     if (j == self) continue;
     DecodeState& st = decode_[j];
-    const auto sig = core_.classify(j, pos[j]);
+    const auto sig = core_.signal(j);
     std::int64_t code = 0;
     if (sig) {
       code = static_cast<std::int64_t>(sig->diameter + 1);

@@ -90,8 +90,6 @@ class KSegmentRobot final : public ChatRobot {
   bool prefix_done_ = false;  ///< Current frame's prefix fully sent.
   bool displaced_ = false;
   std::vector<DecodeState> decode_;
-  /// Per-activation scratch for the associated positions (capacity reused).
-  std::vector<geom::Vec2> pos_scratch_;
 };
 
 }  // namespace stig::proto

@@ -1,11 +1,15 @@
 #include "proto/slices.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "geom/geom_cache.hpp"
+#include "geom/sec.hpp"
+#include "geom/voronoi.hpp"
 
 namespace stig::proto {
 namespace {
@@ -16,18 +20,24 @@ namespace {
 /// both sides. Being radius-relative makes the threshold frame-invariant.
 constexpr double kCenterFraction = 1e-7;
 
-/// Swarm size at which `associate_into` switches from the brute
-/// nearest-center scan to the t0-center PointGrid (same nearest index —
-/// see geom/point_grid.hpp's exactness contract).
-constexpr std::size_t kAssociateGridThreshold = 64;
+/// Swarm size at which radius queries and association misses switch from
+/// brute scans to the t0-center PointGrid (same doubles and the same
+/// nearest index — see geom/point_grid.hpp's exactness contract).
+constexpr std::size_t kGridThreshold = 64;
 
-/// Snapshot entry k is matched to granular k without a search when it lies
-/// within this fraction of r_k from center k. r_k is half the distance from
-/// center k to its nearest other center (geom::granular_radius), so such a
-/// point is at least 2 r_k - 0.9 r_k = 1.1 r_k from every other center: the
-/// nearest-center search would return k, with no tie. The squared margin
-/// (0.81 vs 1.21) dwarfs the few-ulp error of dist2.
-constexpr double kOwnSlotFraction = 0.9;
+/// How far from its own slot `observe` looks for an unmoved robot's entry
+/// by its bits: a robot that passes d neighbours in the listing shifts
+/// each by one slot, two movers side by side by two.
+constexpr std::size_t kShiftWindow = 2;
+
+/// Bit-for-bit equality: what the memo keys on. Association and
+/// classification are functions of the bits (a signed zero can steer
+/// atan2), so `==` on doubles would be too loose and misses NaN.
+bool same_bits(const geom::Vec2& a, const geom::Vec2& b) noexcept {
+  using Bits = std::uint64_t;
+  return std::bit_cast<Bits>(a.x) == std::bit_cast<Bits>(b.x) &&
+         std::bit_cast<Bits>(a.y) == std::bit_cast<Bits>(b.y);
+}
 
 }  // namespace
 
@@ -36,6 +46,7 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
     : n_(t0.robots.size()),
       self_(t0.self),
       diameters_(diameter_count),
+      naming_(naming),
       shared_(std::move(shared.tables)) {
   assert(diameter_count >= 1);
   centers_.reserve(n_);
@@ -81,32 +92,11 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
   }
   view_ = shared_.get();
 
-  // Reference directions stay per robot and in its own frame: they place
-  // its own signal points. One SEC of this frame serves every horizon.
-  std::vector<geom::Vec2> references(n_, geom::Vec2{0.0, 1.0});  // North.
-  if (naming == NamingMode::relative) {
-    const geom::Circle sec = geom::cached_sec(centers_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      references[i] = horizon_direction(centers_, i, sec);
-    }
-  }
-
-  if (n_ >= kAssociateGridThreshold) {
-    center_grid_.build(centers_);
-  }
-
-  granulars_.reserve(n_);
-  // Memoized per configuration: under relative naming the SEC lookup
-  // above already created the cache entry for these centers.
-  const std::vector<double>& radii =
-      geom::GeomCache::local().granular_radii(centers_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double r = radii[i];
-    if (r <= 0.0) {
-      throw std::invalid_argument("granular radius must be positive");
-    }
-    granulars_.emplace_back(centers_[i], r, diameters_, references[i]);
-  }
+  // The memo starts at t0: every robot at its center, where no robot
+  // signals (classify reads a zero displacement as "at the center").
+  observed_ = centers_;
+  code_.assign(n_, 0);
+  marks_.assign(n_, 0);
 }
 
 void SlicedCore::scramble_naming(std::uint64_t garbage) {
@@ -135,15 +125,52 @@ bool SlicedCore::audit_naming() {
   return repaired;
 }
 
-std::vector<geom::Vec2> SlicedCore::associate(
-    const sim::Snapshot& snap) const {
-  std::vector<geom::Vec2> positions;
-  associate_into(snap, positions);
-  return positions;
+const geom::PointGrid& SlicedCore::center_grid() const {
+  if (!center_grid_) {
+    center_grid_ = std::make_unique<geom::PointGrid>(centers_);
+  }
+  return *center_grid_;
+}
+
+double SlicedCore::radius_of(std::size_t i) const {
+  // Half the distance to the nearest other center: geom::granular_radius,
+  // or the grid's nearest_other_dist2 — the same squared distance, hence
+  // the same double.
+  if (n_ >= kGridThreshold) {
+    return std::sqrt(center_grid().nearest_other_dist2(i)) / 2.0;
+  }
+  return geom::granular_radius(centers_, i);
+}
+
+double SlicedCore::min_radius() const {
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n_; ++i) best = std::min(best, radius_of(i));
+  if (!(best > 0.0)) {
+    throw std::invalid_argument("granular radius must be positive");
+  }
+  return best;
+}
+
+const geom::Granular& SlicedCore::build_geometry(std::size_t i) const {
+  if (i >= n_) throw std::out_of_range("SlicedCore: robot index");
+  const double r = radius_of(i);
+  if (r <= 0.0) {
+    throw std::invalid_argument("granular radius must be positive");
+  }
+  // Reference directions are per robot and in its own frame: they place
+  // its own signal points. One SEC of this frame serves every horizon.
+  geom::Vec2 reference{0.0, 1.0};  // North.
+  if (naming_ == NamingMode::relative) {
+    if (!sec_) sec_ = geom::smallest_enclosing_circle(centers_);
+    reference = horizon_direction(centers_, i, *sec_);
+  }
+  if (built_slot_.empty()) built_slot_.assign(n_, kUnbuilt);
+  built_slot_[i] = static_cast<std::uint32_t>(built_.size());
+  return built_.emplace_back(centers_[i], r, diameters_, reference);
 }
 
 std::size_t SlicedCore::nearest_center(const geom::Vec2& p) const {
-  if (!center_grid_.empty()) return center_grid_.nearest(p);
+  if (n_ >= kGridThreshold) return center_grid().nearest(p);
   std::size_t best = 0;
   double best_d2 = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n_; ++i) {
@@ -156,40 +183,84 @@ std::size_t SlicedCore::nearest_center(const geom::Vec2& p) const {
   return best;
 }
 
-void SlicedCore::associate_into(const sim::Snapshot& snap,
-                                std::vector<geom::Vec2>& out) const {
-  assert(snap.robots.size() == n_);
-  out.assign(n_, geom::Vec2{});
-  std::vector<bool>& filled = assoc_filled_;
-  filled.assign(n_, false);
-  for (std::size_t k = 0; k < snap.robots.size(); ++k) {
-    // Every observed point goes to its nearest granular center. Without
-    // faults each robot stays inside its own granular and granular
-    // interiors are disjoint, so that is the robot itself. A fault
-    // (Engine::teleport, a jitter) may push a robot out of every granular;
-    // it still goes to its nearest center, which is what the drivers'
-    // walk-back needs. The watchdog (check_granular) and
-    // validate_sliced_trace report such a robot.
-    //
-    // t0 listed the swarm in the order snapshots still list it unless two
-    // robots passed each other, so entry k is first tried against granular
-    // k (kOwnSlotFraction: exact, O(1)). Otherwise large swarms query the
-    // t0-center grid and small ones scan; both return the lowest index on
-    // exact ties.
-    const geom::Vec2& p = snap.robots[k].position;
-    const double own =
-        k < n_ ? kOwnSlotFraction * granulars_[k].radius() : 0.0;
-    const bool own_slot = k < n_ && geom::dist2(p, centers_[k]) <= own * own;
-    const std::size_t best = own_slot ? k : nearest_center(p);
-    assert(!filled[best] && "two robots associated to one granular");
-    out[best] = p;
-    filled[best] = true;
+void SlicedCore::observe(const sim::Snapshot& snap) {
+  // Every observed point goes to its nearest granular center. Without
+  // faults each robot stays inside its own granular and granular
+  // interiors are disjoint, so that is the robot itself. A fault
+  // (Engine::teleport, a jitter) may push a robot out of every granular;
+  // it still goes to its nearest center, which is what the drivers'
+  // walk-back needs. The watchdog (check_granular) and
+  // validate_sliced_trace report such a robot.
+  //
+  // Snapshots list the swarm in t0 order unless two robots passed each
+  // other, so entry k is usually robot k: at the bits granular k holds
+  // (unchanged: one comparison) or moved within its own slot. While that
+  // holds, each entry fills its own granular and needs no bookkeeping.
+  const std::vector<sim::ObservedRobot>& robots = snap.robots;
+  std::size_t k = 0;
+  if (robots.size() == n_ && !vacancies_) {
+    for (; k < n_; ++k) {
+      const geom::Vec2& p = robots[k].position;
+      if (same_bits(p, observed_[k])) continue;
+      if (!in_own_slot(k, p)) break;
+      observed_[k] = p;
+      code_[k] = kUnclassified;
+    }
+    if (k == n_) return;
   }
+  // From the first entry that is not (or the top, for a listing of another
+  // length or after a vacancy), every entry is placed by `granular_of`.
+  // Entries fill granulars in listing order, a later one overwriting an
+  // earlier one, as a full association pass would.
+  std::fill_n(marks_.begin(), k, kFilled);
+  std::size_t filled = k;
+  for (; k < robots.size(); ++k) {
+    const geom::Vec2& p = robots[k].position;
+    const std::size_t best = granular_of(k, p);
+    assert((marks_[best] & kFilled) == 0 &&
+           "two robots associated to one granular");
+    filled += (marks_[best] & kFilled) == 0 ? 1 : 0;
+    marks_[best] |= kFilled;
+    if (!same_bits(p, observed_[best])) {
+      observed_[best] = p;
+      code_[best] = kUnclassified;
+    }
+  }
+  // A granular no entry filled (a fault, limited visibility) reads as
+  // zero; a change either way is a move.
+  if (filled == n_ && !vacancies_) {
+    std::fill(marks_.begin(), marks_.end(), std::uint8_t{0});
+    return;
+  }
+  vacancies_ = false;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const bool vacant = (marks_[i] & kFilled) == 0;
+    if (vacant != ((marks_[i] & kVacant) != 0)) code_[i] = kUnclassified;
+    marks_[i] = vacant ? kVacant : 0;
+    vacancies_ = vacancies_ || vacant;
+  }
+}
+
+std::size_t SlicedCore::granular_of(std::size_t k,
+                                    const geom::Vec2& p) const {
+  // Entry k is first compared with granular k: the same bits as granular
+  // k holds, or within its own slot (`in_own_slot`, exact), is robot k.
+  // An entry at the bits a granular up to two slots away holds is that
+  // robot, shifted in the listing by one that passed it (exact: every held
+  // position is one that associates to its granular). The rest go to the
+  // t0-center grid (large swarms) or a scan, both returning the lowest
+  // index on exact ties.
+  if (k < n_ && (same_bits(p, observed_[k]) || in_own_slot(k, p))) return k;
+  for (std::size_t d = 1; d <= kShiftWindow; ++d) {
+    if (k >= d && k - d < n_ && same_bits(p, observed_[k - d])) return k - d;
+    if (k + d < n_ && same_bits(p, observed_[k + d])) return k + d;
+  }
+  return nearest_center(p);
 }
 
 std::optional<Signal> SlicedCore::classify(std::size_t i,
                                            const geom::Vec2& pos) const {
-  const geom::Granular& g = granulars_.at(i);
+  const geom::Granular& g = geometry(i);
   const auto fix = g.classify(pos, kCenterFraction * g.radius(),
                               g.slice_width() / 4.0);
   if (!fix) return std::nullopt;

@@ -2,7 +2,7 @@
 // movement protocol (Sections 3.2–3.4 synchronous, 4.2 asynchronous, and the
 // Section 5 k-segment extension).
 //
-// Built once from the t0 snapshot, it provides, in the owning robot's local
+// Built from the t0 snapshot, it provides, in the owning robot's local
 // frame:
 //   * each robot's granular (largest disc centered on the robot inside its
 //     Voronoi cell) sliced into a protocol-chosen number of diameters;
@@ -12,18 +12,28 @@
 //     every sender's labeling — the property Section 3.4 relies on), read
 //     from NamingTables that a whole swarm can share;
 //   * association of an observed configuration back to persistent robot
-//     identities (granulars are disjoint, so nearest-center is unambiguous),
-//     O(1) per robot that still holds its t0 listing slot;
-//   * classification of a robot's displacement into (diameter, side).
+//     identities (granulars are disjoint, so nearest-center is unambiguous)
+//     and classification of each robot's displacement into (diameter,
+//     side), memoized per robot: an entry at exactly the bits its granular
+//     last held costs one comparison (DESIGN.md §13).
+//
+// Construction stores the t0 centers and the naming view only. A robot's
+// radius, reference direction and slicing are built the first time
+// anything needs them and kept; one center grid, built on first need,
+// answers radius queries and association misses alike. A silent swarm
+// builds the geometry of its senders, not of every robot.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "geom/circle.hpp"
 #include "geom/granular.hpp"
 #include "geom/point_grid.hpp"
 #include "geom/vec.hpp"
@@ -65,6 +75,10 @@ class SlicedCore {
   /// into them. Sharing is exact only when every robot's t0 view is a
   /// similarity image of the canonical one (see DESIGN.md §9); without
   /// it the core builds its own tables from `t0` (identity permutation).
+  ///
+  /// Granular geometry is not built here: a view in which two robots
+  /// coincide (radius 0) throws std::invalid_argument when one of those
+  /// granulars is first needed, or from `min_radius`.
   SlicedCore(const sim::Snapshot& t0, NamingMode naming,
              std::size_t diameter_count, SharedNaming shared = {});
 
@@ -79,10 +93,22 @@ class SlicedCore {
     return centers_.at(i);
   }
 
-  /// Granular of robot `i`, sliced with `i`'s reference direction.
-  [[nodiscard]] const geom::Granular& granular(std::size_t i) const {
-    return granulars_.at(i);
+  /// Granular of robot `i`, sliced with `i`'s reference direction. Built
+  /// on first use and kept; returned by value because a later first use
+  /// may move the store.
+  [[nodiscard]] geom::Granular granular(std::size_t i) const {
+    return geometry(i);
   }
+
+  /// Granular radius of robot `i`.
+  [[nodiscard]] double radius(std::size_t i) const {
+    return geometry(i).radius();
+  }
+
+  /// Smallest granular radius of the swarm — the same double as the
+  /// minimum of `radius(i)` — without building any granular. Throws
+  /// std::invalid_argument when it is not positive.
+  [[nodiscard]] double min_radius() const;
 
   /// Rank of robot `j` in robot `i`'s labeling.
   [[nodiscard]] std::size_t rank(std::size_t i, std::size_t j) const {
@@ -103,23 +129,41 @@ class SlicedCore {
     return *shared_;
   }
 
-  /// Associates the observed configuration to persistent robot indices:
-  /// result[i] is the current position of robot i. Every observed point is
-  /// assigned to its nearest granular center — without faults, the granular
-  /// that contains it. Entry k is first tried against granular k (the t0
-  /// listing order), accepted in O(1) when within 0.9 of that granular's
-  /// radius of its center, where no other center can be nearer; otherwise
-  /// the t0-center grid (n >= 64) or a scan decides. O(n) per snapshot
-  /// while robots keep their t0 listing order (DESIGN.md §10).
-  [[nodiscard]] std::vector<geom::Vec2> associate(
-      const sim::Snapshot& snap) const;
+  /// Associates one activation's snapshot to persistent robot indices:
+  /// afterwards `position(i)` is where robot i was observed. Every entry
+  /// goes to its nearest granular center — without faults, the granular
+  /// that contains it. Entry k is first compared with the position
+  /// granular k last held (t0: its center); at exactly the same bits it is
+  /// the same robot with the same signal, matched in O(1) and not
+  /// re-classified. Otherwise it is accepted for granular k when within
+  /// 0.9 of that granular's radius of its center (where no other center
+  /// can be nearer), or for a granular up to two slots away at the bits
+  /// that one holds (the same robot, shifted in the listing); the rest are
+  /// placed by the center grid (n >= 64) or a scan (DESIGN.md §10, §13).
+  /// A granular that no entry fills reads as the zero vector.
+  void observe(const sim::Snapshot& snap);
 
-  /// `associate` into caller-owned storage (resized to robot_count();
-  /// capacity reused). The per-activation hot path of the sliced drivers
-  /// calls this with a driver-owned scratch vector so slice assembly
-  /// allocates nothing in steady state.
-  void associate_into(const sim::Snapshot& snap,
-                      std::vector<geom::Vec2>& out) const;
+  // The per-activation accessors below are unchecked: i < robot_count().
+
+  /// Robot `i`'s position as of the last `observe` (its t0 center before
+  /// the first).
+  [[nodiscard]] const geom::Vec2& position(std::size_t i) const {
+    static constexpr geom::Vec2 kZero{};
+    assert(i < n_);
+    return vacancies_ && (marks_[i] & kVacant) != 0 ? kZero : observed_[i];
+  }
+
+  /// `classify(i, position(i))`, computed once per change of position.
+  [[nodiscard]] std::optional<Signal> signal(std::size_t i) {
+    assert(i < n_);
+    std::int32_t& code = code_[i];
+    if (code == kUnclassified) code = encode(classify(i, position(i)));
+    if (code == 0) return std::nullopt;
+    return code > 0 ? Signal{static_cast<std::size_t>(code) - 1,
+                             geom::DiameterSide::positive}
+                    : Signal{static_cast<std::size_t>(-code) - 1,
+                             geom::DiameterSide::negative};
+  }
 
   /// Classifies robot `i`'s current position against its granular slicing.
   /// Returns nullopt when the robot is at (indistinguishable from) its
@@ -131,12 +175,7 @@ class SlicedCore {
   /// Movement target on robot self's own granular.
   [[nodiscard]] geom::Vec2 signal_point(const Signal& s,
                                         double distance) const {
-    return granulars_.at(self_).point_on(s.diameter, s.side, distance);
-  }
-
-  /// Granular radius of robot `i`.
-  [[nodiscard]] double radius(std::size_t i) const {
-    return granulars_.at(i).radius();
+    return geometry(self_).point_on(s.diameter, s.side, distance);
   }
 
   /// Transient-corruption hook (fault::CorruptTarget::naming): overwrites
@@ -161,6 +200,54 @@ class SlicedCore {
   [[nodiscard]] bool audit_naming();
 
  private:
+  /// `code_` value of a position not classified since it changed.
+  static constexpr std::int32_t kUnclassified =
+      std::numeric_limits<std::int32_t>::min();
+  /// `built_slot_` value of a granular not built yet.
+  static constexpr std::uint32_t kUnbuilt =
+      std::numeric_limits<std::uint32_t>::max();
+  /// `marks_` bits: an entry of the snapshot in `observe`'s general pass
+  /// filled this granular; no entry filled it at the last `observe`.
+  static constexpr std::uint8_t kFilled = 1;
+  static constexpr std::uint8_t kVacant = 2;
+
+  /// A signal as a `code_` value: 0 for none, +-(diameter + 1) by side.
+  [[nodiscard]] static std::int32_t encode(const std::optional<Signal>& s) {
+    if (!s) return 0;
+    const auto d = static_cast<std::int32_t>(s->diameter) + 1;
+    return s->side == geom::DiameterSide::positive ? d : -d;
+  }
+
+  /// Robot `i`'s granular, built on first use. The reference is valid
+  /// until the next first use of another robot's granular.
+  [[nodiscard]] const geom::Granular& geometry(std::size_t i) const {
+    if (i < built_slot_.size() && built_slot_[i] != kUnbuilt) {
+      return built_[built_slot_[i]];
+    }
+    return build_geometry(i);
+  }
+  const geom::Granular& build_geometry(std::size_t i) const;
+
+  /// Robot `i`'s granular radius, from the center grid (n >= 64) or a scan.
+  [[nodiscard]] double radius_of(std::size_t i) const;
+
+  /// The t0-center grid, built on first use (n >= 64 only).
+  [[nodiscard]] const geom::PointGrid& center_grid() const;
+
+  /// True when `p` lies within 0.9 of granular k's radius of its center.
+  /// That radius is half the distance to the nearest other center, so such
+  /// a point is at least 1.1 r_k from every other center: robot k, with no
+  /// tie. The squared margin (0.81 vs 1.21) dwarfs the few-ulp error of
+  /// dist2.
+  [[nodiscard]] bool in_own_slot(std::size_t k, const geom::Vec2& p) const {
+    const double own = 0.9 * geometry(k).radius();
+    return geom::dist2(p, centers_[k]) <= own * own;
+  }
+
+  /// The granular snapshot entry `k`, observed at `p`, belongs to.
+  [[nodiscard]] std::size_t granular_of(std::size_t k,
+                                        const geom::Vec2& p) const;
+
   /// Index of the t0 center nearest to `p`; lowest index on exact ties.
   [[nodiscard]] std::size_t nearest_center(const geom::Vec2& p) const;
 
@@ -173,8 +260,10 @@ class SlicedCore {
   std::size_t n_ = 0;
   std::size_t self_ = 0;
   std::size_t diameters_ = 0;
+  NamingMode naming_ = NamingMode::lexicographic;
+  /// Some granular is vacant (see `marks_`).
+  bool vacancies_ = false;
   std::vector<geom::Vec2> centers_;
-  std::vector<geom::Granular> granulars_;
   /// The naming tables: shared across the swarm, or built by this core.
   std::shared_ptr<const NamingTables> shared_;
   /// Own t0 index <-> index into the tables; both empty for the identity
@@ -185,14 +274,30 @@ class SlicedCore {
   std::unique_ptr<NamingTables> scrambled_;
   /// What the lookups read: `shared_`, or `scrambled_` when set.
   const NamingTables* view_ = nullptr;
-  /// Nearest-center index for `associate_into`, built once over the t0
-  /// centers for large swarms (empty below the threshold — the brute scan
-  /// wins there).
-  geom::PointGrid center_grid_;
-  /// Scratch for `associate_into`'s taken-granular bookkeeping; mutable
-  /// because association is logically const (cores are per-robot and
-  /// engines are single-threaded, so no synchronization is needed).
-  mutable std::vector<bool> assoc_filled_;
+
+  // The decode memo (see `observe`).
+  /// Per granular: the position last associated to it (t0: its center).
+  /// Always one that associates to it, so equal bits mean the same robot.
+  std::vector<geom::Vec2> observed_;
+  /// Per granular: encode(signal) of `position`, or kUnclassified once
+  /// `position` changed.
+  std::vector<std::int32_t> code_;
+  /// Per granular `kFilled | kVacant` bits.
+  std::vector<std::uint8_t> marks_;
+
+  // Geometry built on first use; mutable because building is logically
+  // const (cores are per-robot and engines are single-threaded, so no
+  // synchronization is needed).
+  /// Per robot: index into `built_`, or kUnbuilt. Empty until the first
+  /// granular is built.
+  mutable std::vector<std::uint32_t> built_slot_;
+  /// The granulars built so far, in order of first use.
+  mutable std::vector<geom::Granular> built_;
+  /// SEC of the centers (relative naming's horizons), on first use.
+  mutable std::optional<geom::Circle> sec_;
+  /// Nearest-center index over the t0 centers: radius queries and
+  /// association misses (n >= 64; below, scans win). Null until needed.
+  mutable std::unique_ptr<geom::PointGrid> center_grid_;
 };
 
 }  // namespace stig::proto

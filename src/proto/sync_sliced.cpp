@@ -43,16 +43,14 @@ geom::Vec2 SyncSlicedRobot::on_activate(const sim::Snapshot& snap) {
     }
   }
 
-  // Undo the common flocking drift to recover protocol-space positions.
-  // Both paths write into driver-owned scratch: the snapshot copy and the
-  // associated positions reuse capacity across activations.
-  std::vector<geom::Vec2>& pos = pos_scratch_;
+  // Undo the common flocking drift to recover protocol-space positions
+  // (into a driver-owned snapshot copy that reuses its capacity).
   if (options_.flock_velocity == geom::Vec2{0.0, 0.0}) {
-    core_.associate_into(snap, pos);
+    core_.observe(snap);
   } else {
     snap_scratch_ = snap;
     for (sim::ObservedRobot& r : snap_scratch_.robots) r.position -= drift;
-    core_.associate_into(snap_scratch_, pos);
+    core_.observe(snap_scratch_);
   }
 
   // Decode every other robot's movement signal. A bit is emitted on the
@@ -60,7 +58,7 @@ geom::Vec2 SyncSlicedRobot::on_activate(const sim::Snapshot& snap) {
   // diameter label *in its own labeling*, which we reconstruct.
   for (std::size_t j = 0; j < core_.robot_count(); ++j) {
     if (j == self) continue;
-    const auto signal = core_.classify(j, pos[j]);
+    const auto signal = core_.signal(j);
     if (signal && !peer_was_off_[j]) {
       const std::size_t addressee_robot =
           core_.robot_with_rank(j, signal->diameter);
@@ -80,7 +78,7 @@ geom::Vec2 SyncSlicedRobot::on_activate(const sim::Snapshot& snap) {
   }
 
   // Our own move (protocol space), then re-apply drift for the next instant.
-  geom::Vec2 target = pos[self];
+  geom::Vec2 target;
   if (displaced_) {
     note_phase("return");
     target = core_.center(self);

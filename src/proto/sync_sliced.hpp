@@ -84,9 +84,7 @@ class SyncSlicedRobot final : public ChatRobot {
   std::vector<std::uint8_t> peer_idle_;  ///< Consecutive at-center
                                          ///< observations, for stream
                                          ///< resynchronization.
-  /// Per-activation scratch (associated positions; drift-shifted snapshot
-  /// when flocking): reused so slice assembly allocates nothing.
-  std::vector<geom::Vec2> pos_scratch_;
+  /// Drift-shifted snapshot when flocking, reused across activations.
   sim::Snapshot snap_scratch_;
 };
 

@@ -22,8 +22,29 @@ constexpr std::size_t kGridThreshold = 128;
 /// with `dist_cmp`, which answers exactly as the legacy predicate.
 double collision_radius2(double cd) { return cd * cd * 1.00001; }
 
-// The two listing helpers are templates only because Engine::Sighting,
-// the row type of `seen`, is private.
+// The sighting and listing helpers are templates only because
+// Engine::Sighting, the row type of `seen`, is private.
+
+/// What an observer at `self` sees, in its frame `f`, of the robot at `g`:
+/// another robot snapped to the sensor quantum (sensor resolution) and
+/// hidden beyond the visibility radius; itself (`is_self`, `g` unused)
+/// exact and visible (odometry). Every snapshot and every t0 listing sees
+/// through here.
+template <typename Sighting>
+void sight(Sighting& s, const Frame& f, const geom::Vec2& self,
+           const geom::Vec2& g, bool is_self, const EngineOptions& options) {
+  if (is_self) {
+    s.obs.position = f.to_local(self);
+    s.visible = true;
+    return;
+  }
+  const double q = options.observation_quantum;
+  const double radius = options.visibility_radius;
+  s.visible = !(radius > 0.0 && std::is_gt(geom::dist_cmp(g, self, radius)));
+  s.obs.position = f.to_local(
+      q > 0.0 ? geom::Vec2{std::round(g.x / q) * q, std::round(g.y / q) * q}
+              : g);
+}
 
 /// The legacy listing from scratch: the visible robots in index order,
 /// std::sort-ed by local position, then the hidden ones in index order.
@@ -67,7 +88,8 @@ bool insertion_sort(std::span<std::uint32_t> order,
 }  // namespace
 
 std::vector<RobotIndex> initial_observation_order(
-    std::span<const RobotSpec> specs, RobotIndex observer) {
+    std::span<const RobotSpec> specs, RobotIndex observer,
+    const EngineOptions& options) {
   if (observer >= specs.size()) {
     throw std::out_of_range("initial_observation_order: robot index");
   }
@@ -75,22 +97,28 @@ std::vector<RobotIndex> initial_observation_order(
       specs.begin(), specs.end(),
       [](const RobotSpec& s) { return s.id.has_value(); });
   std::vector<RobotIndex> order(specs.size());
-  for (std::size_t j = 0; j < specs.size(); ++j) order[j] = j;
   if (identified) {
+    for (std::size_t j = 0; j < specs.size(); ++j) order[j] = j;
     std::sort(order.begin(), order.end(), [&](RobotIndex a, RobotIndex b) {
       return *specs[a].id < *specs[b].id;
     });
     return order;
   }
-  // Local positions once, not per comparison.
+  // The sightings of the engine's t0 observation (build_observation at
+  // t0: no delay, so current and stale coincide), sorted the same way.
+  struct Sighting {
+    ObservedRobot obs;
+    bool visible = true;
+  };
   const Frame f = frame_of(specs[observer]);
-  std::vector<geom::Vec2> local(specs.size());
+  const geom::Vec2& self = specs[observer].position;
+  std::vector<Sighting> seen(specs.size());
   for (std::size_t j = 0; j < specs.size(); ++j) {
-    local[j] = f.to_local(specs[j].position);
+    sight(seen[j], f, self, specs[j].position, j == observer, options);
   }
-  std::sort(order.begin(), order.end(), [&](RobotIndex a, RobotIndex b) {
-    return local[a] < local[b];
-  });
+  std::vector<std::uint32_t> listing(specs.size());
+  sort_from_index_order(std::span<std::uint32_t>(listing), seen);
+  std::copy(listing.begin(), listing.end(), order.begin());
   return order;
 }
 
@@ -257,26 +285,13 @@ void Engine::build_observation(RobotIndex i,
                                bool repair, std::vector<Sighting>& seen,
                                Snapshot& out) const {
   const Frame& f = frames_.at(i);
-  const double q = options_.observation_quantum;
-  const double radius = options_.visibility_radius;
-  // What robot i sees of each robot, in index order. Self: current and
-  // exact (odometry). Others: possibly stale (CORDA-ish delay), quantized
-  // (sensor resolution), and hidden when out of the visibility radius.
+  // What robot i sees of each robot, in index order: itself now, the
+  // others as `stale_config` has them (CORDA-ish delay).
   seen.resize(config.size());
   std::size_t visible = 0;
   for (std::size_t j = 0; j < config.size(); ++j) {
     Sighting& s = seen[j];
-    if (j == i) {
-      s.obs.position = f.to_local(config[j]);
-      s.visible = true;
-    } else {
-      const geom::Vec2& g = stale_config[j];
-      s.visible =
-          !(radius > 0.0 && std::is_gt(geom::dist_cmp(g, config[i], radius)));
-      s.obs.position = f.to_local(
-          q > 0.0 ? geom::Vec2{std::round(g.x / q) * q, std::round(g.y / q) * q}
-                  : g);
-    }
+    sight(s, f, config[i], stale_config[j], j == i, options_);
     s.obs.id = identified_ ? specs_[j].id : std::nullopt;
     visible += s.visible ? 1 : 0;
   }

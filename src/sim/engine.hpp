@@ -65,14 +65,6 @@ struct RobotSpec {
                spec.frame_mirrored);
 }
 
-/// Indices into `specs` in the order robot `observer` lists the swarm in
-/// its t0 snapshot with exact sensors: by visible id in identified systems
-/// (every spec has an id), else lexicographically by t0 position in the
-/// observer's frame. `Engine::initial_observation_order` and
-/// core::ChatNetwork's slot and naming tables all come from here.
-[[nodiscard]] std::vector<RobotIndex> initial_observation_order(
-    std::span<const RobotSpec> specs, RobotIndex observer);
-
 /// Engine construction options.
 struct EngineOptions {
   bool record_positions = false;  ///< Keep full per-instant history.
@@ -97,6 +89,18 @@ struct EngineOptions {
   /// robot itself always included). 0 = unlimited visibility.
   double visibility_radius = 0.0;
 };
+
+/// Indices into `specs` in the order robot `observer` lists the swarm at
+/// t0 — the engine's own rule: by visible id in identified systems (every
+/// spec has an id); else the robots within `options.visibility_radius`,
+/// std::sort-ed from index order by the position the observer sees (its
+/// own exact, the others snapped to `options.observation_quantum`, all in
+/// its frame), then the hidden ones in index order. The robots it sees,
+/// in this order, are the t0 snapshot `Robot::initialize` receives.
+/// core::ChatNetwork builds its slot and naming tables from these.
+[[nodiscard]] std::vector<RobotIndex> initial_observation_order(
+    std::span<const RobotSpec> specs, RobotIndex observer,
+    const EngineOptions& options = {});
 
 /// Thrown when the collision-avoidance invariant is violated.
 class CollisionError : public std::runtime_error {
@@ -247,7 +251,7 @@ class Engine {
   /// local peer numbering.
   [[nodiscard]] std::vector<RobotIndex> initial_observation_order(
       RobotIndex i) const {
-    return sim::initial_observation_order(specs_, i);
+    return sim::initial_observation_order(specs_, i, options_);
   }
 
   /// Fault injection: instantly moves robot `i` to `global_position`

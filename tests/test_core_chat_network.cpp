@@ -175,6 +175,36 @@ TEST(ChatNetwork, KSegmentDelivers) {
   EXPECT_EQ(net.received(1)[0].payload, payload("ksegment"));
 }
 
+TEST(ChatNetwork, QuantizedListingNamesTheRightRobot) {
+  // Robots 0 and 1 share a quantized x (10.000), so every other robot's t0
+  // snapshot lists them by y: robot 1 first, though robot 0's exact x is
+  // smaller. The slot tables must follow the snapshot robots actually
+  // receive, not a sort of exact positions, or robot 2 names the wrong one.
+  ChatNetworkOptions opt;
+  opt.synchrony = Synchrony::synchronous;
+  opt.randomize_frames = false;
+  opt.observation_quantum = 0.001;
+  ChatNetwork net({geom::Vec2{10.0001, 20}, geom::Vec2{10.0004, 0},
+                   geom::Vec2{0, 10}, geom::Vec2{20, 10}, geom::Vec2{5, 3},
+                   geom::Vec2{15, 25}},
+                  opt);
+  for (sim::RobotIndex i = 0; i < net.robot_count(); ++i) {
+    const std::vector<sim::RobotIndex> order =
+        net.engine().initial_observation_order(i);
+    const sim::Snapshot t0 = net.engine().make_snapshot(i);
+    ASSERT_EQ(order.size(), t0.robots.size());
+    EXPECT_EQ(order[t0.self], i) << "observer " << i;
+  }
+  const std::vector<std::uint8_t> answer{42};
+  net.send(2, 0, answer);
+  ASSERT_TRUE(net.run_until_quiescent(20'000));
+  net.run(4);
+  ASSERT_EQ(net.received(0).size(), 1u);
+  EXPECT_EQ(net.received(0)[0].from, 2u);
+  EXPECT_EQ(net.received(0)[0].payload, answer);
+  EXPECT_TRUE(net.received(1).empty());
+}
+
 TEST(ChatNetwork, RejectsSelfSend) {
   ChatNetworkOptions opt;
   ChatNetwork net({geom::Vec2{0, 0}, geom::Vec2{1, 0}}, opt);

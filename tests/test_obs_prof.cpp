@@ -17,6 +17,8 @@
 #include "obs/prof.hpp"
 #include "par/batch_runner.hpp"
 #include "perf/perf_matrix.hpp"
+#include "sim/placement.hpp"
+#include "sim/rng.hpp"
 
 namespace stig::obs::prof {
 namespace {
@@ -216,6 +218,28 @@ TEST(ProfilerEngine, EmitPhaseAllocatesNothingWithoutSink) {
   const PhaseStats* observe = find(stats, "engine.observe");
   ASSERT_NE(observe, nullptr);
   EXPECT_EQ(observe->total_allocs, 0u);
+
+  // A sliced relative-naming swarm once its messages are delivered: the
+  // robots' geometry and decode memo are built, and quiet instants
+  // allocate nothing in the drivers either.
+  core::ChatNetworkOptions sliced;
+  sliced.synchrony = core::Synchrony::synchronous;
+  sliced.protocol = core::ProtocolKind::sliced;
+  sliced.seed = 22;
+  sim::Rng rng(22);
+  core::ChatNetwork swarm(sim::jittered_grid(rng, 64), sliced);
+  swarm.send(3, 40, payload);
+  swarm.send(17, 2, payload);
+  swarm.broadcast(63, payload);
+  ASSERT_TRUE(swarm.run_until_quiescent(4096));
+  Profiler quiet;
+  swarm.attach_profiler(&quiet);
+  swarm.run(64);
+  const auto quiet_stats = quiet.stats();
+  const PhaseStats* compute = find(quiet_stats, "engine.compute");
+  ASSERT_NE(compute, nullptr);
+  EXPECT_EQ(compute->calls, 64u * 64u);  // Per robot activation.
+  EXPECT_EQ(compute->total_allocs, 0u);
 }
 
 // ---------------------------------------------------- perf determinism --

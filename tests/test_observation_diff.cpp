@@ -6,22 +6,33 @@
 // entries in index order, std::sort-ed by local position (by id when
 // identified) — field for field, `self` included.
 //
-// SlicedCore: `associate_into` first tries entry k against granular k.
-// Its result must equal a brute nearest-center scan (lowest index on ties,
-// later entries overwriting earlier ones).
+// `sim::initial_observation_order`, which core::ChatNetwork builds its
+// tables from, must list every t0 snapshot in the engine's order,
+// quantized and limited-visibility views included.
+//
+// SlicedCore: `observe` matches an unchanged entry by its bits and tries a
+// mover against its own slot before the center grid, and `signal`
+// classifies only what moved; granular geometry is built on first use.
+// Every activation must give the positions and signals of the full path it
+// replaced — association of every entry, then classification of every
+// robot against eagerly built granulars — which lives here as the oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "geom/geom_cache.hpp"
 #include "geom/voronoi.hpp"
+#include "proto/naming.hpp"
 #include "proto/slices.hpp"
 #include "sim/engine.hpp"
 #include "sim/placement.hpp"
@@ -215,9 +226,22 @@ Tally run_swarm(const Swarm& s, sim::Time instants,
   for (RobotIndex i = 0; i < s.n; ++i) {
     probes[i]->engine = &e;
     probes[i]->options = &s.options;
+    std::vector<RobotIndex> listed;
     const std::string d =
-        diff(probes[i]->t0, reference_snapshot(e, s.options, i));
+        diff(probes[i]->t0, reference_snapshot(e, s.options, i, &listed));
     EXPECT_TRUE(d.empty()) << "t0 snapshot of robot " << i << ": " << d;
+    // The t0 listing by the engine's rule (what core::ChatNetwork builds
+    // its tables from): the robots it sees, in this order, are the t0
+    // snapshot.
+    const std::vector<RobotIndex> order =
+        sim::initial_observation_order(specs, i, s.options);
+    std::vector<bool> seen(s.n, false);
+    for (const RobotIndex j : listed) seen[j] = true;
+    std::vector<RobotIndex> visible;
+    for (const RobotIndex j : order) {
+      if (seen[j]) visible.push_back(j);
+    }
+    EXPECT_EQ(visible, listed) << "t0 order of robot " << i;
   }
   e.run(instants);
   Tally tally;
@@ -344,7 +368,7 @@ TEST(ObservationDiff, IdentifiedSwarmsListInIdOrder) {
   }
 }
 
-// ---- SlicedCore association.
+// ---- SlicedCore association and the decode memo.
 
 /// Brute nearest-center association: ascending scan, lowest index on
 /// exact ties, later entries overwrite earlier ones.
@@ -366,6 +390,87 @@ std::vector<Vec2> brute_associate(const std::vector<Vec2>& centers,
   return out;
 }
 
+/// The granulars a core used to build eagerly in its constructor: radii
+/// from the geometry cache, North or (relative naming) each robot's SEC
+/// horizon, `diameters` slices.
+std::vector<geom::Granular> eager_granulars(const std::vector<Vec2>& centers,
+                                            proto::NamingMode naming,
+                                            std::size_t diameters) {
+  const std::size_t n = centers.size();
+  std::vector<Vec2> references(n, Vec2{0.0, 1.0});
+  if (naming == proto::NamingMode::relative) {
+    const geom::Circle sec = geom::cached_sec(centers);
+    for (std::size_t i = 0; i < n; ++i) {
+      references[i] = proto::horizon_direction(centers, i, sec);
+    }
+  }
+  const std::vector<double> radii =
+      geom::GeomCache::local().granular_radii(centers);
+  std::vector<geom::Granular> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.emplace_back(centers[i], radii[i], diameters, references[i]);
+  }
+  return out;
+}
+
+/// One activation decoded the way the drivers did before the memo: every
+/// entry associated (own slot within 0.9 r, else nearest center), then
+/// every robot classified against its eagerly built granular.
+struct FullDecode {
+  std::vector<Vec2> positions;
+  std::vector<std::optional<proto::Signal>> signals;
+};
+
+FullDecode full_decode(const std::vector<geom::Granular>& granulars,
+                       const Snapshot& snap) {
+  const std::size_t n = granulars.size();
+  FullDecode out;
+  out.positions.assign(n, Vec2{});
+  for (std::size_t k = 0; k < snap.robots.size(); ++k) {
+    const Vec2& p = snap.robots[k].position;
+    std::size_t best = 0;
+    const double own = k < n ? 0.9 * granulars[k].radius() : 0.0;
+    if (k < n && geom::dist2(p, granulars[k].center()) <= own * own) {
+      best = k;
+    } else {
+      double best_d2 = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < n; ++i) {
+        const double d2 = geom::dist2(p, granulars[i].center());
+        if (d2 < best_d2) {
+          best_d2 = d2;
+          best = i;
+        }
+      }
+    }
+    out.positions[best] = p;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const geom::Granular& g = granulars[i];
+    const auto fix = g.classify(out.positions[i], 1e-7 * g.radius(),
+                                g.slice_width() / 4.0);
+    out.signals.push_back(
+        fix ? std::optional<proto::Signal>(proto::Signal{fix->diameter,
+                                                         fix->side})
+            : std::nullopt);
+  }
+  return out;
+}
+
+bool same_bits(const Vec2& a, const Vec2& b) {
+  return std::bit_cast<std::uint64_t>(a.x) ==
+             std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) ==
+             std::bit_cast<std::uint64_t>(b.y);
+}
+
+bool same_granular(const geom::Granular& a, const geom::Granular& b) {
+  return same_bits(a.center(), b.center()) &&
+         std::bit_cast<std::uint64_t>(a.radius()) ==
+             std::bit_cast<std::uint64_t>(b.radius()) &&
+         a.diameter_count() == b.diameter_count() &&
+         same_bits(a.reference(), b.reference());
+}
+
 Snapshot snapshot_of(const std::vector<Vec2>& pts) {
   Snapshot s;
   for (const Vec2& p : pts) s.robots.push_back(sim::ObservedRobot{p, {}});
@@ -382,18 +487,294 @@ std::vector<Vec2> t0_centers(std::size_t n, std::uint64_t seed) {
 
 Vec2 unit(double angle) { return Vec2{std::cos(angle), std::sin(angle)}; }
 
-void expect_matches_brute(const proto::SlicedCore& core,
+/// Feeds snapshots to one core and checks each activation against the
+/// full path. The drivers ask for every peer's signal each activation;
+/// this caller leaves some unasked for a while, so a change must survive
+/// until the next ask.
+class MemoChecker {
+ public:
+  MemoChecker(const Snapshot& t0, proto::NamingMode naming,
+              std::size_t diameters)
+      : core_(t0, naming, diameters),
+        eager_(eager_granulars(centers_of(t0), naming, diameters)),
+        last_(centers_of(t0)) {}
+
+  /// Checks one activation; returns the number of robots whose position
+  /// changed since the previous one.
+  std::size_t check(const Snapshot& snap, const std::string& what) {
+    ++activations_;
+    core_.observe(snap);
+    const FullDecode want = full_decode(eager_, snap);
+    std::size_t moved = 0;
+    for (std::size_t i = 0; i < eager_.size(); ++i) {
+      const Vec2 got = core_.position(i);
+      EXPECT_TRUE(same_bits(got, want.positions[i]))
+          << what << ": robot " << i << " at " << got << ", full path "
+          << want.positions[i];
+      moved += same_bits(got, last_[i]) ? 0 : 1;
+      last_[i] = got;
+      if ((i + activations_) % 5 == 0) continue;  // Asked next time.
+      EXPECT_EQ(core_.signal(i), want.signals[i])
+          << what << ": robot " << i << " signal";
+    }
+    return moved;
+  }
+
+  proto::SlicedCore& core() { return core_; }
+
+ private:
+  static std::vector<Vec2> centers_of(const Snapshot& t0) {
+    std::vector<Vec2> out;
+    for (const sim::ObservedRobot& r : t0.robots) out.push_back(r.position);
+    return out;
+  }
+
+  proto::SlicedCore core_;
+  std::vector<geom::Granular> eager_;
+  std::vector<Vec2> last_;  ///< Positions at the previous activation.
+  std::size_t activations_ = 0;
+};
+
+/// A t0 view as a snapshot: listed lexicographically (anonymous) or by id.
+Snapshot t0_view(const std::vector<Vec2>& centers, proto::NamingMode naming) {
+  Snapshot s = snapshot_of(centers);
+  if (naming == proto::NamingMode::by_ids) {
+    for (std::size_t k = 0; k < s.robots.size(); ++k) {
+      s.robots[k].id = static_cast<sim::VisibleId>(100 + 3 * k);
+    }
+  }
+  return s;
+}
+
+/// Robots at `pos` (robot i at pos[i]) listed as an observer would list
+/// them: by id for by_ids, else lexicographically by position.
+Snapshot listed(const std::vector<Vec2>& pos, proto::NamingMode naming) {
+  Snapshot s = t0_view(pos, naming);
+  if (naming != proto::NamingMode::by_ids) {
+    std::stable_sort(s.robots.begin(), s.robots.end(),
+                     [](const sim::ObservedRobot& a,
+                        const sim::ObservedRobot& b) {
+                       return a.position < b.position;
+                     });
+  }
+  return s;
+}
+
+constexpr proto::NamingMode kModes[] = {proto::NamingMode::by_ids,
+                                        proto::NamingMode::lexicographic,
+                                        proto::NamingMode::relative};
+
+TEST(DecodeMemo, LazyGeometryEqualsEagerConstruction) {
+  // Granulars built on first use, in any order, are the constructor's.
+  for (const proto::NamingMode naming : kModes) {
+    for (const std::size_t n : {2u, 3u, 5u, 63u, 64u, 257u}) {
+      const std::vector<Vec2> centers = t0_centers(n, 700 + n);
+      const std::size_t diameters = n + 1;
+      const proto::SlicedCore core(t0_view(centers, naming), naming,
+                                   diameters);
+      const std::vector<geom::Granular> eager =
+          eager_granulars(centers, naming, diameters);
+      std::vector<std::size_t> order(n);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::shuffle(order.begin(), order.end(), std::mt19937_64(n));
+      double min_radius = std::numeric_limits<double>::infinity();
+      for (const std::size_t i : order) {
+        EXPECT_TRUE(same_granular(core.granular(i), eager[i]))
+            << "n=" << n << " robot " << i;
+        min_radius = std::min(min_radius, eager[i].radius());
+      }
+      for (std::size_t i = 0; i < n; ++i) {  // Kept, not rebuilt.
+        EXPECT_TRUE(same_granular(core.granular(i), eager[i]));
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(core.min_radius()),
+                std::bit_cast<std::uint64_t>(min_radius))
+          << "n=" << n;
+    }
+  }
+}
+
+TEST(DecodeMemo, FirstActivationAfterT0) {
+  for (const proto::NamingMode naming : kModes) {
+    for (const std::size_t n : {2u, 3u, 5u, 63u, 64u, 257u}) {
+      const std::vector<Vec2> centers = t0_centers(n, 710 + n);
+      MemoChecker quiet(t0_view(centers, naming), naming, n);
+      EXPECT_EQ(quiet.check(listed(centers, naming), "quiet"), 0u);
+      // A sender already out on a diameter at the first activation.
+      MemoChecker busy(t0_view(centers, naming), naming, n);
+      const proto::Signal s{(n / 2) % n, geom::DiameterSide::negative};
+      std::vector<Vec2> pos = centers;
+      pos[n - 1] = busy.core().granular(n - 1).point_on(
+          s.diameter, s.side, 0.45 * busy.core().radius(n - 1));
+      busy.check(listed(pos, naming), "busy");
+    }
+  }
+}
+
+TEST(DecodeMemo, SendersAndListingShiftsMatchTheFullPath) {
+  // Synchronous chats: a few senders go out on a diameter and come back,
+  // everyone else stays put. Under the anonymous namings a sender's move
+  // can pass neighbours in the listing, shifting unmoved robots into
+  // other slots.
+  std::size_t shifted = 0;
+  for (const proto::NamingMode naming : kModes) {
+    for (const std::size_t n : {2u, 3u, 5u, 63u, 64u, 257u}) {
+      const std::vector<Vec2> centers = t0_centers(n, 720 + n);
+      MemoChecker checker(t0_view(centers, naming), naming, n);
+      proto::SlicedCore& core = checker.core();
+      sim::Rng rng(730 + n);
+      std::vector<Vec2> pos = centers;
+      for (int t = 0; t < 24; ++t) {
+        if (t % 2 == 0) {
+          for (int m = 0; m < 3; ++m) {
+            const auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+            const proto::Signal s{
+                static_cast<std::size_t>(rng.uniform_int(0, n - 1)),
+                rng.uniform(0.0, 1.0) < 0.5 ? geom::DiameterSide::positive
+                                            : geom::DiameterSide::negative};
+            pos[j] = core.granular(j).point_on(s.diameter, s.side,
+                                               0.45 * core.radius(j));
+          }
+        } else {
+          pos = centers;
+        }
+        const Snapshot snap = listed(pos, naming);
+        for (std::size_t k = 0; k < n; ++k) {
+          shifted += same_bits(snap.robots[k].position, pos[k]) ? 0 : 1;
+        }
+        checker.check(snap, "t=" + std::to_string(t));
+      }
+    }
+  }
+  EXPECT_GT(shifted, 0u) << "no sender ever passed a neighbour";
+}
+
+TEST(DecodeMemo, MoverPassingNeighboursInTheListing) {
+  // One robot steps along x past exactly 1, 2 and 3 neighbours in the
+  // lexicographic listing (staying inside its granular), then back.
+  const std::size_t n = 257;
+  const std::vector<Vec2> centers = t0_centers(n, 740);
+  for (const std::size_t passes : {1u, 2u, 3u}) {
+    bool found = false;
+    for (std::size_t j = 0; j + passes < n && !found; ++j) {
+      MemoChecker checker(t0_view(centers, proto::NamingMode::lexicographic),
+                          proto::NamingMode::lexicographic, n);
+      const double r = checker.core().radius(j);
+      const Vec2 target{centers[j + passes].x + 1e-9, centers[j].y};
+      if (!(target.x - centers[j].x < 0.8 * r) ||
+          centers[j + passes + (j + passes + 1 < n ? 1 : 0)].x <= target.x) {
+        continue;
+      }
+      std::vector<Vec2> pos = centers;
+      pos[j] = target;
+      const Snapshot snap = listed(pos, proto::NamingMode::lexicographic);
+      if (!same_bits(snap.robots[j + passes].position, target)) continue;
+      found = true;
+      EXPECT_EQ(checker.check(snap, "out past " + std::to_string(passes)),
+                1u);
+      checker.check(listed(centers, proto::NamingMode::lexicographic),
+                    "back");
+    }
+    EXPECT_TRUE(found) << "no robot can pass " << passes << " neighbours";
+  }
+}
+
+TEST(DecodeMemo, TeleportedAndHiddenRobots) {
+  // A robot pushed outside every granular (still nearest its own center)
+  // and one missing from the snapshot, whose granular reads zero.
+  for (const proto::NamingMode naming : kModes) {
+    for (const std::size_t n : {3u, 5u, 63u, 64u, 257u}) {
+      const std::vector<Vec2> centers = t0_centers(n, 750 + n);
+      MemoChecker checker(t0_view(centers, naming), naming, n);
+      const proto::SlicedCore& core = checker.core();
+      std::vector<Vec2> pos = centers;
+      const std::size_t j = n / 2;
+      sim::Rng rng(760 + n);
+      for (int attempt = 0;; ++attempt) {
+        ASSERT_LT(attempt, 1000);
+        const Vec2 p = centers[j] + unit(rng.uniform(0.0, 6.3)) *
+                                        (rng.uniform(1.02, 1.3) *
+                                         core.radius(j));
+        if (brute_associate(centers, snapshot_of({p}))[j] == p) {
+          pos[j] = p;
+          break;
+        }
+      }
+      checker.check(listed(pos, naming), "teleported");
+      checker.check(listed(pos, naming), "teleported, again");
+      Snapshot hidden = listed(pos, naming);
+      hidden.robots.erase(hidden.robots.begin() +
+                          static_cast<std::ptrdiff_t>(n - 1));
+      checker.check(hidden, "one hidden");
+      checker.check(hidden, "one hidden, again");
+      checker.check(listed(centers, naming), "all back");
+    }
+  }
+}
+
+TEST(DecodeMemo, FlockingDriftMovesEveryRobot) {
+  // The sliced driver subtracts the common drift before association: the
+  // round trip moves every position by an ulp or so, so every entry is a
+  // mover every instant, and one robot also signals.
+  for (const std::size_t n : {5u, 64u}) {
+    const std::vector<Vec2> centers = t0_centers(n, 770 + n);
+    MemoChecker checker(t0_view(centers, proto::NamingMode::relative),
+                        proto::NamingMode::relative, n);
+    const Vec2 v{0.037, -0.011};
+    std::size_t moved = 0;
+    for (int t = 1; t <= 8; ++t) {
+      std::vector<Vec2> pos = centers;
+      if (t % 2 == 1) {
+        pos[1] = checker.core().granular(1).point_on(
+            2, geom::DiameterSide::positive, 0.45 * checker.core().radius(1));
+      }
+      const Vec2 drift = v * static_cast<double>(t);
+      for (Vec2& p : pos) p = (p + drift) - drift;
+      moved += checker.check(listed(pos, proto::NamingMode::relative),
+                             "t=" + std::to_string(t));
+    }
+    EXPECT_GT(moved, 0u);
+  }
+}
+
+TEST(DecodeMemo, QuantizedObservation) {
+  // Positions snapped to a sensor grid, as the engine quantizes others.
+  const double q = 0.01;
+  const auto snap_to_grid = [q](Vec2 p) {
+    return Vec2{std::round(p.x / q) * q, std::round(p.y / q) * q};
+  };
+  for (const proto::NamingMode naming : kModes) {
+    for (const std::size_t n : {5u, 64u}) {
+      std::vector<Vec2> centers = t0_centers(n, 780 + n);
+      for (Vec2& c : centers) c = snap_to_grid(c);
+      std::sort(centers.begin(), centers.end());
+      MemoChecker checker(t0_view(centers, naming), naming, n);
+      sim::Rng rng(790 + n);
+      for (int t = 0; t < 10; ++t) {
+        std::vector<Vec2> pos = centers;
+        for (int m = 0; m < 4; ++m) {
+          const auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+          pos[j] = snap_to_grid(checker.core().granular(j).point_on(
+              static_cast<std::size_t>(rng.uniform_int(0, n - 1)),
+              geom::DiameterSide::negative,
+              0.45 * checker.core().radius(j)));
+        }
+        checker.check(listed(pos, naming), "t=" + std::to_string(t));
+      }
+    }
+  }
+}
+
+void expect_matches_brute(proto::SlicedCore& core,
                           const std::vector<Vec2>& centers,
                           const std::vector<Vec2>& observed,
                           const std::string& what) {
   const Snapshot snap = snapshot_of(observed);
   const std::vector<Vec2> want = brute_associate(centers, snap);
-  std::vector<Vec2> got;
-  core.associate_into(snap, got);
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_TRUE(got[i].x == want[i].x && got[i].y == want[i].y)
-        << what << ": granular " << i << " got " << got[i] << " want "
+  core.observe(snap);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Vec2 got = core.position(i);
+    ASSERT_TRUE(got.x == want[i].x && got.y == want[i].y)
+        << what << ": granular " << i << " got " << got << " want "
         << want[i];
   }
 }
@@ -402,8 +783,8 @@ TEST(AssociateDiff, MatchesBruteNearestCenter) {
   // n = 5 takes the scan fallback, n >= 64 the center grid.
   for (const std::size_t n : {5u, 64u, 200u}) {
     const std::vector<Vec2> centers = t0_centers(n, 900 + n);
-    const proto::SlicedCore core(snapshot_of(centers),
-                                 proto::NamingMode::lexicographic, n);
+    proto::SlicedCore core(snapshot_of(centers),
+                           proto::NamingMode::lexicographic, n);
     std::vector<double> radius(n);
     for (std::size_t k = 0; k < n; ++k) {
       radius[k] = geom::granular_radius(centers, k);
@@ -471,8 +852,8 @@ TEST(AssociateDiff, SwappedNeighboursMissTheirSlots) {
       centers.push_back(Vec2{10.0 * static_cast<double>(m) + 2.0, 0.0});
     }
     const std::size_t n = centers.size();
-    const proto::SlicedCore core(snapshot_of(centers),
-                                 proto::NamingMode::lexicographic, n);
+    proto::SlicedCore core(snapshot_of(centers),
+                           proto::NamingMode::lexicographic, n);
     std::vector<Vec2> swapped(n);
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t partner = k ^ 1u;

@@ -22,6 +22,8 @@
 #include "fuzz/fuzzer.hpp"
 #include "obs/sink.hpp"
 #include "par/seed.hpp"
+#include "sim/placement.hpp"
+#include "sim/rng.hpp"
 
 namespace stig::fuzz {
 namespace {
@@ -78,43 +80,102 @@ TEST(ReplayStability, ReplayIsDeterministicWithinProcess) {
   }
 }
 
-/// FNV-1a over every Activation, Move and StepComplete event: its type, t,
-/// robot, and the bit patterns of x, y and value. No scheduler reads a
-/// position, so the schedule digests above cannot see an ulp move in a
-/// sigma-clamp, a move distance or a min separation; this digest can.
-class MotionDigest final : public obs::EventSink {
+/// FNV-1a, 64-bit.
+class Fnv {
  public:
-  void on_event(const obs::Event& e) override {
-    if (e.type != obs::EventType::Activation &&
-        e.type != obs::EventType::Move &&
-        e.type != obs::EventType::StepComplete) {
-      return;
-    }
-    mix(static_cast<std::uint64_t>(e.type));
-    mix(e.t);
-    mix(static_cast<std::uint64_t>(e.robot));
-    mix(std::bit_cast<std::uint64_t>(e.x));
-    mix(std::bit_cast<std::uint64_t>(e.y));
-    mix(std::bit_cast<std::uint64_t>(e.value));
-    ++events_;
-  }
-
-  /// Folds a run boundary (and whether the run threw) into the digest.
-  void end_run(bool threw) { mix(threw ? 0xdeadULL : 0xe0dULL); }
-
-  [[nodiscard]] std::uint64_t digest() const noexcept { return h_; }
-  [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
-
- private:
   void mix(std::uint64_t v) {
     for (int byte = 0; byte < 8; ++byte) {
       h_ ^= (v >> (8 * byte)) & 0xffU;
       h_ *= 0x100000001b3ULL;
     }
   }
+  void mix(const char* text) {
+    if (text == nullptr) {
+      mix(0x6e756c6cULL);
+      return;
+    }
+    for (; *text != '\0'; ++text) {
+      h_ ^= static_cast<unsigned char>(*text);
+      h_ *= 0x100000001b3ULL;
+    }
+    mix(0x2fULL);  // Terminator: "ab"+"c" and "a"+"bc" differ.
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
 
+ private:
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
-  std::uint64_t events_ = 0;
+};
+
+/// Two digests of one event stream.
+///
+/// Motion: every Activation, Move and StepComplete event — its type, t,
+/// robot, and the bit patterns of x, y and value. No scheduler reads a
+/// position, so the schedule digests above cannot see an ulp move in a
+/// sigma-clamp, a move distance or a min separation; this digest can.
+///
+/// Decode: every BitEmitted, BitDecoded, FrameDelivered, AckObserved and
+/// PhaseEnter event — its type, t, robot, peer, aux, bit and label text.
+/// The other digests pin what robots do, not what they read: a decoder
+/// that skipped a classification it needed would leave them unmoved and
+/// change this one.
+class RunDigest final : public obs::EventSink {
+ public:
+  void on_event(const obs::Event& e) override {
+    switch (e.type) {
+      case obs::EventType::Activation:
+      case obs::EventType::Move:
+      case obs::EventType::StepComplete:
+        motion_.mix(static_cast<std::uint64_t>(e.type));
+        motion_.mix(e.t);
+        motion_.mix(static_cast<std::uint64_t>(e.robot));
+        motion_.mix(std::bit_cast<std::uint64_t>(e.x));
+        motion_.mix(std::bit_cast<std::uint64_t>(e.y));
+        motion_.mix(std::bit_cast<std::uint64_t>(e.value));
+        ++motion_events_;
+        return;
+      case obs::EventType::BitEmitted:
+      case obs::EventType::BitDecoded:
+      case obs::EventType::FrameDelivered:
+      case obs::EventType::AckObserved:
+      case obs::EventType::PhaseEnter:
+        decode_.mix(static_cast<std::uint64_t>(e.type));
+        decode_.mix(e.t);
+        decode_.mix(static_cast<std::uint64_t>(e.robot));
+        decode_.mix(static_cast<std::uint64_t>(e.peer));
+        decode_.mix(static_cast<std::uint64_t>(e.aux));
+        decode_.mix(e.bit);
+        decode_.mix(e.label);
+        ++decode_events_;
+        return;
+      default:
+        return;
+    }
+  }
+
+  /// Folds a run boundary (and whether the run threw) into both digests.
+  void end_run(bool threw) {
+    motion_.mix(threw ? 0xdeadULL : 0xe0dULL);
+    decode_.mix(threw ? 0xdeadULL : 0xe0dULL);
+  }
+
+  [[nodiscard]] std::uint64_t motion() const noexcept {
+    return motion_.value();
+  }
+  [[nodiscard]] std::uint64_t motion_events() const noexcept {
+    return motion_events_;
+  }
+  [[nodiscard]] std::uint64_t decode() const noexcept {
+    return decode_.value();
+  }
+  [[nodiscard]] std::uint64_t decode_events() const noexcept {
+    return decode_events_;
+  }
+
+ private:
+  Fnv motion_;
+  Fnv decode_;
+  std::uint64_t motion_events_ = 0;
+  std::uint64_t decode_events_ = 0;
 };
 
 /// Runs `cfg` the way run_case runs its primary protocol — fault-masked
@@ -158,7 +219,7 @@ bool run_motion(const FuzzConfig& cfg, obs::EventSink& sink) {
   }
 }
 
-struct PinnedMotion {
+struct PinnedDigest {
   const char* mode;
   std::uint64_t digest;
   std::uint64_t events;
@@ -167,39 +228,146 @@ struct PinnedMotion {
 // Captured before the exact distance and slice filters (DESIGN.md §12)
 // replaced hypot/atan2 on the activation path: those filters promise the
 // same bits, and this table holds them to it.
-constexpr PinnedMotion kPinnedMotion[] = {
+constexpr PinnedDigest kPinnedMotion[] = {
     {"plain", 0xad05fe2c26baa676ULL, 666333ULL},
     {"faults", 0x015696dc648d2017ULL, 740567ULL},
     {"corrupt", 0xecbd56c01f234a6eULL, 724865ULL},
 };
 
-TEST(ReplayStability, PinnedMotionDigests) {
-  // 100 case seeds per mode from one master seed; the plain mode keeps
-  // sample_config's own fault and corruption draws, the others force
-  // theirs like stigfuzz --faults and --corrupt.
-  constexpr std::uint64_t kMaster = 0x6d6f74696f6eULL;
-  constexpr std::size_t kCasesPerMode = 100;
+// Captured before the sliced drivers' decode memo (DESIGN.md §13), which
+// skips re-classifying robots that did not move and promises the same
+// decoded bits.
+constexpr PinnedDigest kPinnedDecode[] = {
+    {"plain", 0x5a0f000225dc98a7ULL, 35150ULL},
+    {"faults", 0x31433f069e339e6bULL, 62946ULL},
+    {"corrupt", 0x10ea45dc0eaa5cdeULL, 25697ULL},
+};
+
+/// The three fuzz modes' digests, each over 100 case seeds from one master
+/// seed, run once per process: the plain mode keeps sample_config's own
+/// fault and corruption draws, the others force theirs like stigfuzz
+/// --faults and --corrupt.
+struct ModeRuns {
+  RunDigest digests[std::size(kPinnedMotion)];
   std::set<core::ProtocolKind> protocols;
   std::set<core::SchedulerKind> schedulers;
-  for (std::size_t m = 0; m < std::size(kPinnedMotion); ++m) {
-    MotionDigest sink;
-    for (std::size_t i = 0; i < kCasesPerMode; ++i) {
-      FuzzConfig cfg =
-          sample_config(par::derive_seed(kMaster, m * kCasesPerMode + i));
-      if (m == 1) force_fault_dimensions(cfg);
-      if (m == 2) force_corrupt_dimensions(cfg);
-      protocols.insert(cfg.protocol);
-      schedulers.insert(cfg.scheduler);
-      sink.end_run(run_motion(cfg, sink));
+};
+
+const ModeRuns& mode_runs() {
+  static const ModeRuns runs = [] {
+    constexpr std::uint64_t kMaster = 0x6d6f74696f6eULL;
+    constexpr std::size_t kCasesPerMode = 100;
+    ModeRuns r;
+    for (std::size_t m = 0; m < std::size(kPinnedMotion); ++m) {
+      for (std::size_t i = 0; i < kCasesPerMode; ++i) {
+        FuzzConfig cfg =
+            sample_config(par::derive_seed(kMaster, m * kCasesPerMode + i));
+        if (m == 1) force_fault_dimensions(cfg);
+        if (m == 2) force_corrupt_dimensions(cfg);
+        r.protocols.insert(cfg.protocol);
+        r.schedulers.insert(cfg.scheduler);
+        r.digests[m].end_run(run_motion(cfg, r.digests[m]));
+      }
     }
-    EXPECT_EQ(sink.digest(), kPinnedMotion[m].digest)
+    return r;
+  }();
+  return runs;
+}
+
+TEST(ReplayStability, PinnedMotionDigests) {
+  const ModeRuns& runs = mode_runs();
+  for (std::size_t m = 0; m < std::size(kPinnedMotion); ++m) {
+    EXPECT_EQ(runs.digests[m].motion(), kPinnedMotion[m].digest)
         << kPinnedMotion[m].mode << ": a committed position, move distance "
         << "or separation changed bits";
-    EXPECT_EQ(sink.events(), kPinnedMotion[m].events)
+    EXPECT_EQ(runs.digests[m].motion_events(), kPinnedMotion[m].events)
         << kPinnedMotion[m].mode;
   }
-  EXPECT_EQ(protocols.size(), 5U);
-  EXPECT_EQ(schedulers.size(), 4U);
+  EXPECT_EQ(runs.protocols.size(), 5U);
+  EXPECT_EQ(runs.schedulers.size(), 4U);
+}
+
+TEST(ReplayStability, PinnedDecodeDigests) {
+  const ModeRuns& runs = mode_runs();
+  for (std::size_t m = 0; m < std::size(kPinnedDecode); ++m) {
+    EXPECT_EQ(runs.digests[m].decode(), kPinnedDecode[m].digest)
+        << kPinnedDecode[m].mode << ": a decoded bit, delivery, ack or "
+        << "phase changed";
+    EXPECT_EQ(runs.digests[m].decode_events(), kPinnedDecode[m].events)
+        << kPinnedDecode[m].mode;
+  }
+}
+
+/// A chat in a swarm large enough that the sliced drivers' per-peer paths
+/// (the center grid, listing shifts, lazily built geometry) all run.
+/// Synchronous chats run to quiescence; asyncn needs thousands of instants
+/// for one frame at these sizes, so it runs a fixed window, in which every
+/// sender gets several bits across.
+struct PinnedSwarm {
+  const char* name;
+  core::ProtocolKind protocol;
+  bool by_ids;  ///< by_ids naming; otherwise anonymous (relative naming).
+  std::size_t n;
+  sim::Time instants;  ///< 0: run to quiescence.
+  std::uint64_t decode;
+  std::uint64_t decode_events;
+  std::uint64_t motion;
+};
+
+constexpr PinnedSwarm kPinnedSwarms[] = {
+    {"sliced by_ids", core::ProtocolKind::sliced, true, 64, 0,
+     0x95d1d2e95aa224b8ULL, 6652ULL, 0xc6e00a68eaec85d9ULL},
+    {"sliced by_ids", core::ProtocolKind::sliced, true, 130, 0,
+     0xdca615031cfcefd8ULL, 13318ULL, 0x4575208ae52fba79ULL},
+    {"sliced relative", core::ProtocolKind::sliced, false, 64, 0,
+     0xea28074fe53abb3aULL, 6652ULL, 0x81f90fbb82fd7071ULL},
+    {"sliced relative", core::ProtocolKind::sliced, false, 130, 0,
+     0x980e361e730d23f6ULL, 13318ULL, 0xe862a522c63532f1ULL},
+    {"asyncn relative", core::ProtocolKind::asyncn, false, 64, 400,
+     0xce871b9fb872945aULL, 2808ULL, 0x740681cbe67f4cd0ULL},
+    {"asyncn relative", core::ProtocolKind::asyncn, false, 130, 240,
+     0x1650289ee65d36baULL, 2552ULL, 0x3e7e773adfb664c0ULL},
+};
+
+TEST(ReplayStability, PinnedSwarmDecodeDigests) {
+  for (std::size_t s = 0; s < std::size(kPinnedSwarms); ++s) {
+    const PinnedSwarm& pin = kPinnedSwarms[s];
+    sim::Rng rng(0x5d00 + s);
+    core::ChatNetworkOptions opt;
+    opt.protocol = pin.protocol;
+    opt.synchrony = pin.protocol == core::ProtocolKind::asyncn
+                        ? core::Synchrony::asynchronous
+                        : core::Synchrony::synchronous;
+    opt.caps.visible_ids = pin.by_ids;
+    opt.caps.sense_of_direction = pin.by_ids;
+    opt.seed = par::derive_seed(0x5d01, s);
+    core::ChatNetwork net(sim::jittered_grid(rng, pin.n), opt);
+    RunDigest sink;
+    net.attach_event_sink(&sink);
+    // Three unicasts between seeded robots and one broadcast.
+    for (std::size_t m = 0; m < 4; ++m) {
+      const auto from = static_cast<sim::RobotIndex>(
+          rng.uniform_int(0, pin.n - 1));
+      const std::uint8_t payload[] = {static_cast<std::uint8_t>(0x3c + m)};
+      if (m == 3) {
+        net.broadcast(from, payload);
+      } else {
+        net.send(from, (from + 1 + rng.uniform_int(0, pin.n - 2)) % pin.n,
+                 payload);
+      }
+    }
+    if (pin.instants == 0) {
+      ASSERT_TRUE(net.run_until_quiescent(20'000))
+          << pin.name << " n=" << pin.n;
+      net.run(4);
+    } else {
+      net.run(pin.instants);
+    }
+    EXPECT_EQ(sink.decode(), pin.decode) << pin.name << " n=" << pin.n;
+    EXPECT_EQ(sink.decode_events(), pin.decode_events)
+        << pin.name << " n=" << pin.n;
+    EXPECT_EQ(sink.motion(), pin.motion) << pin.name << " n=" << pin.n;
+  }
 }
 
 }  // namespace
