@@ -1,28 +1,19 @@
-// E10 — batch-runner scaling and the configuration-epoch geometry cache.
+// E10 — batch-runner scaling.
 //
-// Part 1 runs one fixed fuzz workload (same seeds, same oracles) through
+// Runs one fixed fuzz workload (same seeds, same oracles) through
 // par::BatchRunner at increasing job counts, verifying the results are
 // byte-identical at every width (the invariance contract) and reporting
 // the measured wall-clock speedup. Speedups are machine facts, not
 // simulation facts: on a single-core host every column is ~1.0, which is
 // the honest number — the correctness claim (identical digests) is the
 // part that must hold everywhere.
-//
-// Part 2 counts geom::GeomCache traffic while a relative-naming swarm
-// constructs: the swarm's one set of naming tables takes the SEC of robot
-// 0's view from the cache, and the robots' cores build their geometry on
-// first use, outside construction. The hit/miss counts are deterministic
-// and baseline-gated; the wall times are not (they carry a
-// "_wall"/"per_sec" suffix so the regression gate skips them).
 #include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/chat_network.hpp"
 #include "fuzz/batch.hpp"
-#include "geom/geom_cache.hpp"
 #include "par/seed.hpp"
 
 namespace {
@@ -50,11 +41,11 @@ std::uint64_t batch_checksum(const std::vector<fuzz::BatchCase>& batch) {
 
 int main() {
   using Clock = std::chrono::steady_clock;
-  std::cout << "== E10: batch-runner scaling & geometry cache ==\n\n";
+  std::cout << "== E10: batch-runner scaling ==\n\n";
 
   bench::Report report("e10_parallel");
 
-  // Part 1: one workload, widening pools.
+  // One workload, widening pools.
   const std::size_t kCases = 120;
   std::vector<std::uint64_t> seeds;
   seeds.reserve(kCases);
@@ -89,33 +80,6 @@ int main() {
   report.value("batch_jobs1_wall_seconds", base_wall);
   std::cout << "\nexpected shape: \"checksum ok\" on every row — the batch "
                "is bit-identical at any width. Speedup approaches the "
-               "physical core count and is ~1.0 on a single-core host.\n\n";
-
-  // Part 2: cache traffic while a relative-naming swarm constructs.
-  std::cout << "geometry cache during relative-naming construction "
-               "(n = 24):\n";
-  geom::GeomCache& cache = geom::GeomCache::local();
-  const std::uint64_t hits0 = cache.hits();
-  const std::uint64_t misses0 = cache.misses();
-  const Clock::time_point cstart = Clock::now();
-  core::ChatNetworkOptions opt;
-  opt.synchrony = core::Synchrony::synchronous;
-  core::ChatNetwork net(bench::scatter(24, 1234, 60.0, 3.0), opt);
-  const double cwall =
-      std::chrono::duration<double>(Clock::now() - cstart).count();
-  const std::uint64_t hits = cache.hits() - hits0;
-  const std::uint64_t misses = cache.misses() - misses0;
-  bench::Table t2({"cache hits", "cache misses", "hit rate %"}, report,
-                  "geometry cache");
-  t2.row(hits, misses,
-         100.0 * static_cast<double>(hits) /
-             static_cast<double>(hits + misses));
-  report.value("geom_cache_hits", hits);
-  report.value("geom_cache_misses", misses);
-  report.value("construction_wall_seconds", cwall);
-  std::cout << "\nexpected shape: one miss and no hits — the swarm's one "
-               "set of naming tables is built from robot 0's view, and no "
-               "robot builds granulars, radii or horizons before it needs "
-               "them.\n";
+               "physical core count and is ~1.0 on a single-core host.\n";
   return all_identical ? 0 : 1;
 }

@@ -21,9 +21,8 @@
 // the first instant runs — see EXPERIMENTS.md E13.
 //
 // Table C measures construction alone for the relative (chirality-only)
-// naming at n in {128, 256, 512, 1024}, each from an empty geometry
-// cache: build time, live heap after construction (the cache entries it
-// leaves included), peak heap during it, and allocation count (obs::alloc,
+// naming at n in {128, 256, 512, 1024}: build time, live heap after
+// construction, peak heap during it, and allocation count (obs::alloc,
 // so deterministic). The n x n rank tables are built once per swarm, and
 // each robot keeps O(n): its t0 centers and decode memo; granulars are
 // built on first use, after construction. n = 1024 is printed but not
@@ -46,7 +45,6 @@
 
 #include "bench_util.hpp"
 #include "core/chat_network.hpp"
-#include "geom/geom_cache.hpp"
 #include "obs/alloc_track.hpp"
 #include "sim/engine.hpp"
 #include "sim/placement.hpp"
@@ -230,9 +228,6 @@ int main() {
     opt.seed = bench::case_seed(1304, idx);
     std::vector<geom::Vec2> start =
         grid_scatter(n, bench::case_seed(1305, idx));
-    // From an empty geometry cache: otherwise the delta would subtract
-    // whatever entries the previous swarm left for this one to evict.
-    geom::GeomCache::local().clear();
     obs::alloc::reset_peak();
     const obs::alloc::Counters a0 = obs::alloc::snapshot();
     const Clock::time_point t0 = Clock::now();

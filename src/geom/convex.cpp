@@ -108,33 +108,6 @@ ConvexPolygon ConvexPolygon::clipped(const HalfPlane& hp) const {
   return result;
 }
 
-bool ConvexPolygon::clip(const HalfPlane& hp, std::vector<Vec2>& scratch) {
-  const std::size_t n = verts_.size();
-  if (n == 0) return false;
-  scratch.clear();
-  scratch.reserve(n + 1);
-  bool changed = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec2& cur = verts_[i];
-    const Vec2& nxt = verts_[(i + 1) % n];
-    const bool cur_in = hp.contains(cur);
-    const bool nxt_in = hp.contains(nxt);
-    if (cur_in) {
-      scratch.push_back(cur);
-    } else {
-      changed = true;
-    }
-    if (cur_in != nxt_in) {
-      if (auto x = intersect(Line::through(cur, nxt), hp.boundary)) {
-        scratch.push_back(*x);
-      }
-    }
-  }
-  if (!changed) return false;  // Every vertex inside: polygon unchanged.
-  verts_.swap(scratch);
-  return true;
-}
-
 ConvexPolygon intersect_halfplanes(const ConvexPolygon& bounds,
                                    std::span<const HalfPlane> halfplanes) {
   ConvexPolygon poly = bounds;
@@ -143,30 +116,6 @@ ConvexPolygon intersect_halfplanes(const ConvexPolygon& bounds,
     if (poly.empty()) break;
   }
   return poly;
-}
-
-ConvexPolygon convex_hull(std::span<const Vec2> points) {
-  std::vector<Vec2> pts(points.begin(), points.end());
-  std::sort(pts.begin(), pts.end());
-  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
-  const std::size_t n = pts.size();
-  if (n < 3) return ConvexPolygon::from_ccw_vertices(std::move(pts));
-  // Lower then upper chain; strict left turns only, so collinear interior
-  // points are dropped and the CCW invariant holds exactly.
-  std::vector<Vec2> hull(2 * n);
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    while (k >= 2 && orient(hull[k - 2], hull[k - 1], pts[i]) <= 0.0) --k;
-    hull[k++] = pts[i];
-  }
-  for (std::size_t i = n - 1, lower = k + 1; i-- > 0;) {
-    while (k >= lower && orient(hull[k - 2], hull[k - 1], pts[i]) <= 0.0) {
-      --k;
-    }
-    hull[k++] = pts[i];
-  }
-  hull.resize(k - 1);  // Last point equals the first.
-  return ConvexPolygon::from_ccw_vertices(std::move(hull));
 }
 
 }  // namespace stig::geom

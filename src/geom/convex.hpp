@@ -74,27 +74,15 @@ class ConvexPolygon {
   /// Intersection with a half-plane (Sutherland–Hodgman step).
   [[nodiscard]] ConvexPolygon clipped(const HalfPlane& hp) const;
 
-  /// In-place `clipped`: writes the clipped vertex loop into `scratch` and
-  /// swaps it in. The Voronoi hot loop clips thousands of cells; reusing
-  /// the two buffers keeps the construction allocation-free in steady
-  /// state. Returns true when the clip removed or moved any vertex.
-  bool clip(const HalfPlane& hp, std::vector<Vec2>& scratch);
-
  private:
   std::vector<Vec2> verts_;
 };
 
 /// Intersection of a bounding box with a set of half-planes. The box bounds
 /// unbounded cells; callers pick it large enough to contain the region of
-/// interest (the engine uses the configuration's bounding box inflated by
-/// the diameter).
+/// interest (VoronoiDiagram::compute uses the configuration's bounding box
+/// inflated by the diameter).
 [[nodiscard]] ConvexPolygon intersect_halfplanes(
     const ConvexPolygon& bounds, std::span<const HalfPlane> halfplanes);
-
-/// Convex hull of a point set (Andrew's monotone chain, O(n log n)),
-/// returned as a counterclockwise polygon. Collinear points interior to a
-/// hull edge are dropped; duplicates collapse. Fewer than three distinct
-/// points yield the degenerate polygon on those points (possibly empty).
-[[nodiscard]] ConvexPolygon convex_hull(std::span<const Vec2> points);
 
 }  // namespace stig::geom

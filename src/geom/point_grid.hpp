@@ -1,15 +1,13 @@
 // PointGrid — uniform spatial hashing over a static planar point set.
 //
-// The O(n^2)-per-instant walls in the engine and the geometry substrate all
+// The O(n^2)-per-instant walls in the engine and the sliced cores all
 // reduce to the same primitive: "which points are near p?". A PointGrid
 // buckets the points of one configuration into a uniform grid sized so the
 // expected occupancy is O(1) per cell, and answers
 //
 //   * exact nearest-neighbour queries (`nearest`, `nearest_other_dist2`),
-//   * bounded-radius visits (`for_each_within`),
-//   * expanding Chebyshev-ring visits with a distance lower bound
-//     (`for_each_in_ring` + `ring_lower_bound`), the driver of the
-//     security-radius Voronoi construction in geom/voronoi.cpp.
+//     by expanding Chebyshev rings with a distance lower bound,
+//   * bounded-radius visits (`for_each_within`).
 //
 // Exactness matters more than speed here: every nearest-neighbour answer is
 // the same *double* the brute-force O(n) scan would produce (same dist2
@@ -81,6 +79,7 @@ class PointGrid {
     }
   }
 
+ private:
   /// Grid cell of `q`, clamped into bounds.
   struct Cell {
     std::int64_t x = 0;
@@ -108,9 +107,9 @@ class PointGrid {
     // The ring is the *boundary* of the [x0,x1]x[y0,y1] box: once the box
     // strictly contains the whole grid, every boundary cell is out of
     // bounds too. Without this test an expanding search whose distance
-    // bound far exceeds the grid extent (e.g. a Voronoi clip box inflated
-    // by the margin floor around a micro-spaced configuration) would spin
-    // through millions of empty rings before its lower-bound cutoff fired.
+    // bound far exceeds the grid extent (e.g. a nearest query far outside
+    // a micro-spaced configuration) would spin through millions of empty
+    // rings before its lower-bound cutoff fired.
     if (x0 < 0 && y0 < 0 && x1 >= nx_ && y1 >= ny_) return false;
     if (r == 0) {
       visit_cell(c.x, c.y, f);
@@ -127,7 +126,6 @@ class PointGrid {
     return true;
   }
 
- private:
   template <typename F>
   void visit_cell(std::int64_t x, std::int64_t y, F&& f) const {
     if (x < 0 || y < 0 || x >= nx_ || y >= ny_) return;

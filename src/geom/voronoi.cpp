@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "geom/point_grid.hpp"
-
 namespace stig::geom {
 namespace {
 
@@ -27,21 +25,19 @@ Bounds bounding(std::span<const Vec2> sites) {
   return b;
 }
 
-/// Shared margin rule. `max_nn2` is the squared distance from the most
-/// isolated site to its nearest neighbour (0 when n < 2); both
-/// constructions compute it as the same min/max over the same dist2
-/// values, so they resolve identical margins and clip to identical boxes.
-double resolve_margin(const Bounds& b, double margin, double max_nn2) {
+/// The margin rule. `max_granular` is the largest granular radius: half
+/// the distance from the most isolated site to its nearest neighbour (0
+/// when n < 2).
+double resolve_margin(const Bounds& b, double margin, double max_granular) {
   if (margin < 0.0) {
     const double diam = std::hypot(b.xmax - b.xmin, b.ymax - b.ymin);
     margin = std::max(diam, 1.0);
   }
-  // Positive floor: half the largest nearest-neighbour distance (1 when
-  // there is no neighbour). Exactly enough that every granular disc fits
-  // inside the inflated box; without it a small explicit margin on a
+  // Positive floor: the largest granular radius (1 when there is no
+  // neighbour). Exactly enough that every granular disc fits inside the
+  // inflated box; without it a small explicit margin on a
   // (near-)collinear configuration collapses the box in one axis.
-  const double floor = max_nn2 > 0.0 ? std::sqrt(max_nn2) / 2.0 : 1.0;
-  return std::max(margin, floor);
+  return std::max(margin, max_granular > 0.0 ? max_granular : 1.0);
 }
 
 ConvexPolygon clip_box(const Bounds& b, double margin) {
@@ -49,30 +45,20 @@ ConvexPolygon clip_box(const Bounds& b, double margin) {
                                   b.xmax + margin, b.ymax + margin);
 }
 
-/// Squared circumradius of `poly` around `site` (max dist2 to a vertex).
-double circumradius2(const ConvexPolygon& poly, const Vec2& site) {
-  double r2 = 0.0;
-  for (const Vec2& v : poly.vertices()) r2 = std::max(r2, dist2(site, v));
-  return r2;
-}
-
 }  // namespace
 
-VoronoiDiagram VoronoiDiagram::compute_halfplane(std::span<const Vec2> sites,
-                                                 double margin) {
+VoronoiDiagram VoronoiDiagram::compute(std::span<const Vec2> sites,
+                                       double margin) {
   VoronoiDiagram vd;
   if (sites.empty()) return vd;
 
   const Bounds b = bounding(sites);
-  double max_nn2 = 0.0;
+  double max_granular = 0.0;
   for (std::size_t i = 0; i < sites.size(); ++i) {
-    double nn2 = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < sites.size(); ++j) {
-      if (j != i) nn2 = std::min(nn2, dist2(sites[i], sites[j]));
-    }
-    if (std::isfinite(nn2)) max_nn2 = std::max(max_nn2, nn2);
+    max_granular = std::max(max_granular, granular_radius(sites, i));
   }
-  const ConvexPolygon box = clip_box(b, resolve_margin(b, margin, max_nn2));
+  const ConvexPolygon box =
+      clip_box(b, resolve_margin(b, margin, max_granular));
 
   vd.cells_.reserve(sites.size());
   std::vector<HalfPlane> hps;
@@ -89,59 +75,6 @@ VoronoiDiagram VoronoiDiagram::compute_halfplane(std::span<const Vec2> sites,
     cell.site_index = i;
     cell.site = sites[i];
     cell.polygon = intersect_halfplanes(box, hps);
-    vd.cells_.push_back(std::move(cell));
-  }
-  return vd;
-}
-
-VoronoiDiagram VoronoiDiagram::compute(std::span<const Vec2> sites,
-                                       double margin) {
-  VoronoiDiagram vd;
-  if (sites.empty()) return vd;
-
-  const Bounds b = bounding(sites);
-  const PointGrid grid(sites);
-  double max_nn2 = 0.0;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const double nn2 = grid.nearest_other_dist2(i);
-    assert((sites.size() < 2 || nn2 > kEps * kEps) &&
-           "Voronoi sites must be pairwise distinct");
-    if (std::isfinite(nn2)) max_nn2 = std::max(max_nn2, nn2);
-  }
-  const ConvexPolygon box = clip_box(b, resolve_margin(b, margin, max_nn2));
-
-  vd.cells_.reserve(sites.size());
-  std::vector<Vec2> clip_scratch;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const Vec2& site = sites[i];
-    VoronoiCell cell;
-    cell.site_index = i;
-    cell.site = site;
-    cell.polygon = box;
-    // Security-radius construction: a site farther than 2R from `site`
-    // (R = current circumradius of the cell around the site) has its
-    // bisector at distance > R, which cannot intersect a polygon whose
-    // vertices all lie within R. Visit candidates by expanding grid rings
-    // and stop as soon as the ring lower bound certifies the rest.
-    double r2 = circumradius2(cell.polygon, site);
-    const PointGrid::Cell home = grid.cell_of(site);
-    for (std::int64_t ring = 0;; ++ring) {
-      const double lb = grid.ring_lower_bound(ring);
-      if (lb > 0.0 && lb * lb > 4.0 * r2) break;
-      const bool any = grid.for_each_in_ring(home, ring, [&](std::size_t j) {
-        if (j == i) return;
-        // Individual prune with a hair of slack so a bisector exactly
-        // tangent to the circumscribed circle is still applied (it cannot
-        // change the cell, but applying it keeps the clip sequence a
-        // superset of the contributing bisectors).
-        if (dist2(site, sites[j]) > 4.000000001 * r2) return;
-        if (cell.polygon.clip(closer_halfplane(site, sites[j]),
-                              clip_scratch)) {
-          r2 = circumradius2(cell.polygon, site);
-        }
-      });
-      if (!any && ring > 0) break;  // Every site visited.
-    }
     vd.cells_.push_back(std::move(cell));
   }
   return vd;

@@ -5,24 +5,11 @@
 // is allowed to move into its Voronoi cell only. This ensures the collision
 // avoidance."
 //
-// Two constructions share the VoronoiCell representation:
-//
-//   * `compute` — the default: a security-radius incremental construction
-//     over a uniform PointGrid. Each cell starts from the clip box and is
-//     cut only by bisectors of candidate sites taken from expanding grid
-//     rings; once the next ring's distance lower bound exceeds twice the
-//     cell's current circumradius R (max distance site -> cell vertex), no
-//     remaining site's bisector can intersect the cell and the search
-//     stops. Expected O(n) clips total for roughly uniform sites — the
-//     O(n log n)-class construction ROADMAP item 1 asks for — degrading
-//     toward the legacy O(n^2) on adversarial (e.g. collinear) inputs.
-//   * `compute_halfplane` — the legacy per-cell intersection of all n-1
-//     bisector half-planes, kept verbatim as the differential-testing
-//     oracle (tests/test_voronoi_diff.cpp): both paths must produce the
-//     same cells up to floating-point tolerance.
-//
-// Both constructions clip to the same inflated bounding box and share the
-// margin rule, including the nearest-neighbour floor (see `compute`).
+// The protocols need only each cell's inscribed disc about its site, which
+// `granular_radius` gives in closed form; the polygons are drawn by the
+// figures and cross-checked against that closed form in tests. So there is
+// one construction: each cell is the clip box cut by the n-1 bisector
+// half-planes of its site, O(n^2) clips in all.
 #pragma once
 
 #include <span>
@@ -47,10 +34,10 @@ struct VoronoiCell {
 /// distinct points; the simulator's collision invariant guarantees this).
 class VoronoiDiagram {
  public:
-  /// Computes the diagram of `sites` (security-radius grid construction),
-  /// clipping unbounded cells to the bounding box of the sites inflated by
-  /// `margin` (default: the configuration diameter, so granulars are never
-  /// artificially truncated).
+  /// Computes the diagram of `sites`: every cell is the intersection of
+  /// its site's n-1 bisector half-planes with the bounding box of the
+  /// sites inflated by `margin` (default: the configuration diameter, so
+  /// granulars are never artificially truncated).
   ///
   /// The effective margin is clamped to a positive floor of half the
   /// largest nearest-neighbour distance: an explicit small margin on a
@@ -60,13 +47,6 @@ class VoronoiDiagram {
   /// (radius = half its nearest-neighbour distance) inside the box.
   [[nodiscard]] static VoronoiDiagram compute(std::span<const Vec2> sites,
                                               double margin = -1.0);
-
-  /// The legacy construction: every cell is the intersection of all n-1
-  /// bisector half-planes with the same clip box `compute` uses (same
-  /// margin rule, same floor). O(n^2) clips; retained as the differential
-  /// oracle for `compute`.
-  [[nodiscard]] static VoronoiDiagram compute_halfplane(
-      std::span<const Vec2> sites, double margin = -1.0);
 
   [[nodiscard]] const std::vector<VoronoiCell>& cells() const noexcept {
     return cells_;

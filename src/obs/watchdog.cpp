@@ -4,7 +4,6 @@
 #include <iostream>
 #include <span>
 
-#include "geom/geom_cache.hpp"
 #include "geom/voronoi.hpp"
 #include "obs/json.hpp"
 
@@ -14,9 +13,10 @@ Watchdog::Watchdog(WatchdogOptions options,
                    std::vector<geom::Vec2> t0_positions)
     : options_(options), anchors_(std::move(t0_positions)) {
   if (options_.check_granular && anchors_.size() >= 2) {
-    // Shares the configuration-epoch cache with the protocols: the watchdog
-    // anchors at the same t0 snapshot SlicedCore already paid for.
-    radii_ = geom::GeomCache::local().granular_radii(anchors_);
+    radii_.reserve(anchors_.size());
+    for (std::size_t i = 0; i < anchors_.size(); ++i) {
+      radii_.push_back(geom::granular_radius(anchors_, i));
+    }
     granular_disarmed_.assign(anchors_.size(), false);
   } else {
     options_.check_granular = false;

@@ -20,10 +20,9 @@
 //   * determinism is the caller's contract and the pool's design target:
 //     nothing a task may observe depends on which worker runs it or in
 //     what order tasks complete. `map` keys results by case index, and all
-//     library state a case touches (RNG seeds via par::derive_seed, the
-//     thread-local geom::GeomCache, one obs::MetricsRegistry per task
-//     merged on join) is per-case or per-thread-with-identical-semantics.
-//     That contract is what the job-count-invariance suite asserts.
+//     library state a case touches (RNG seeds via par::derive_seed, one
+//     obs::MetricsRegistry per task merged on join) is per-case. That
+//     contract is what the job-count-invariance suite asserts.
 //
 // Synchronization is deliberately coarse — one mutex guards the deques and
 // counters. At the pool's task grain (entire simulations) the lock round

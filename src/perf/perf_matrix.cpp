@@ -109,16 +109,6 @@ std::vector<Scenario> full_matrix() {
 }
 
 ScenarioResult run_scenario(const Scenario& s) {
-  // Warmup: the identical workload, unmeasured, on this thread. Afterward
-  // every process-wide lazy static and every thread-local cache the
-  // measured run touches is already sized, so the measured allocation
-  // trace is the same on a fresh worker thread and a reused one.
-  {
-    core::ChatNetwork net(scatter(s.robots, s.seed), options_for(s));
-    queue_messages(net, s);
-    (void)net.run_until_quiescent(s.max_instants);
-  }
-
   ScenarioResult r;
   r.scenario = s;
   obs::prof::Profiler prof;

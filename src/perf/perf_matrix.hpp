@@ -1,19 +1,16 @@
 // The stigperf scenario matrix — reproducible hot-path cost measurement.
 //
 // A `Scenario` pins one protocol × robot-count workload (who sends what,
-// under which seed); `run_scenario` executes it twice on the calling
-// thread — once unmeasured to warm every lazy static and thread-local
-// cache (geom::GeomCache in particular), once measured — and returns the
-// deterministic cost counters of the measured run's step loop:
+// under which seed); `run_scenario` executes it once on the calling
+// thread and returns the deterministic cost counters of its step loop:
 // allocations, bytes, relative peak live bytes, emitted events, plus the
 // per-phase profiler rollup (obs/prof.hpp).
 //
 // Determinism contract: every number in `ScenarioResult` except the
 // timing fields (`run_ns`, cycle counts) is a pure function of (code,
-// scenario). The warmup run is what makes that hold at any
-// par::BatchRunner job count — a fresh worker thread and a reused one see
-// the same measured-run allocation trace because both enter it with their
-// thread-local caches already at capacity. `render_perf_json` with
+// scenario), at any par::BatchRunner job count: a run leaves nothing on
+// its thread for the next run to reuse, so a fresh worker thread and a
+// reused one see the same allocation trace. `render_perf_json` with
 // `include_timing = false` therefore emits byte-identical artifacts at
 // jobs 1 and jobs 8 (tested in tests/test_obs_prof.cpp); the stigperf
 // regression gate relies on exactly this.
@@ -41,7 +38,7 @@ struct Scenario {
 };
 
 /// Measured costs of one scenario's step loop (sends queued beforehand;
-/// construction and warmup excluded).
+/// construction excluded).
 struct ScenarioResult {
   Scenario scenario;
   std::string protocol;  ///< Resolved protocol name.
@@ -68,7 +65,7 @@ struct ScenarioResult {
 /// The fast matrix plus the nightly-only large cell (sliced_n1024).
 [[nodiscard]] std::vector<Scenario> full_matrix();
 
-/// Runs `s` (warmup + measured) on the calling thread.
+/// Runs `s` on the calling thread.
 [[nodiscard]] ScenarioResult run_scenario(const Scenario& s);
 
 /// Renders `r` in the BENCH_*.json artifact schema ("bench" + flat

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "geom/angle.hpp"
-#include "geom/geom_cache.hpp"
 #include "geom/sec.hpp"
 
 namespace stig::proto {
@@ -49,7 +48,8 @@ std::vector<std::size_t> id_ranks(std::span<const sim::VisibleId> ids) {
 
 geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
                              std::size_t self) {
-  return horizon_direction(points, self, geom::cached_sec(points));
+  return horizon_direction(points, self,
+                           geom::smallest_enclosing_circle(points));
 }
 
 geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
@@ -96,7 +96,8 @@ geom::Vec2 horizon_direction(std::span<const geom::Vec2> points,
 
 RelativeNaming relative_naming(std::span<const geom::Vec2> points,
                                std::size_t self) {
-  return relative_naming(points, self, geom::cached_sec(points));
+  return relative_naming(points, self,
+                         geom::smallest_enclosing_circle(points));
 }
 
 RelativeNaming relative_naming(std::span<const geom::Vec2> points,
@@ -165,7 +166,7 @@ NamingTables::NamingTables(std::span<const geom::Vec2> points,
       break;
     case NamingMode::relative: {
       // One SEC for all n labelings of this view.
-      const geom::Circle sec = geom::cached_sec(points);
+      const geom::Circle sec = geom::smallest_enclosing_circle(points);
       ranks_.reserve(n_ * n_);
       for (std::size_t i = 0; i < n_; ++i) {
         append_row(relative_naming(points, i, sec).ranks);

@@ -189,8 +189,8 @@ void SlicedCore::observe(const sim::Snapshot& snap) {
   // interiors are disjoint, so that is the robot itself. A fault
   // (Engine::teleport, a jitter) may push a robot out of every granular;
   // it still goes to its nearest center, which is what the drivers'
-  // walk-back needs. The watchdog (check_granular) and
-  // validate_sliced_trace report such a robot.
+  // walk-back needs. The watchdog (check_granular) and the trace
+  // validator of tests/test_conformance.cpp report such a robot.
   //
   // Snapshots list the swarm in t0 order unless two robots passed each
   // other, so entry k is usually robot k: at the bits granular k holds

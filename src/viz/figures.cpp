@@ -2,7 +2,7 @@
 
 #include <array>
 
-#include "geom/geom_cache.hpp"
+#include "geom/sec.hpp"
 #include "geom/voronoi.hpp"
 #include "proto/naming.hpp"
 
@@ -30,10 +30,7 @@ SvgScene draw_swarm(std::span<const geom::Vec2> pts,
     }
   }
 
-  geom::Circle sec;
-  if (what.sec || what.naming == proto::NamingMode::relative) {
-    sec = geom::cached_sec(pts);
-  }
+  const geom::Circle sec = geom::smallest_enclosing_circle(pts);
   if (what.sec) {
     Style s;
     s.stroke = "#444444";
@@ -44,7 +41,7 @@ SvgScene draw_swarm(std::span<const geom::Vec2> pts,
   }
   if (what.horizon_of && *what.horizon_of < pts.size()) {
     const geom::Vec2 dir =
-        proto::horizon_direction(pts, *what.horizon_of);
+        proto::horizon_direction(pts, *what.horizon_of, sec);
     Style h;
     h.stroke = "#d62728";
     h.dash = "3 3";
@@ -54,10 +51,10 @@ SvgScene draw_swarm(std::span<const geom::Vec2> pts,
 
   for (std::size_t i = 0; i < pts.size(); ++i) {
     if (what.granulars || what.diameters > 0) {
-      const double radius = geom::cached_granular_radius(pts, i);
+      const double radius = geom::granular_radius(pts, i);
       const geom::Vec2 reference =
           what.naming == proto::NamingMode::relative
-              ? proto::horizon_direction(pts, i)
+              ? proto::horizon_direction(pts, i, sec)
               : geom::Vec2{0.0, 1.0};
       const geom::Granular g(pts[i], radius,
                              std::max<std::size_t>(what.diameters, 1),

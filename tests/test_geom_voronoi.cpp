@@ -23,6 +23,34 @@ std::vector<Vec2> random_sites(std::size_t n, std::uint64_t seed,
   return sim::scatter(rng, n, extent, 1e-3);
 }
 
+/// The site families beside uniform scatters that stress a construction:
+/// a regular grid (exact ties: four sites share every cell vertex), sites
+/// on one circle (every cell is an unbounded wedge clipped by the box) and
+/// collinear sites (degenerate extent: every cell is a strip).
+struct SiteFamily {
+  const char* name;
+  std::vector<Vec2> sites;
+};
+
+std::vector<SiteFamily> degenerate_families() {
+  std::vector<SiteFamily> out;
+  std::vector<Vec2> grid;
+  for (int y = 0; y < 16; ++y) {
+    for (int x = 0; x < 16; ++x) grid.push_back(Vec2{3.0 * x, 3.0 * y});
+  }
+  out.push_back({"16x16 grid", std::move(grid)});
+  std::vector<Vec2> circle;
+  for (int i = 0; i < 256; ++i) {
+    const double a = kTwoPi * i / 256.0;
+    circle.push_back(Vec2{30.0 * std::cos(a), 30.0 * std::sin(a)});
+  }
+  out.push_back({"256 cocircular", std::move(circle)});
+  std::vector<Vec2> line;
+  for (int i = 0; i < 512; ++i) line.push_back(Vec2{2.0 * i, 0.0});
+  out.push_back({"512 collinear", std::move(line)});
+  return out;
+}
+
 TEST(ConvexPolygon, RectangleBasics) {
   const ConvexPolygon r = ConvexPolygon::rectangle(0, 0, 4, 2);
   EXPECT_EQ(r.size(), 4u);
@@ -87,30 +115,38 @@ TEST(Voronoi, NearestSiteMatchesCellContainment) {
 }
 
 TEST(Voronoi, SitesLieInOwnCells) {
-  const std::vector<Vec2> sites = random_sites(40, 9);
-  const VoronoiDiagram vd = VoronoiDiagram::compute(sites);
-  for (const VoronoiCell& c : vd.cells()) {
-    EXPECT_TRUE(c.polygon.contains(c.site, 1e-9));
-    EXPECT_GT(c.polygon.area(), 0.0);
+  std::vector<SiteFamily> families = degenerate_families();
+  families.push_back({"40 random", random_sites(40, 9)});
+  for (const SiteFamily& f : families) {
+    const VoronoiDiagram vd = VoronoiDiagram::compute(f.sites);
+    ASSERT_EQ(vd.size(), f.sites.size()) << f.name;
+    for (const VoronoiCell& c : vd.cells()) {
+      EXPECT_TRUE(c.polygon.contains(c.site, 1e-9))
+          << f.name << " site " << c.site_index;
+      EXPECT_GT(c.polygon.area(), 0.0) << f.name << " site " << c.site_index;
+    }
   }
 }
 
 TEST(Voronoi, CellsPartitionTheBox) {
-  const std::vector<Vec2> sites = random_sites(12, 21, 10.0);
+  std::vector<SiteFamily> families = degenerate_families();
+  families.push_back({"12 random", random_sites(12, 21, 10.0)});
   const double margin = 5.0;
-  const VoronoiDiagram vd = VoronoiDiagram::compute(sites, margin);
-  double xmin = 1e18, ymin = 1e18, xmax = -1e18, ymax = -1e18;
-  for (const Vec2& s : sites) {
-    xmin = std::min(xmin, s.x);
-    ymin = std::min(ymin, s.y);
-    xmax = std::max(xmax, s.x);
-    ymax = std::max(ymax, s.y);
+  for (const SiteFamily& f : families) {
+    const VoronoiDiagram vd = VoronoiDiagram::compute(f.sites, margin);
+    double xmin = 1e18, ymin = 1e18, xmax = -1e18, ymax = -1e18;
+    for (const Vec2& s : f.sites) {
+      xmin = std::min(xmin, s.x);
+      ymin = std::min(ymin, s.y);
+      xmax = std::max(xmax, s.x);
+      ymax = std::max(ymax, s.y);
+    }
+    const double box_area =
+        (xmax - xmin + 2 * margin) * (ymax - ymin + 2 * margin);
+    double total = 0.0;
+    for (const VoronoiCell& c : vd.cells()) total += c.polygon.area();
+    EXPECT_NEAR(total, box_area, 1e-6 * box_area) << f.name;
   }
-  const double box_area =
-      (xmax - xmin + 2 * margin) * (ymax - ymin + 2 * margin);
-  double total = 0.0;
-  for (const VoronoiCell& c : vd.cells()) total += c.polygon.area();
-  EXPECT_NEAR(total, box_area, 1e-6 * box_area);
 }
 
 // The design-document cross-check, as a parameterized property test.
@@ -149,15 +185,12 @@ TEST(Voronoi, MarginFloorKeepsGranularsInCollinearBoxes) {
   std::vector<Vec2> line;
   for (int i = 0; i < 9; ++i) line.push_back(Vec2{2.0 * i, 0.0});
   for (const double margin : {1e-6, 0.01, 0.5}) {
-    for (const VoronoiDiagram& vd :
-         {VoronoiDiagram::compute(line, margin),
-          VoronoiDiagram::compute_halfplane(line, margin)}) {
-      for (const VoronoiCell& c : vd.cells()) {
-        EXPECT_GT(c.polygon.area(), 0.0);
-        EXPECT_NEAR(c.polygon.distance_to_boundary(c.site),
-                    granular_radius(line, c.site_index), 1e-9)
-            << "margin " << margin << " site " << c.site_index;
-      }
+    const VoronoiDiagram vd = VoronoiDiagram::compute(line, margin);
+    for (const VoronoiCell& c : vd.cells()) {
+      EXPECT_GT(c.polygon.area(), 0.0);
+      EXPECT_NEAR(c.polygon.distance_to_boundary(c.site),
+                  granular_radius(line, c.site_index), 1e-9)
+          << "margin " << margin << " site " << c.site_index;
     }
   }
   // Near-collinear: a hair of vertical spread, same guarantee.

@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "geom/geom_cache.hpp"
+#include "geom/sec.hpp"
 #include "geom/voronoi.hpp"
 #include "proto/naming.hpp"
 #include "proto/slices.hpp"
@@ -390,25 +390,24 @@ std::vector<Vec2> brute_associate(const std::vector<Vec2>& centers,
   return out;
 }
 
-/// The granulars a core used to build eagerly in its constructor: radii
-/// from the geometry cache, North or (relative naming) each robot's SEC
-/// horizon, `diameters` slices.
+/// The granulars a core used to build eagerly in its constructor: the
+/// closed-form radii, North or (relative naming) each robot's SEC horizon,
+/// `diameters` slices.
 std::vector<geom::Granular> eager_granulars(const std::vector<Vec2>& centers,
                                             proto::NamingMode naming,
                                             std::size_t diameters) {
   const std::size_t n = centers.size();
   std::vector<Vec2> references(n, Vec2{0.0, 1.0});
   if (naming == proto::NamingMode::relative) {
-    const geom::Circle sec = geom::cached_sec(centers);
+    const geom::Circle sec = geom::smallest_enclosing_circle(centers);
     for (std::size_t i = 0; i < n; ++i) {
       references[i] = proto::horizon_direction(centers, i, sec);
     }
   }
-  const std::vector<double> radii =
-      geom::GeomCache::local().granular_radii(centers);
   std::vector<geom::Granular> out;
   for (std::size_t i = 0; i < n; ++i) {
-    out.emplace_back(centers[i], radii[i], diameters, references[i]);
+    out.emplace_back(centers[i], geom::granular_radius(centers, i), diameters,
+                     references[i]);
   }
   return out;
 }

@@ -2,10 +2,14 @@
 // fit-to-canvas), element emission, figure composition, file output.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "geom/angle.hpp"
+#include "geom/line.hpp"
+#include "geom/sec.hpp"
 #include "sim/placement.hpp"
 #include "sim/rng.hpp"
 #include "viz/figures.hpp"
@@ -21,6 +25,18 @@ std::size_t count_substr(const std::string& hay, const std::string& needle) {
     ++count;
   }
   return count;
+}
+
+/// Every value of attribute `name` in `doc`, in document order.
+std::vector<double> attr_values(const std::string& doc,
+                                const std::string& name) {
+  std::vector<double> out;
+  const std::string key = " " + name + "=\"";
+  for (std::size_t pos = doc.find(key); pos != std::string::npos;
+       pos = doc.find(key, pos + key.size())) {
+    out.push_back(std::stod(doc.substr(pos + key.size())));
+  }
+  return out;
 }
 
 TEST(Svg, EmptySceneIsAValidDocument) {
@@ -138,6 +154,47 @@ TEST(Figures, DrawSwarmComposesEverything) {
   EXPECT_GE(count_substr(doc, "<polygon"), 6u);          // Voronoi cells.
   EXPECT_GE(count_substr(doc, "<line"), 6u * 6u);        // Diameters.
   EXPECT_GE(count_substr(doc, "<circle"), 6u + 1u + 6u); // Discs+SEC+dots.
+}
+
+TEST(Figures, HorizonRunsThroughTheSecCenterWhenTheSecIsNotDrawn) {
+  // A swarm far from the origin, drawn with neither the SEC nor relative
+  // naming: only its dots and robot 0's horizon line.
+  sim::Rng rng(5);
+  std::vector<geom::Vec2> pts = sim::scatter(rng, 5, 10.0, 2.0);
+  for (geom::Vec2& p : pts) p += geom::Vec2{1000.0, 1000.0};
+  SwarmDrawing what;
+  what.voronoi = false;
+  what.granulars = false;
+  what.label_robots = false;
+  what.horizon_of = 0;
+  const std::string doc = draw_swarm(pts, what).str();
+  const std::vector<double> cx = attr_values(doc, "cx");
+  const std::vector<double> cy = attr_values(doc, "cy");
+  const std::vector<double> x1 = attr_values(doc, "x1");
+  const std::vector<double> y1 = attr_values(doc, "y1");
+  const std::vector<double> x2 = attr_values(doc, "x2");
+  const std::vector<double> y2 = attr_values(doc, "y2");
+  ASSERT_EQ(cx.size(), pts.size());
+  ASSERT_EQ(x1.size(), 1u);
+  // The canvas maps world (x, y) to (a + k x, b - k y); the dots give it.
+  std::size_t far = 1;
+  for (std::size_t i = 2; i < pts.size(); ++i) {
+    if (std::abs(pts[i].x - pts[0].x) > std::abs(pts[far].x - pts[0].x)) {
+      far = i;
+    }
+  }
+  const double k = (cx[far] - cx[0]) / (pts[far].x - pts[0].x);
+  const double a = cx[0] - k * pts[0].x;
+  const double b = cy[0] + k * pts[0].y;
+  const geom::Vec2 o = geom::smallest_enclosing_circle(pts).center;
+  const geom::Vec2 center{a + k * o.x, b - k * o.y};
+  const geom::Vec2 from{x1[0], y1[0]};
+  const geom::Vec2 to{x2[0], y2[0]};
+  const geom::Vec2 robot0{cx[0], cy[0]};
+  ASSERT_GT(geom::dist(from, to), 10.0);  // Not a point.
+  const geom::Line horizon = geom::Line::through(from, to);
+  EXPECT_LT(horizon.distance(center), 0.01);
+  EXPECT_LT(horizon.distance(robot0), 0.01);
 }
 
 TEST(Figures, TrajectoriesOnePolylinePerRobot) {
