@@ -8,9 +8,9 @@
 // past which messages/sec stops improving. Throughputs are machine facts
 // and carry `_per_sec` markers, so the regression gate records but never
 // compares them. The *counts* — sessions opened, messages accepted,
-// deliveries polled — are deterministic functions of (code, seed) and are
-// identical at every worker count (the job-count invariance contract);
-// those gate.
+// deliveries polled, batches fanned out to the pool — are deterministic
+// functions of (code, seed) and are identical at every worker count (the
+// job-count invariance contract); those gate.
 //
 // Part 2 measures memory per session with obs::alloc_track on a direct,
 // single-threaded SessionRegistry (the tracker's counters are
@@ -96,6 +96,7 @@ struct CapacityRow {
   std::uint64_t opened = 0;
   std::uint64_t accepted = 0;
   std::uint64_t polled = 0;
+  std::uint64_t fanned_out = 0;
 };
 
 CapacityRow run_at(std::size_t workers,
@@ -126,6 +127,7 @@ CapacityRow run_at(std::size_t workers,
     if (b == 0) after_opens = Clock::now();
   }
   row.opened = registry.sessions_opened();
+  row.fanned_out = registry.batches_fanned_out();
   row.open_wall_s = std::chrono::duration<double>(after_opens - t0).count();
   row.total_wall_s =
       std::chrono::duration<double>(Clock::now() - t0).count();
@@ -145,9 +147,10 @@ int main() {
   const std::size_t table = report.table(
       "capacity vs workers",
       {"workers", "sessions_per_sec_open", "msgs_per_sec", "requests",
-       "sessions_opened", "messages_accepted", "deliveries_polled"});
+       "sessions_opened", "messages_accepted", "deliveries_polled",
+       "batches_fanned_out"});
   std::cout << "workers  sessions/s  msgs/s      requests  opened  "
-               "accepted  polled\n";
+               "accepted  polled  fanned\n";
   std::vector<CapacityRow> rows;
   for (const std::size_t workers : worker_counts) {
     const CapacityRow row = run_at(workers, work);
@@ -156,18 +159,19 @@ int main() {
         static_cast<double>(row.opened) / std::max(row.open_wall_s, 1e-9);
     const double msgs_per_sec = static_cast<double>(row.accepted) /
                                 std::max(row.total_wall_s, 1e-9);
-    std::printf("%7zu  %10.0f  %10.0f  %8llu  %6llu  %8llu  %6llu\n",
+    std::printf("%7zu  %10.0f  %10.0f  %8llu  %6llu  %8llu  %6llu  %6llu\n",
                 workers, sessions_per_sec, msgs_per_sec,
                 static_cast<unsigned long long>(row.requests),
                 static_cast<unsigned long long>(row.opened),
                 static_cast<unsigned long long>(row.accepted),
-                static_cast<unsigned long long>(row.polled));
+                static_cast<unsigned long long>(row.polled),
+                static_cast<unsigned long long>(row.fanned_out));
     report.add_row(
         table,
         {std::to_string(row.workers), obs::json_number(sessions_per_sec),
          obs::json_number(msgs_per_sec), std::to_string(row.requests),
          std::to_string(row.opened), std::to_string(row.accepted),
-         std::to_string(row.polled)});
+         std::to_string(row.polled), std::to_string(row.fanned_out)});
   }
 
   // The deterministic counts must agree across worker counts — that is
@@ -177,7 +181,8 @@ int main() {
   for (const CapacityRow& row : rows) {
     if (row.opened != rows.front().opened ||
         row.accepted != rows.front().accepted ||
-        row.polled != rows.front().polled) {
+        row.polled != rows.front().polled ||
+        row.fanned_out != rows.front().fanned_out) {
       invariant = false;
     }
   }
@@ -189,6 +194,7 @@ int main() {
   report.value("capacity_requests", rows.front().requests);
   report.value("capacity_messages_accepted", rows.front().accepted);
   report.value("capacity_deliveries_polled", rows.front().polled);
+  report.value("capacity_batches_fanned_out", rows.front().fanned_out);
 
   // Saturation: the smallest worker count within 5% of the best
   // messages/sec. Machine-dependent — the `_per_sec` marker keeps it

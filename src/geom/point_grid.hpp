@@ -37,24 +37,17 @@ class PointGrid {
   /// point), so the grid never dangles when the caller's buffer is reused.
   void build(std::span<const Vec2> points);
 
-  [[nodiscard]] std::size_t size() const noexcept { return pts_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return pts_.empty(); }
-  /// Side length of one grid cell (> 0 once built with >= 1 point).
-  [[nodiscard]] double cell_size() const noexcept { return cell_; }
-  [[nodiscard]] const Vec2& point(std::size_t i) const {
-    return pts_[i];
-  }
-
   /// Index of the point nearest to `q`; lowest index on exact ties (the
   /// same answer a brute-force ascending scan returns). Precondition:
   /// non-empty.
   [[nodiscard]] std::size_t nearest(const Vec2& q) const noexcept;
 
   /// Squared distance from point `i` to its nearest *other* point — the
-  /// same double as `min_j dist2(p_i, p_j)`. Precondition: size() >= 2.
+  /// same double as `min_j dist2(p_i, p_j)`. Precondition: the grid holds
+  /// at least two points.
   [[nodiscard]] double nearest_other_dist2(std::size_t i) const noexcept;
 
-  /// Calls `f(j)` for every point with dist2(point(j), q) <= radius2
+  /// Calls `f(j)` for every point p_j with dist2(p_j, q) <= radius2
   /// (including a point equal to q). Visit order is cell-major, ascending
   /// index within a cell — not globally sorted.
   template <typename F>
@@ -145,7 +138,7 @@ class PointGrid {
   }
 
   /// Expanding-ring exact nearest search; `skip` excludes one index
-  /// (size() for "none"). Returns {best index, best dist2}.
+  /// (the point count for "none"). Returns {best index, best dist2}.
   [[nodiscard]] std::pair<std::size_t, double> nearest_impl(
       const Vec2& q, std::size_t skip) const noexcept;
 

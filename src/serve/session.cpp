@@ -174,6 +174,12 @@ SessionRegistry::SessionRegistry(SessionLimits limits) : limits_(limits) {}
 
 void SessionRegistry::attach_metrics(obs::MetricsRegistry* registry) {
   metrics_ = registry;
+  instruments_ = {};
+}
+
+obs::Counter& SessionRegistry::cached(obs::Counter*& slot, const char* name) {
+  if (slot == nullptr) slot = &metrics_->counter(name);
+  return *slot;
 }
 
 void SessionRegistry::configure_ids(std::uint64_t first, std::uint64_t step) {
@@ -193,14 +199,21 @@ Response SessionRegistry::apply(const Request& req) {
     res = fail(req.verb, Status::error, e.what());
   }
   if (metrics_ != nullptr) {
-    const std::string verb = verb_name(req.verb);
-    metrics_->counter("serve.req." + verb).add(1);
+    const std::size_t v = std::min(static_cast<std::size_t>(req.verb),
+                                   Instruments::kVerbs - 1);
+    obs::Counter*& requests = instruments_.requests[v];
+    obs::LogHistogram*& latency = instruments_.latency[v];
+    if (requests == nullptr) {
+      const std::string verb = verb_name(req.verb);
+      requests = &metrics_->counter("serve.req." + verb);
+      latency = &metrics_->histogram("serve.lat." + verb + "_ns", 16.0, 48);
+    }
+    requests->add(1);
     count_outcome(res);
-    const double ns = static_cast<double>(
+    latency->record(static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              start)
-            .count());
-    metrics_->histogram("serve.lat." + verb + "_ns", 16.0, 48).record(ns);
+            .count()));
   }
   return res;
 }
@@ -282,33 +295,35 @@ Response SessionRegistry::open_session(const Request& req) {
 
 void SessionRegistry::count_outcome(const Response& res) {
   switch (res.status) {
-    case Status::busy: metrics_->counter("serve.busy").add(1); return;
-    case Status::not_found:
-      metrics_->counter("serve.not_found").add(1);
+    case Status::busy:
+      cached(instruments_.busy, "serve.busy").add(1);
       return;
-    case Status::error: metrics_->counter("serve.error").add(1); return;
+    case Status::not_found:
+      cached(instruments_.not_found, "serve.not_found").add(1);
+      return;
+    case Status::error:
+      cached(instruments_.error, "serve.error").add(1);
+      return;
     case Status::poisoned:
       // serve.sessions_poisoned counts quarantines at the throw site;
       // tombstone replies are not separate outcomes.
       return;
     case Status::ok: break;
   }
+  const char* name = nullptr;
+  std::uint64_t amount = 1;
   switch (res.verb) {
-    case Verb::open_session:
-      metrics_->counter("serve.sessions_opened").add(1);
-      break;
-    case Verb::close_session:
-      metrics_->counter("serve.sessions_closed").add(1);
-      break;
-    case Verb::send_message:
-      metrics_->counter("serve.messages_accepted").add(1);
-      break;
+    case Verb::open_session: name = "serve.sessions_opened"; break;
+    case Verb::close_session: name = "serve.sessions_closed"; break;
+    case Verb::send_message: name = "serve.messages_accepted"; break;
     case Verb::poll_delivery:
-      metrics_->counter("serve.deliveries_polled")
-          .add(res.deliveries.size());
+      name = "serve.deliveries_polled";
+      amount = res.deliveries.size();
       break;
-    default: break;
+    default: return;
   }
+  cached(instruments_.ok[static_cast<std::size_t>(res.verb)], name)
+      .add(amount);
 }
 
 }  // namespace stig::serve

@@ -30,6 +30,7 @@
 // serve.sessions_poisoned counter records each quarantine.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -148,9 +149,26 @@ class SessionRegistry {
   }
 
  private:
+  /// The instruments apply() touches, looked up by name on first use
+  /// (so only what happened is created) and then reached by pointer.
+  /// Indexed by verb byte; every byte past close_session shares the last
+  /// slot, as it shares verb_name's "unknown".
+  struct Instruments {
+    static constexpr std::size_t kVerbs =
+        static_cast<std::size_t>(Verb::close_session) + 2;
+    std::array<obs::Counter*, kVerbs> requests{};      ///< serve.req.<verb>
+    std::array<obs::LogHistogram*, kVerbs> latency{};  ///< serve.lat.<verb>_ns
+    std::array<obs::Counter*, kVerbs> ok{};  ///< The verb's success counter.
+    obs::Counter* busy = nullptr;
+    obs::Counter* not_found = nullptr;
+    obs::Counter* error = nullptr;
+  };
+
   [[nodiscard]] Response open_session(const Request& req);
   [[nodiscard]] Response dispatch(const Request& req);
   void count_outcome(const Response& res);
+  /// `*slot`, after pointing it at the counter `name` if it was null.
+  obs::Counter& cached(obs::Counter*& slot, const char* name);
 
   SessionLimits limits_;
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
@@ -160,6 +178,7 @@ class SessionRegistry {
   std::uint64_t opened_ = 0;
   std::uint64_t poisoned_total_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;  ///< Not owned.
+  Instruments instruments_;                  ///< Into *metrics_.
 };
 
 }  // namespace stig::serve

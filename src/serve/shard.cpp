@@ -1,11 +1,13 @@
 #include "serve/shard.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace stig::serve {
 
 ShardedRegistry::ShardedRegistry(ShardedOptions options)
-    : runner_(par::BatchOptions{.jobs = options.jobs}) {
+    : max_step_(options.limits.max_step),
+      runner_(par::BatchOptions{.jobs = options.jobs}) {
   if (options.shards == 0) {
     throw std::invalid_argument("ShardedRegistry needs at least one shard");
   }
@@ -31,20 +33,49 @@ std::size_t ShardedRegistry::route(const Request& req) {
   return static_cast<std::size_t>((req.session - 1) % shards_.size());
 }
 
+std::uint64_t ShardedRegistry::work_of(const Request& req) const noexcept {
+  switch (req.verb) {
+    case Verb::step: return std::min({req.instants, max_step_, kFanOutWork});
+    case Verb::open_session: return kOpenWork;
+    default: return 0;
+  }
+}
+
 std::vector<Response> ShardedRegistry::apply_batch(
     std::span<const Request> requests) {
-  // Route sequentially (the round-robin cursor is ordered state), then fan
-  // the shards out: each task owns disjoint response slots, so the only
-  // cross-thread state is the pool itself.
+  // Route sequentially (the round-robin cursor is ordered state) and
+  // estimate each shard's work from its own requests.
   std::vector<std::vector<std::size_t>> groups(shards_.size());
+  std::vector<std::uint64_t> work(shards_.size(), 0);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    groups[route(requests[i])].push_back(i);
+    const std::size_t shard = route(requests[i]);
+    groups[shard].push_back(i);
+    work[shard] += work_of(requests[i]);
   }
   std::vector<Response> responses(requests.size());
-  (void)runner_.map(shards_.size(), [&](std::size_t shard) -> int {
+  const auto apply_group = [&](std::size_t shard) {
     for (const std::size_t idx : groups[shard]) {
       responses[idx] = shards_[shard]->apply(requests[idx]);
     }
+  };
+  const auto heavy =
+      std::count_if(work.begin(), work.end(),
+                    [](std::uint64_t w) { return w >= kFanOutWork; });
+  if (heavy < 2) {
+    for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+      apply_group(shard);
+    }
+    return responses;
+  }
+  // Fan the non-empty groups out: each task owns disjoint response slots,
+  // so the only cross-thread state is the pool itself.
+  ++fanned_out_;
+  std::vector<std::size_t> busy;
+  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+    if (!groups[shard].empty()) busy.push_back(shard);
+  }
+  (void)runner_.map(busy.size(), [&](std::size_t task) -> int {
+    apply_group(busy[task]);
     return 0;
   });
   return responses;

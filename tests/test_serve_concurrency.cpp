@@ -6,10 +6,13 @@
 // schedule. The same scripted batch of N sessions is applied at jobs 1, 2
 // and 8 and everything observable must be byte-identical. Runs under the
 // existing TSan lane (the full ctest suite is TSan'd in CI), so the
-// fan-out across par::BatchRunner workers is also raced-checked.
+// fan-out across par::BatchRunner workers is also raced-checked — the
+// tests that check fan-out send steps heavy enough to reach the pool, and
+// assert that they do.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <sstream>
@@ -20,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "par/seed.hpp"
 #include "serve/shard.hpp"
+#include "sim/rng.hpp"
 
 namespace stig::serve {
 namespace {
@@ -144,6 +148,7 @@ struct RunOutput {
   std::string metrics;
   std::size_t live = 0;
   std::uint64_t opened = 0;
+  std::uint64_t fanned_out = 0;
 };
 
 RunOutput run_at(std::size_t jobs, const std::vector<Request>& script) {
@@ -166,6 +171,7 @@ RunOutput run_at(std::size_t jobs, const std::vector<Request>& script) {
   out.metrics = gated_metrics(registry);
   out.live = registry.live_sessions();
   out.opened = registry.sessions_opened();
+  out.fanned_out = registry.batches_fanned_out();
   return out;
 }
 
@@ -185,6 +191,11 @@ TEST(ServeConcurrency, JobCountInvariance) {
   // And identical registry aggregates.
   EXPECT_EQ(at1.live, at8.live);
   EXPECT_EQ(at1.opened, at8.opened);
+  // The fan-out decision reads only the requests: the 3000-instant steps
+  // send every step batch to the pool at every worker count.
+  EXPECT_GT(at1.fanned_out, 0u);
+  EXPECT_EQ(at1.fanned_out, at2.fanned_out);
+  EXPECT_EQ(at1.fanned_out, at8.fanned_out);
 
   // The workload actually exercised the interesting paths.
   EXPECT_NE(at1.responses.find("not_found"), std::string::npos);
@@ -242,12 +253,18 @@ TEST(ServeConcurrency, SingleBatchManySessions) {
       EXPECT_EQ(rendered, first) << "jobs=" << jobs;
     }
     EXPECT_EQ(registry.live_sessions(), sessions);
+    // Both batches still fan out: six opens per shard, and 2000-instant
+    // steps, make every one of the 8 groups heavy, and each is one task.
+    EXPECT_EQ(registry.batches_fanned_out(), 2u) << "jobs=" << jobs;
+    EXPECT_EQ(registry.pool_stats().executed, 16u) << "jobs=" << jobs;
   }
 }
 
 TEST(ServeConcurrency, PerSessionOrderSurvivesTheFanOut) {
   // Requests for one session in a mixed batch keep their relative order:
-  // the queue-depth echoes must be strictly increasing per session.
+  // the queue-depth echoes must be strictly increasing per session, and
+  // each session's closing step drains exactly what it queued. The steps
+  // make every group heavy, so the batch runs on the pool.
   ShardedOptions options;
   options.shards = 4;
   options.jobs = 8;
@@ -272,15 +289,128 @@ TEST(ServeConcurrency, PerSessionOrderSurvivesTheFanOut) {
       sends.push_back(send);
     }
   }
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    Request step;
+    step.verb = Verb::step;
+    step.session = id;
+    step.instants = 500;
+    sends.push_back(step);
+  }
   const auto responses = registry.apply_batch(sends);
+  // The opens (one or two a shard) stayed on this thread; this batch
+  // went to the pool, one task per shard.
+  EXPECT_EQ(registry.batches_fanned_out(), 1u);
+  EXPECT_EQ(registry.pool_stats().executed, 4u);
   std::vector<std::uint64_t> depth(7, 0);
   for (std::size_t i = 0; i < responses.size(); ++i) {
     ASSERT_EQ(responses[i].status, Status::ok) << i;
     const std::uint64_t id = sends[i].session;
+    if (sends[i].verb == Verb::step) {
+      EXPECT_EQ(depth[id], 4u) << "session " << id;
+      EXPECT_EQ(responses[i].instants, 500u) << "session " << id;
+      continue;
+    }
     EXPECT_EQ(responses[i].queued, depth[id] + 1)
         << "session " << id << " reply " << i;
     depth[id] = responses[i].queued;
   }
+}
+
+TEST(ServeConcurrency, StigloadShapedBatchesStayOnTheCallingThread) {
+  // Four clients in stigload's default mix (open 2, send 8, step 8 of
+  // 8–64 instants, poll 6, report 1, close 1), one request each per
+  // batch, as stigd sees them with all four connections ready. Such a
+  // batch reaches the pool only when two of its shard groups each carry
+  // kFanOutWork (64) estimated instants, e.g. two 64-instant steps for
+  // sessions on different shards. None of these 500 batches does, so
+  // every one runs on the calling thread and the pool executes nothing.
+  ShardedOptions options;
+  options.jobs = 2;
+  ShardedRegistry registry(options);
+  sim::Rng rng(2009);
+  constexpr std::array<std::uint64_t, 6> kWeights{2, 8, 8, 6, 1, 1};
+  struct Live {
+    std::uint64_t id = 0;
+    std::uint64_t robots = 0;
+  };
+  std::vector<Live> live;
+  std::array<std::size_t, 7> seen{};
+  for (int cycle = 0; cycle < 500; ++cycle) {
+    std::vector<Request> batch(4);
+    for (Request& req : batch) {
+      std::uint64_t r = rng.uniform_int(1, 26);
+      std::size_t pick = 0;
+      while (r > kWeights[pick]) r -= kWeights[pick++];
+      if (live.empty()) pick = 0;
+      if (pick != 0) {
+        const Live& s = live[rng.uniform_int(0, live.size() - 1)];
+        req.session = s.id;
+        req.from = rng.uniform_int(0, s.robots - 1);
+        req.to = (req.from + 1) % s.robots;
+        req.robot = req.to;
+      }
+      req.verb = static_cast<Verb>(pick + 1);
+      if (req.verb == Verb::open_session) {
+        req.robots = rng.uniform_int(2, 6);
+        req.seed = par::derive_seed(2009, static_cast<std::uint64_t>(cycle));
+        if (rng.flip(0.5)) req.flags |= kOpenAsync;
+      } else if (req.verb == Verb::send_message) {
+        req.payload.assign(rng.uniform_int(1, 16), 0x5a);
+      } else if (req.verb == Verb::step) {
+        req.instants = rng.uniform_int(8, 64);
+      }
+    }
+    const auto replies = registry.apply_batch(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ++seen[static_cast<std::size_t>(batch[i].verb)];
+      if (replies[i].status != Status::ok) continue;
+      if (batch[i].verb == Verb::open_session) {
+        live.push_back({replies[i].session, batch[i].robots});
+      } else if (batch[i].verb == Verb::close_session) {
+        std::erase_if(live, [&](const Live& s) {
+          return s.id == batch[i].session;
+        });
+      }
+    }
+  }
+  for (const Verb verb : {Verb::open_session, Verb::send_message, Verb::step,
+                          Verb::poll_delivery, Verb::close_session}) {
+    EXPECT_GT(seen[static_cast<std::size_t>(verb)], 0u) << verb_name(verb);
+  }
+  EXPECT_EQ(registry.batches_fanned_out(), 0u);
+  EXPECT_EQ(registry.pool_stats().executed, 0u);
+}
+
+TEST(ServeConcurrency, FanOutNeedsTwoHeavyGroups) {
+  // One heavy group is applied on the calling thread; two go to the pool,
+  // and only the non-empty groups become tasks.
+  ShardedOptions options;
+  options.jobs = 2;
+  ShardedRegistry registry(options);
+  std::vector<Request> opens(3);
+  for (Request& open : opens) {
+    open.verb = Verb::open_session;
+    open.seed = 11;
+    open.robots = 2;
+  }
+  ASSERT_EQ(registry.apply_batch(opens).size(), 3u);  // Ids 1, 2, 3.
+  const auto step = [](std::uint64_t session, std::uint64_t instants) {
+    Request req;
+    req.verb = Verb::step;
+    req.session = session;
+    req.instants = instants;
+    return req;
+  };
+  const std::uint64_t heavy = ShardedRegistry::kFanOutWork;
+  (void)registry.apply_batch(std::vector<Request>{
+      step(1, heavy), step(2, heavy - 1), step(3, 8)});
+  EXPECT_EQ(registry.batches_fanned_out(), 0u);
+  EXPECT_EQ(registry.pool_stats().executed, 0u);
+  (void)registry.apply_batch(
+      std::vector<Request>{step(1, heavy / 2), step(1, heavy / 2),
+                           step(2, heavy), step(3, 8)});
+  EXPECT_EQ(registry.batches_fanned_out(), 1u);
+  EXPECT_EQ(registry.pool_stats().executed, 3u);
 }
 
 }  // namespace

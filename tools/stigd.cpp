@@ -11,7 +11,9 @@
 // queues (BUSY on overflow — the daemon never sheds load silently), step
 // simulated time, and poll deliveries. Requests that arrive in one poll
 // cycle are applied as a batch: grouped by session shard, fanned across
-// the workers, answered in arrival order per connection.
+// the workers when at least two shards have enough work to pay for the
+// hand-off (on the poll thread otherwise), answered in arrival order per
+// connection.
 //
 // SIGTERM/SIGINT shut down cleanly: connections close, the socket file is
 // removed, and --report writes the merged metrics snapshot — per-verb
