@@ -7,8 +7,10 @@
 // layers are built from.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <compare>
+#include <cstdint>
 #include <iosfwd>
 #include <limits>
 
@@ -171,6 +173,16 @@ inline constexpr double kDistBand = 0x1p-40;
 /// Midpoint of the segment [a, b].
 [[nodiscard]] constexpr Vec2 midpoint(const Vec2& a, const Vec2& b) noexcept {
   return Vec2{(a.x + b.x) / 2.0, (a.y + b.y) / 2.0};
+}
+
+/// Bit-for-bit equality: what memos of positions key on. `==` on doubles
+/// is too loose (-0.0 equals +0.0, and a signed zero can steer atan2) and
+/// misses NaN.
+[[nodiscard]] constexpr bool same_bits(const Vec2& a,
+                                       const Vec2& b) noexcept {
+  using Bits = std::uint64_t;
+  return std::bit_cast<Bits>(a.x) == std::bit_cast<Bits>(b.x) &&
+         std::bit_cast<Bits>(a.y) == std::bit_cast<Bits>(b.y);
 }
 
 /// Componentwise approximate equality with tolerance `eps`.

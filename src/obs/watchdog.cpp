@@ -285,8 +285,11 @@ void Watchdog::on_event(const Event& e) {
 void Watchdog::finalize(std::uint64_t end_t) {
   if (!corrupt_pending_t_) return;
   const std::uint64_t corrupt_t = *corrupt_pending_t_;
-  if (end_t < corrupt_t + options_.reconverge_budget) return;  // Too short.
   corrupt_pending_t_.reset();
+  if (end_t < corrupt_t + options_.reconverge_budget) {  // Too short.
+    ++reconverge_inconclusive_;
+    return;
+  }
   WatchdogViolation v;
   v.invariant = "reconverged";
   v.t = end_t;
@@ -301,15 +304,21 @@ void Watchdog::finalize(std::uint64_t end_t) {
 void Watchdog::report(std::ostream& out) const {
   if (ok()) {
     out << "watchdog: all invariants held\n";
-    return;
+  } else {
+    out << "watchdog: " << total_violations_ << " violation(s)";
+    if (total_violations_ > violations_.size()) {
+      out << " (" << violations_.size() << " recorded)";
+    }
+    out << "\n";
+    for (const WatchdogViolation& v : violations_) {
+      out << "  [" << v.invariant << "] t=" << v.t << " " << v.detail
+          << "\n";
+    }
   }
-  out << "watchdog: " << total_violations_ << " violation(s)";
-  if (total_violations_ > violations_.size()) {
-    out << " (" << violations_.size() << " recorded)";
-  }
-  out << "\n";
-  for (const WatchdogViolation& v : violations_) {
-    out << "  [" << v.invariant << "] t=" << v.t << " " << v.detail << "\n";
+  if (reconverge_inconclusive_ != 0) {
+    out << "watchdog: " << reconverge_inconclusive_
+        << " reconvergence check(s) inconclusive (run ended within the "
+           "budget)\n";
   }
 }
 

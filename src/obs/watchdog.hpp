@@ -114,15 +114,23 @@ class Watchdog final : public EventSink {
 
   void on_event(const Event& e) override;
 
-  /// End-of-run check for the `reconverged` invariant: violates if a
-  /// corruption is still awaiting its recovery delivery and the run ran at
-  /// least `reconverge_budget` instants past it (a shorter run is merely
-  /// inconclusive, not a violation). Idempotent; safe without corruptions.
+  /// End-of-run check for the `reconverged` invariant: decides a
+  /// corruption still awaiting its recovery delivery. It violates when the
+  /// run ran at least `reconverge_budget` instants past the corruption;
+  /// a shorter run is counted as inconclusive (`reconverge_inconclusive`),
+  /// not a violation. Idempotent; safe without corruptions.
   void finalize(std::uint64_t end_t);
 
   /// A corruption fired and no frame delivery has followed it yet.
   [[nodiscard]] bool reconverge_pending() const noexcept {
     return corrupt_pending_t_.has_value();
+  }
+
+  /// Reconvergence checks `finalize` left undecided: the run ended fewer
+  /// than `reconverge_budget` instants after a corruption that no frame
+  /// delivery had followed yet.
+  [[nodiscard]] std::uint64_t reconverge_inconclusive() const noexcept {
+    return reconverge_inconclusive_;
   }
 
   [[nodiscard]] bool ok() const noexcept { return total_violations_ == 0; }
@@ -139,7 +147,8 @@ class Watchdog final : public EventSink {
   void set_flight_recorder(FlightRecorder* recorder, std::string dump_path);
 
   /// Human-readable verdict: one line per recorded violation plus a
-  /// summary; "watchdog: all invariants held" when clean.
+  /// summary; "watchdog: all invariants held" when clean; and a line for
+  /// inconclusive reconvergence checks, when there are any.
   void report(std::ostream& out) const;
   /// Machine-readable verdict (one JSON object).
   void write_json(std::ostream& out) const;
@@ -169,6 +178,7 @@ class Watchdog final : public EventSink {
       mask_hashes_;
   std::vector<WatchdogViolation> violations_;
   std::uint64_t total_violations_ = 0;
+  std::uint64_t reconverge_inconclusive_ = 0;
   FlightRecorder* recorder_ = nullptr;
   std::string dump_path_;
   bool dumped_ = false;

@@ -1,10 +1,10 @@
 #include "proto/slices.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -13,6 +13,8 @@
 
 namespace stig::proto {
 namespace {
+
+using geom::same_bits;
 
 /// Displacements below this fraction of the granular radius read as "at the
 /// center". Signal amplitudes are >= 1e-3 of the radius by construction, and
@@ -29,15 +31,6 @@ constexpr std::size_t kGridThreshold = 64;
 /// by its bits: a robot that passes d neighbours in the listing shifts
 /// each by one slot, two movers side by side by two.
 constexpr std::size_t kShiftWindow = 2;
-
-/// Bit-for-bit equality: what the memo keys on. Association and
-/// classification are functions of the bits (a signed zero can steer
-/// atan2), so `==` on doubles would be too loose and misses NaN.
-bool same_bits(const geom::Vec2& a, const geom::Vec2& b) noexcept {
-  using Bits = std::uint64_t;
-  return std::bit_cast<Bits>(a.x) == std::bit_cast<Bits>(b.x) &&
-         std::bit_cast<Bits>(a.y) == std::bit_cast<Bits>(b.y);
-}
 
 }  // namespace
 
@@ -97,6 +90,15 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
   observed_ = centers_;
   code_.assign(n_, 0);
   marks_.assign(n_, 0);
+  // The engine hints no smaller swarm (sim::kUnhintedSwarmMax): no slot
+  // map to keep, and no changes to record.
+  if (n_ > sim::kUnhintedSwarmMax) {
+    slot_granular_.resize(n_);
+    std::iota(slot_granular_.begin(), slot_granular_.end(),
+              std::uint32_t{0});
+    changed_.reserve(std::min(n_, kChangedCapacity));
+  }
+  base_t_ = t0.t;
 }
 
 void SlicedCore::scramble_naming(std::uint64_t garbage) {
@@ -184,6 +186,68 @@ std::size_t SlicedCore::nearest_center(const geom::Vec2& p) const {
 }
 
 void SlicedCore::observe(const sim::Snapshot& snap) {
+  changed_.clear();
+  tidy_ = true;
+  const bool hint_usable = tracks_changes() && based_ && snap.hint.known &&
+                           snap.hint.since == base_t_ &&
+                           snap.robots.size() == n_ &&
+                           2 * snap.hint.slots.size() <= n_;
+  const bool one_to_one =
+      (hint_usable && observe_hinted(snap)) || observe_all(snap);
+  based_ = one_to_one && snap.hint.known;
+  base_t_ = snap.t;
+  // Pushed in listing order, then by granular for vacancies: ascending
+  // unless a robot passed another or a vacancy changed.
+  if (!tidy_) {
+    std::sort(changed_.begin(), changed_.end());
+    changed_.erase(std::unique(changed_.begin(), changed_.end()),
+                   changed_.end());
+  }
+}
+
+bool SlicedCore::observe_hinted(const sim::Snapshot& snap) {
+  // Entries outside the hint are the previous snapshot's, so they go to
+  // the granulars they went to, which hold their bits: nothing to do. The
+  // granulars the hinted entries filled last time are then the only ones
+  // free, and the association stays one-to-one exactly when the hinted
+  // entries fill each of them once. A long hint (more than half the
+  // slots) is left to the full pass, whose quick prefix is cheaper per
+  // entry.
+  const std::vector<std::uint32_t>& hinted = snap.hint.slots;
+  bool one_to_one = true;
+  for (const std::uint32_t k : hinted) {
+    if (k >= n_) {
+      one_to_one = false;
+      break;
+    }
+    marks_[slot_granular_[k]] = kFree;
+  }
+  for (std::size_t h = 0; one_to_one && h < hinted.size(); ++h) {
+    const std::uint32_t k = hinted[h];
+    const std::size_t g = granular_of(k, snap.robots[k].position);
+    one_to_one = marks_[g] == kFree;
+    marks_[g] = kFilled;
+    slot_granular_[k] = static_cast<std::uint32_t>(g);
+    slots_in_place_ = slots_in_place_ && g == k;
+  }
+  if (!one_to_one) {
+    // slot_granular_ is rewritten by the full pass that follows.
+    std::fill(marks_.begin(), marks_.end(), std::uint8_t{0});
+    return false;
+  }
+  for (const std::uint32_t k : hinted) {
+    const std::uint32_t g = slot_granular_[k];
+    marks_[g] = 0;
+    const geom::Vec2& p = snap.robots[k].position;
+    if (!same_bits(p, observed_[g])) {
+      observed_[g] = p;
+      note_change(g);
+    }
+  }
+  return true;
+}
+
+bool SlicedCore::observe_all(const sim::Snapshot& snap) {
   // Every observed point goes to its nearest granular center. Without
   // faults each robot stays inside its own granular and granular
   // interiors are disjoint, so that is the robot itself. A fault
@@ -204,15 +268,24 @@ void SlicedCore::observe(const sim::Snapshot& snap) {
       if (same_bits(p, observed_[k])) continue;
       if (!in_own_slot(k, p)) break;
       observed_[k] = p;
-      code_[k] = kUnclassified;
+      note_change(k);
     }
-    if (k == n_) return;
+    if (!slots_in_place_ && tracks_changes()) {
+      std::iota(slot_granular_.begin(),
+                slot_granular_.begin() + static_cast<std::ptrdiff_t>(k),
+                std::uint32_t{0});
+    }
+    if (k == n_) {
+      slots_in_place_ = true;
+      return true;
+    }
   }
   // From the first entry that is not (or the top, for a listing of another
   // length or after a vacancy), every entry is placed by `granular_of`.
   // Entries fill granulars in listing order, a later one overwriting an
   // earlier one, as a full association pass would.
   std::fill_n(marks_.begin(), k, kFilled);
+  slots_in_place_ = false;
   std::size_t filled = k;
   for (; k < robots.size(); ++k) {
     const geom::Vec2& p = robots[k].position;
@@ -221,24 +294,28 @@ void SlicedCore::observe(const sim::Snapshot& snap) {
            "two robots associated to one granular");
     filled += (marks_[best] & kFilled) == 0 ? 1 : 0;
     marks_[best] |= kFilled;
+    if (k < slot_granular_.size()) {
+      slot_granular_[k] = static_cast<std::uint32_t>(best);
+    }
     if (!same_bits(p, observed_[best])) {
       observed_[best] = p;
-      code_[best] = kUnclassified;
+      note_change(best);
     }
   }
   // A granular no entry filled (a fault, limited visibility) reads as
   // zero; a change either way is a move.
   if (filled == n_ && !vacancies_) {
     std::fill(marks_.begin(), marks_.end(), std::uint8_t{0});
-    return;
+    return robots.size() == n_;
   }
   vacancies_ = false;
   for (std::size_t i = 0; i < n_; ++i) {
     const bool vacant = (marks_[i] & kFilled) == 0;
-    if (vacant != ((marks_[i] & kVacant) != 0)) code_[i] = kUnclassified;
+    if (vacant != ((marks_[i] & kVacant) != 0)) note_change(i);
     marks_[i] = vacant ? kVacant : 0;
     vacancies_ = vacancies_ || vacant;
   }
+  return !vacancies_ && robots.size() == n_;
 }
 
 std::size_t SlicedCore::granular_of(std::size_t k,

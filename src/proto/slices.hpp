@@ -30,6 +30,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -141,7 +142,30 @@ class SlicedCore {
   /// that one holds (the same robot, shifted in the listing); the rest are
   /// placed by the center grid (n >= 64) or a scan (DESIGN.md §10, §13).
   /// A granular that no entry fills reads as the zero vector.
+  ///
+  /// When the previous observe associated every entry to its own granular
+  /// (one-to-one) and `snap`'s change hint is relative to that snapshot,
+  /// only the hinted entries are associated; the association must stay
+  /// one-to-one, else the full pass above runs (DESIGN.md §14). Either way
+  /// the result is the full pass's, bit for bit.
   void observe(const sim::Snapshot& snap);
+
+  /// Whether `observe` uses change hints and reports `changed()`: in a
+  /// swarm the engine hints, one of more than sim::kUnhintedSwarmMax
+  /// robots. In a smaller one nothing reads the changes, and recording
+  /// them cost asynchronous four-robot chats (AsyncN) about 4% of their
+  /// CPU.
+  [[nodiscard]] bool tracks_changes() const noexcept {
+    return !slot_granular_.empty();
+  }
+
+  /// With `tracks_changes()`: the granulars whose memo changed at the last
+  /// `observe`, ascending. Their position changed, or they went vacant or
+  /// were filled again; every other granular reads the position and
+  /// signal it read before.
+  [[nodiscard]] std::span<const std::uint32_t> changed() const noexcept {
+    return changed_;
+  }
 
   // The per-activation accessors below are unchecked: i < robot_count().
 
@@ -203,13 +227,18 @@ class SlicedCore {
   /// `code_` value of a position not classified since it changed.
   static constexpr std::int32_t kUnclassified =
       std::numeric_limits<std::int32_t>::min();
+  /// Capacity `changed_` starts with: what a few senders among a silent
+  /// swarm change per activation, so it rarely grows in a run.
+  static constexpr std::size_t kChangedCapacity = 8;
   /// `built_slot_` value of a granular not built yet.
   static constexpr std::uint32_t kUnbuilt =
       std::numeric_limits<std::uint32_t>::max();
   /// `marks_` bits: an entry of the snapshot in `observe`'s general pass
-  /// filled this granular; no entry filled it at the last `observe`.
+  /// filled this granular; no entry filled it at the last `observe`; a
+  /// hinted entry may fill it (`observe_hinted`).
   static constexpr std::uint8_t kFilled = 1;
   static constexpr std::uint8_t kVacant = 2;
+  static constexpr std::uint8_t kFree = 4;
 
   /// A signal as a `code_` value: 0 for none, +-(diameter + 1) by side.
   [[nodiscard]] static std::int32_t encode(const std::optional<Signal>& s) {
@@ -227,6 +256,21 @@ class SlicedCore {
     return build_geometry(i);
   }
   const geom::Granular& build_geometry(std::size_t i) const;
+
+  /// `observe` of the hinted entries only, for a usable hint; false, with
+  /// the memo as it was, when the association would not stay one-to-one.
+  bool observe_hinted(const sim::Snapshot& snap);
+  /// `observe` of every entry: the quick prefix, then the general pass.
+  /// Returns true when the association is one-to-one.
+  bool observe_all(const sim::Snapshot& snap);
+
+  /// Records that granular `g`'s memo changed (see `changed()`).
+  void note_change(std::size_t g) {
+    code_[g] = kUnclassified;
+    if (!tracks_changes()) return;
+    tidy_ = tidy_ && (changed_.empty() || g > changed_.back());
+    changed_.push_back(static_cast<std::uint32_t>(g));
+  }
 
   /// Robot `i`'s granular radius, from the center grid (n >= 64) or a scan.
   [[nodiscard]] double radius_of(std::size_t i) const;
@@ -282,8 +326,24 @@ class SlicedCore {
   /// Per granular: encode(signal) of `position`, or kUnclassified once
   /// `position` changed.
   std::vector<std::int32_t> code_;
-  /// Per granular `kFilled | kVacant` bits.
+  /// Per granular `kFilled | kVacant | kFree` bits; between observes only
+  /// kVacant is ever set.
   std::vector<std::uint8_t> marks_;
+  /// Per snapshot entry: the granular it went to at the last observe.
+  /// Meaningful while `based_`; empty in a swarm the engine does not hint.
+  std::vector<std::uint32_t> slot_granular_;
+  /// The memo is the one-to-one association of the snapshot observed at
+  /// `base_t_` (t0's at construction), which is what an engine snapshot's
+  /// hint with that `since` is relative to. A hand-built snapshot (no
+  /// hint) clears it: its `t` names no engine snapshot.
+  bool based_ = true;
+  sim::Time base_t_ = 0;
+  /// Entry k went to granular k at the last observe, as `slot_granular_`
+  /// then says.
+  bool slots_in_place_ = true;
+  /// See `changed()`; `tidy_` while it is ascending without repeats.
+  std::vector<std::uint32_t> changed_;
+  bool tidy_ = true;
 
   // Geometry built on first use; mutable because building is logically
   // const (cores are per-robot and engines are single-threaded, so no

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <span>
 #include <utility>
 
 namespace stig::proto {
@@ -12,6 +14,9 @@ namespace {
 /// instant between bits of a frame (the return step), so 3 is safe; after
 /// a transient fault this is what heals misaligned streams.
 constexpr std::uint8_t kResyncGap = 3;
+
+/// Capacity the live-peer lists start with (see SlicedCore::changed).
+constexpr std::size_t kLiveCapacity = 8;
 }  // namespace
 
 void SyncSlicedRobot::initialize(const sim::Snapshot& snap) {
@@ -19,6 +24,11 @@ void SyncSlicedRobot::initialize(const sim::Snapshot& snap) {
                      std::move(options_.shared_naming));
   peer_was_off_.assign(core_.robot_count(), false);
   peer_idle_.assign(core_.robot_count(), 0);
+  decode_all_ = kResyncGap;
+  if (core_.tracks_changes()) {
+    pending_.reserve(kLiveCapacity);
+    live_.reserve(kLiveCapacity);
+  }
 }
 
 geom::Vec2 SyncSlicedRobot::on_activate(const sim::Snapshot& snap) {
@@ -41,22 +51,45 @@ geom::Vec2 SyncSlicedRobot::on_activate(const sim::Snapshot& snap) {
       peer_was_off_[j] = false;
       peer_idle_[j] = 0;
     }
+    decode_all_ = kResyncGap;
   }
 
   // Undo the common flocking drift to recover protocol-space positions
-  // (into a driver-owned snapshot copy that reuses its capacity).
+  // (into a driver-owned snapshot copy that reuses its capacity). The
+  // copy moves every entry, so it carries no change hint.
   if (options_.flock_velocity == geom::Vec2{0.0, 0.0}) {
     core_.observe(snap);
   } else {
-    snap_scratch_ = snap;
+    snap_scratch_.t = snap.t;
+    snap_scratch_.robots = snap.robots;
+    snap_scratch_.self = snap.self;
     for (sim::ObservedRobot& r : snap_scratch_.robots) r.position -= drift;
     core_.observe(snap_scratch_);
   }
 
   // Decode every other robot's movement signal. A bit is emitted on the
   // center -> off-center transition; the sender names the addressee by the
-  // diameter label *in its own labeling*, which we reconstruct.
-  for (std::size_t j = 0; j < core_.robot_count(); ++j) {
+  // diameter label *in its own labeling*, which we reconstruct. A peer
+  // whose memo did not change reads the signal it read last time, so its
+  // update changes nothing once its idle counter has run out: only the
+  // peers whose memo changed and those still counting are decoded, in
+  // ascending order, as a loop over every peer would meet them. A core
+  // that does not track changes (a small swarm) has every peer decoded.
+  const bool all = decode_all_ != 0 || !core_.tracks_changes();
+  if (decode_all_ != 0) --decode_all_;
+  live_.clear();
+  if (!all) {
+    const std::span<const std::uint32_t> changed = core_.changed();
+    std::set_union(changed.begin(), changed.end(), pending_.begin(),
+                   pending_.end(), std::back_inserter(live_));
+  }
+  // The peers whose counter runs on are rebuilt by the last activation
+  // that decodes them all, and by every other one.
+  const bool track = decode_all_ == 0 && core_.tracks_changes();
+  pending_.clear();
+  const std::size_t count = all ? core_.robot_count() : live_.size();
+  for (std::size_t c = 0; c < count; ++c) {
+    const std::size_t j = all ? c : live_[c];
     if (j == self) continue;
     const auto signal = core_.signal(j);
     if (signal && !peer_was_off_[j]) {
@@ -74,6 +107,8 @@ geom::Vec2 SyncSlicedRobot::on_activate(const sim::Snapshot& snap) {
     } else if (peer_idle_[j] < kResyncGap &&
                ++peer_idle_[j] == kResyncGap) {
       reset_streams_from(core_.rank(self, j));
+    } else if (track && peer_idle_[j] < kResyncGap) {
+      pending_.push_back(static_cast<std::uint32_t>(j));
     }
   }
 
@@ -122,6 +157,7 @@ void SyncSlicedRobot::corrupt_protocol_state(CorruptKind kind,
   // flocking clock heals on the next activation (re-derived from snap.t).
   displaced_ = (garbage & 1) != 0;
   step_ += (garbage >> 32) | 1;
+  decode_all_ = kResyncGap;
   if (!peer_was_off_.empty()) {
     peer_was_off_[(garbage >> 8) % peer_was_off_.size()] =
         (garbage & 2) != 0;

@@ -84,6 +84,13 @@ class SyncSlicedRobot final : public ChatRobot {
   std::vector<std::uint8_t> peer_idle_;  ///< Consecutive at-center
                                          ///< observations, for stream
                                          ///< resynchronization.
+  /// Activations left in which every peer is decoded: set after the
+  /// decoder state was reset or scrambled, until every reset idle counter
+  /// has run out.
+  std::uint8_t decode_all_ = 0;
+  /// Peers whose idle counter still runs, ascending; `live_` is scratch.
+  std::vector<std::uint32_t> pending_;
+  std::vector<std::uint32_t> live_;
   /// Drift-shifted snapshot when flocking, reused across activations.
   sim::Snapshot snap_scratch_;
 };

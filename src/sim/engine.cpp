@@ -29,10 +29,13 @@ double collision_radius2(double cd) { return cd * cd * 1.00001; }
 /// another robot snapped to the sensor quantum (sensor resolution) and
 /// hidden beyond the visibility radius; itself (`is_self`, `g` unused)
 /// exact and visible (odometry). Every snapshot and every t0 listing sees
-/// through here.
+/// through here. Inline: with three callers GCC would otherwise keep one
+/// out-of-line copy, and the call per sighting cost a four-robot
+/// asynchronous chat about 7% of its CPU.
 template <typename Sighting>
-void sight(Sighting& s, const Frame& f, const geom::Vec2& self,
-           const geom::Vec2& g, bool is_self, const EngineOptions& options) {
+inline void sight(Sighting& s, const Frame& f, const geom::Vec2& self,
+                  const geom::Vec2& g, bool is_self,
+                  const EngineOptions& options) {
   if (is_self) {
     s.obs.position = f.to_local(self);
     s.visible = true;
@@ -195,13 +198,33 @@ Engine::Engine(std::vector<RobotSpec> specs,
                 return specs_[a].id.value() < specs_[b].id.value();
               });
   }
+  hinted_ = n > kUnhintedSwarmMax;
+  if (hinted_) {
+    listed_.resize(n * n);
+    if (options_.visibility_radius > 0.0) hidden_.resize(n * n);
+    looks_.resize(n);
+    stamps_.assign(n, 0);
+    seals_.assign(ring_.size(), 0);
+    snap_scratch_.hint.slots.reserve(n);
+  }
+  snap_scratch_.robots.reserve(n);
 
   // Paper Section 4.2: every robot knows P(t0) — wake all at t0 once. The
-  // t0 sort seeds each anonymous observer's stored listing.
+  // t0 sort seeds each observer's stored listing (and rows); the t0
+  // snapshot has no previous one, so it carries no hint.
+  std::vector<Sighting>& seen = seen_scratch_;
+  Snapshot snap;
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<Sighting> seen;
-    Snapshot snap;
-    build_observation(i, p0, p0, 0, listing(i), /*repair=*/false, seen, snap);
+    const std::span<std::uint32_t> order = listing(i);
+    observe_all(i, p0, p0, 0, order, /*repair=*/false, seen, snap);
+    if (hinted_) {
+      const Rows r = rows(i);
+      for (std::size_t k = 0; k < n; ++k) {
+        r.position[k] = seen[order[k]].obs.position;
+        if (!r.hidden.empty()) r.hidden[k] = seen[order[k]].visible ? 0 : 1;
+        if (order[k] == i) looks_[i].row = static_cast<std::uint32_t>(k);
+      }
+    }
     programs_[i]->initialize(snap);
   }
 }
@@ -213,19 +236,35 @@ Snapshot Engine::make_snapshot(RobotIndex i) const {
   // current coincide.
   const Time d = options_.observation_delay;
   const Time stale_e = d == 0 ? t_ : (t_ > d ? t_ - 1 - d : 0);
-  // Repairs a copy: the stored listing belongs to `step`.
+  // Works on copies: the stored listing and rows belong to `step`.
   const std::span<const std::uint32_t> stored = listing(i);
   std::vector<std::uint32_t> order(stored.begin(), stored.end());
   std::vector<Sighting> seen;
   Snapshot snap;
-  build_observation(i, ring_[slot(t_)], ring_[slot(stale_e)], t_, order,
-                    /*repair=*/true, seen, snap);
+  if (!hinted_) {
+    observe_all(i, ring_[slot(t_)], ring_[slot(stale_e)], t_, order,
+                /*repair=*/true, seen, snap);
+    return snap;
+  }
+  const std::size_t n = specs_.size();
+  const auto at = static_cast<std::ptrdiff_t>(i * n);
+  const auto end = at + static_cast<std::ptrdiff_t>(n);
+  std::vector<geom::Vec2> position(listed_.begin() + at,
+                                   listed_.begin() + end);
+  std::vector<std::uint8_t> hidden;
+  if (!hidden_.empty()) {
+    hidden.assign(hidden_.begin() + at, hidden_.begin() + end);
+  }
+  Look look = looks_.at(i);
+  observe_moved(i, ring_[slot(t_)], ring_[slot(stale_e)], t_, 0, 0,
+                Rows{order, position, hidden}, look, seen, snap);
   return snap;
 }
 
 void Engine::teleport(RobotIndex i, const geom::Vec2& global_position) {
   std::vector<geom::Vec2>& cur = ring_[slot(t_)];
   cur.at(i) = global_position;
+  stamp(i);
   if (sink_ != nullptr) {
     obs::Event e;
     e.type = obs::EventType::Teleport;
@@ -278,13 +317,11 @@ void Engine::set_coverage(obs::cov::CovMap* map) {
   cov_prev_ = cov_->state("start");
 }
 
-void Engine::build_observation(RobotIndex i,
-                               std::span<const geom::Vec2> config,
-                               std::span<const geom::Vec2> stale_config,
-                               Time t, std::span<std::uint32_t> order,
-                               bool repair, std::vector<Sighting>& seen,
-                               Snapshot& out) const {
-  const Frame& f = frames_.at(i);
+void Engine::observe_all(RobotIndex i, std::span<const geom::Vec2> config,
+                         std::span<const geom::Vec2> stale_config, Time t,
+                         std::span<std::uint32_t> order, bool repair,
+                         std::vector<Sighting>& seen, Snapshot& out) const {
+  const Frame& f = frames_[i];
   // What robot i sees of each robot, in index order: itself now, the
   // others as `stale_config` has them (CORDA-ish delay).
   seen.resize(config.size());
@@ -310,6 +347,140 @@ void Engine::build_observation(RobotIndex i,
     if (!seen[j].visible) continue;
     if (j == i) out.self = out.robots.size();
     out.robots.push_back(seen[j].obs);
+  }
+}
+
+void Engine::observe_moved(RobotIndex i, std::span<const geom::Vec2> config,
+                           std::span<const geom::Vec2> stale_config, Time t,
+                           std::uint64_t stale_seal, std::uint64_t now_seal,
+                           Rows rows, Look& look, std::vector<Sighting>& seen,
+                           Snapshot& out) const {
+  const std::size_t n = config.size();
+  const Frame& f = frames_[i];
+  const bool limited = !rows.hidden.empty();
+  std::uint32_t* const order = rows.order.data();
+  geom::Vec2* const position = rows.position.data();
+  std::uint8_t* const hidden = limited ? rows.hidden.data() : nullptr;
+  // Who is within the visibility radius depends on robot i's own position,
+  // so its move re-sights everyone.
+  const bool self_moved = stamps_[i] > look.self;
+  const bool everyone = limited && self_moved;
+  // One pass over the rows. Row k is re-sighted when its robot was
+  // written since the look: robot i itself now (odometry), the others as
+  // `stale_config` has them (CORDA-ish delay). An anonymous listing is
+  // lexicographic by local position, which carries no identity and
+  // depends on this instant's geometry: row k is then inserted among the
+  // rows before it, O(n + inversions) in all; distinct positions have
+  // exactly one such order. The hint collects, ascending, every slot whose
+  // row changed or that an inserted row passed.
+  std::vector<std::uint32_t>& slots = out.hint.slots;
+  slots.clear();
+  bool tie = false;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint32_t j = order[k];
+    bool changed = false;
+    if (everyone || (j == i ? self_moved : stamps_[j] > look.others)) {
+      Sighting s;
+      sight(s, f, config[i], stale_config[j], j == i, options_);
+      const std::uint8_t h = s.visible ? 0 : 1;
+      changed = !geom::same_bits(s.obs.position, position[k]) ||
+                (limited && hidden[k] != h);
+      position[k] = s.obs.position;
+      if (limited) hidden[k] = h;
+    }
+    std::size_t m = k;
+    if (!identified_ && !tie && k > 0 && !(position[k - 1] < position[k])) {
+      const geom::Vec2 p = position[k];
+      const std::uint8_t h = limited ? hidden[k] : 0;
+      for (; m > 0 && p < position[m - 1]; --m) {
+        position[m] = position[m - 1];
+        order[m] = order[m - 1];
+        if (limited) hidden[m] = hidden[m - 1];
+      }
+      position[m] = p;
+      order[m] = j;
+      if (limited) hidden[m] = h;
+      tie = m > 0 && !(position[m - 1] < p);
+      if (look.row == k) {
+        look.row = static_cast<std::uint32_t>(m);
+      } else if (m <= look.row && look.row < k) {
+        ++look.row;
+      }
+    }
+    if (changed || m != k) {
+      while (!slots.empty() && slots.back() >= m) slots.pop_back();
+      for (std::size_t s = m; s <= k; ++s) {
+        slots.push_back(static_cast<std::uint32_t>(s));
+      }
+    }
+  }
+  if (tie) {
+    // Which of two equal entries comes first is the legacy std::sort's
+    // call: re-list from the sightings in index order, every slot slots.
+    seen.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      Sighting& s = seen[order[k]];
+      s.obs.position = position[k];
+      s.visible = !limited || hidden[k] == 0;
+    }
+    sort_from_index_order(rows.order, seen);
+    for (std::size_t k = 0; k < n; ++k) {
+      position[k] = seen[order[k]].obs.position;
+      if (limited) hidden[k] = seen[order[k]].visible ? 0 : 1;
+    }
+    look.row =
+        static_cast<std::uint32_t>(std::find(order, order + n, i) - order);
+    slots.resize(n);
+    std::iota(slots.begin(), slots.end(), std::uint32_t{0});
+  }
+
+  list_rows(i, rows, look.row, out);
+  out.t = t;
+  out.hint.known = true;
+  out.hint.since = look.t;
+  if (limited && !slots.empty()) {
+    // Rows are slots only without hidden rows. A robot appearing or
+    // vanishing shifts every later slot: every slot from the first
+    // changed row's is slots.
+    const auto first = static_cast<std::uint32_t>(
+        std::count(hidden, hidden + slots.front(), std::uint8_t{0}));
+    slots.clear();
+    for (std::uint32_t s = first; s < out.robots.size(); ++s) {
+      slots.push_back(s);
+    }
+  }
+  look.others = stale_seal;
+  look.self = now_seal;
+  look.t = t;
+}
+
+inline void Engine::list_rows(RobotIndex i, Rows rows, std::size_t self_row,
+                              Snapshot& out) const {
+  const std::size_t n = rows.position.size();
+  const std::uint32_t* const order = rows.order.data();
+  const geom::Vec2* const position = rows.position.data();
+  if (rows.hidden.empty()) {
+    // Row k is slot k. Anonymous entries carry no id, and this buffer
+    // never held one.
+    if (out.robots.size() != n) out.robots.resize(n);
+    ObservedRobot* const listed = out.robots.data();
+    for (std::size_t k = 0; k < n; ++k) listed[k].position = position[k];
+    if (identified_) {
+      for (std::size_t k = 0; k < n; ++k) {
+        listed[k].id = specs_[order[k]].id;
+      }
+    }
+    out.self = self_row;
+    return;
+  }
+  out.self = 0;
+  out.robots.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    if (rows.hidden[k] != 0) continue;
+    const std::uint32_t j = order[k];
+    if (j == i) out.self = out.robots.size();
+    out.robots.push_back(ObservedRobot{
+        position[k], identified_ ? specs_[j].id : std::nullopt});
   }
 }
 
@@ -411,10 +582,14 @@ void Engine::step_impl() {
   // fault-free instant performs is seeding `after` from `before`; slot
   // capacity is reused, so steady state allocates nothing.
   const Time d = options_.observation_delay;
+  const std::size_t stale_slot = slot(t_ >= d ? t_ - d : 0);
+  // Epoch t_ is final from here: this step writes epoch t_ + 1.
+  const std::uint64_t now_seal = writes_;
+  if (hinted_) seals_[slot(t_)] = now_seal;
+  const std::uint64_t stale_seal = hinted_ ? seals_[stale_slot] : 0;
   std::vector<geom::Vec2>& before_v = ring_[slot(t_)];
   const std::span<const geom::Vec2> before{before_v};
-  const std::span<const geom::Vec2> stale{
-      ring_[slot(t_ >= d ? t_ - d : 0)]};
+  const std::span<const geom::Vec2> stale{ring_[stale_slot]};
   std::vector<geom::Vec2>& after = ring_[slot(t_ + 1)];
   after.assign(before_v.begin(), before_v.end());
   // Phase 1: all active robots observe `before` and commit to destinations;
@@ -423,8 +598,13 @@ void Engine::step_impl() {
     if (!active[i]) continue;
     {
       obs::prof::Scope s(prof_, ph_observe_);
-      build_observation(i, before, stale, t_, listing(i), /*repair=*/true,
-                        seen_scratch_, snap_scratch_);
+      if (hinted_) {
+        observe_moved(i, before, stale, t_, stale_seal, now_seal, rows(i),
+                      looks_[i], seen_scratch_, snap_scratch_);
+      } else {
+        observe_all(i, before, stale, t_, listing(i), /*repair=*/true,
+                    seen_scratch_, snap_scratch_);
+      }
     }
     geom::Vec2 local_target;
     {
@@ -438,6 +618,7 @@ void Engine::step_impl() {
       const geom::Vec2 d_move = target - before[i];
       after[i] = before[i] + d_move * (sigmas_[i] / d_move.norm());
     }
+    if (!geom::same_bits(after[i], before[i])) stamp(i);
   }
 
   {
@@ -448,6 +629,8 @@ void Engine::step_impl() {
     pre_scratch_.assign(after.begin(), after.end());
     interceptor_->on_positions(t_, std::span<geom::Vec2>{after});
     for (std::size_t i = 0; i < n; ++i) {
+      if (geom::same_bits(after[i], pre_scratch_[i])) continue;
+      stamp(i);
       if (after[i] == pre_scratch_[i]) continue;
       // Transient perturbation: surface it like the teleport fault so the
       // watchdog re-anchors granular containment for the shoved robot.
@@ -466,6 +649,9 @@ void Engine::step_impl() {
                             options_.collision_distance) {
             // Publish the collided configuration for post-mortems without
             // advancing time (the legacy `positions_ = after`).
+            for (std::size_t k = 0; k < n; ++k) {
+              if (!geom::same_bits(before_v[k], after[k])) stamp(k);
+            }
             before_v = after;
             throw CollisionError("perturbation collided robots " +
                                  std::to_string(i) + " and " +

@@ -17,13 +17,21 @@
 // snapshot refactor; see DESIGN.md "Epoch snapshots").
 //
 // Observation is linear per activation. An identified swarm is listed in
-// its fixed id order. An anonymous observer's listing is lexicographic by
-// local position, and the engine keeps the order it listed last (one
-// uint32 permutation per observer, 4n^2 bytes per swarm, seeded by the t0
-// sort): each activation repairs it with an insertion sort, O(n +
-// inversions), and falls back to a fresh std::sort from index order on an
-// exact tie. Distinct positions have one lexicographic order, so the
-// stored order changes speed only, never a snapshot (DESIGN.md §10).
+// its fixed id order; an anonymous observer's listing is lexicographic by
+// local position, and the engine keeps the order each observer listed
+// last (4n^2 bytes per swarm, seeded by the t0 sort): each activation
+// repairs it with an insertion sort, O(n + inversions), and falls back to
+// a fresh std::sort from index order on an exact tie. Distinct positions
+// have one lexicographic order, so the stored order changes speed only,
+// never a snapshot (DESIGN.md §10).
+//
+// Above kUnhintedSwarmMax robots observation pays for what moved. The
+// engine keeps every observer's listed local positions beside its order
+// (16n^2 bytes more) and stamps every position write with a write count,
+// so an activation re-sights only the robots written since the epoch the
+// observer last read them at (all of them when its own move may change
+// who it sees), and each snapshot's change hint lists the slots that may
+// differ from the observer's previous one (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>
@@ -242,7 +250,8 @@ class Engine {
 
   /// Builds the snapshot robot `i` would observe right now (exposed for
   /// tests; the engine itself uses `build_observation` during `step`).
-  /// Reads robot i's stored listing order but never writes it.
+  /// Works on a copy of robot i's stored rows, so its hint is relative to
+  /// i's last snapshot from `step` and the next one is too.
   [[nodiscard]] Snapshot make_snapshot(RobotIndex i) const;
 
   /// Engine indices in the order robot `i` observed them at t0 (the order
@@ -289,18 +298,73 @@ class Engine {
     return {orders_.data() + (identified_ ? 0 : i * n), n};
   }
 
-  /// Writes robot i's observation into `out`, listing the visible robots in
-  /// `order`, a permutation of every robot index. Identified swarms pass the
-  /// id order, which is never written. Anonymous swarms pass the order to
-  /// sort by local position: with `repair`, the observer's previous listing,
-  /// insertion-sorted in place; without it, or on an exact tie, a fresh
-  /// std::sort of the visible robots in index order (the legacy listing,
-  /// whose unstable tie placement decides the snapshot). `config` and
-  /// `stale_config` are epoch-ring views, read in place; `seen` is scratch.
-  void build_observation(RobotIndex i, std::span<const geom::Vec2> config,
-                         std::span<const geom::Vec2> stale_config, Time t,
-                         std::span<std::uint32_t> order, bool repair,
-                         std::vector<Sighting>& seen, Snapshot& out) const;
+  /// A hinted swarm's stored listing of one observer, a row per robot in
+  /// listing order, hidden robots included: the robot (`listing`), the
+  /// local position it was listed at, and whether it was hidden (empty
+  /// without a visibility radius). Views into the engine's arrays, or
+  /// copies (make_snapshot).
+  struct Rows {
+    std::span<std::uint32_t> order;
+    std::span<geom::Vec2> position;
+    std::span<std::uint8_t> hidden;
+  };
+
+  /// What an observer's stored rows already account for: every position
+  /// write up to `others` for the other robots (the count when the epoch
+  /// they were read at became final) and up to `self` for its own; the
+  /// `t` of the snapshot they listed; the observer's own row.
+  struct Look {
+    std::uint64_t others = 0;
+    std::uint64_t self = 0;
+    Time t = 0;
+    std::uint32_t row = 0;
+  };
+
+  [[nodiscard]] Rows rows(RobotIndex i) noexcept {
+    const std::size_t n = specs_.size();
+    std::span<std::uint8_t> hidden;
+    if (!hidden_.empty()) hidden = {hidden_.data() + i * n, n};
+    return {listing(i), {listed_.data() + i * n, n}, hidden};
+  }
+
+  /// Writes robot i's observation at instant `t` into `out`, with no
+  /// change hint, sighting every robot: the listing of an unhinted swarm,
+  /// and every swarm's t0 listing. Anonymous swarms sort by local
+  /// position in `order`, a permutation of every robot index: with
+  /// `repair`, the observer's previous listing, insertion-sorted in
+  /// place; without it, or on an exact tie, a fresh std::sort of the
+  /// visible robots in index order (the legacy listing, whose unstable
+  /// tie placement decides the snapshot). `config` and `stale_config` are
+  /// epoch-ring views, read in place; `seen` receives the sightings in
+  /// index order.
+  void observe_all(RobotIndex i, std::span<const geom::Vec2> config,
+                   std::span<const geom::Vec2> stale_config, Time t,
+                   std::span<std::uint32_t> order, bool repair,
+                   std::vector<Sighting>& seen, Snapshot& out) const;
+
+  /// Writes a hinted swarm's robot i observation at instant `t` into
+  /// `out`, with its change hint, and updates its `rows` and `look` to it.
+  /// Re-sights only the robots written since `look` (everyone, with a
+  /// visibility radius, when robot i itself was written), insertion-sorts
+  /// anonymous rows, and on an exact tie falls back as `observe_all` does.
+  /// `stale_seal` and `now_seal` are the write counts at which the epochs
+  /// of `stale_config` and `config` became final; `seen` is scratch for
+  /// the fallback sort.
+  void observe_moved(RobotIndex i, std::span<const geom::Vec2> config,
+                     std::span<const geom::Vec2> stale_config, Time t,
+                     std::uint64_t stale_seal, std::uint64_t now_seal,
+                     Rows rows, Look& look, std::vector<Sighting>& seen,
+                     Snapshot& out) const;
+
+  /// Copies the visible rows into `out` (entries and `self`, not the
+  /// hint); `self_row` is robot i's row.
+  void list_rows(RobotIndex i, Rows rows, std::size_t self_row,
+                 Snapshot& out) const;
+
+  /// Records a write of robot i's position (see `stamps_`).
+  void stamp(RobotIndex i) noexcept {
+    if (hinted_) stamps_[i] = ++writes_;
+  }
 
   /// Throws CollisionError for the lexicographically first colliding pair
   /// in `config` (same pair the all-pairs scan reports); grid-accelerated
@@ -319,9 +383,26 @@ class Engine {
   /// robot instead of striding over 72-byte RobotSpec rows.
   std::vector<double> sigmas_;
   /// Listing orders (see `listing`). Identified: the robot indices sorted
-  /// by visible id, computed once (ids never change). Anonymous: n rows,
-  /// row i the order robot i listed its last snapshot in.
+  /// by visible id, computed once (ids never change). Anonymous: n per
+  /// observer, the order robot i listed its last snapshot in.
   std::vector<std::uint32_t> orders_;
+  /// More than kUnhintedSwarmMax robots: the members below are kept, and
+  /// snapshots carry change hints. Empty otherwise.
+  bool hinted_ = false;
+  /// Beside `orders_`, n per observer: the local position of each row.
+  std::vector<geom::Vec2> listed_;
+  /// n per observer with a visibility radius: 1 for a hidden row.
+  std::vector<std::uint8_t> hidden_;
+  /// Per observer: what its rows account for.
+  std::vector<Look> looks_;
+  /// Per robot: the value of `writes_` at the latest write of its position
+  /// (a committed move, an interceptor shove, a teleport). A count, not an
+  /// instant: a teleport before the first step is a write after t0.
+  std::vector<std::uint64_t> stamps_;
+  std::uint64_t writes_ = 0;
+  /// Per epoch-ring slot: `writes_` when that epoch's step began, after
+  /// which its configuration is never written again.
+  std::vector<std::uint64_t> seals_;
   /// The epoch ring: slot `e % ring_.size()` holds the configuration of
   /// instant e, for the last `observation_delay + 2` instants — newest
   /// (t_), every delayed-observation epoch down to t_ - delay, and one

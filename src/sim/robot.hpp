@@ -6,6 +6,8 @@
 // Robots are non-oblivious: implementations keep whatever state they like.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -22,18 +24,50 @@ struct ObservedRobot {
   std::optional<VisibleId> id;
 };
 
+/// Which entries of a snapshot may differ from the observer's previous
+/// snapshot (DESIGN.md §14). The engine fills it; a hand-built snapshot
+/// carries none (`known` false), and a reader must then assume that any
+/// entry changed. It names listing slots, never robots. It covers every
+/// slot a robot would find by diffing its two snapshots, and may list
+/// more: the extra, unchanged slots come from engine state (two robots
+/// that swapped exact positions, say). Protocol code may use a hint only
+/// to skip work whose result the snapshots alone decide, never to decide
+/// anything.
+struct ChangeHint {
+  bool known = false;
+  /// `t` of the previous snapshot the slots are relative to.
+  Time since = 0;
+  /// Ascending indices into `Snapshot::robots`: every entry whose position
+  /// or id may differ from the previous snapshot's entry at that index, or
+  /// that the previous snapshot did not have. May list unchanged entries.
+  std::vector<std::uint32_t> slots;
+};
+
+/// Engine snapshots of a swarm of at most this many robots carry no change
+/// hint, and the engine keeps no rows or write stamps for it; sliced cores
+/// and drivers of such a swarm skip their hint bookkeeping too (DESIGN.md
+/// §14). Most of a small swarm moves between two looks of an asynchronous
+/// robot, so listing it from scratch costs less than tracking what moved:
+/// with every layer hinted, asynchronous four-robot chats spent about 17%
+/// more CPU per instant, two thirds of it in the engine. The cutoff itself
+/// is not tuned: the benchmarks run n <= 6 and n >= 128, which every value
+/// from 6 to 127 treats alike.
+inline constexpr std::size_t kUnhintedSwarmMax = 16;
+
 /// Everything an active robot perceives at one instant.
 ///
-/// `robots` contains *all* robots, the observer included. In anonymous
-/// systems entries are sorted lexicographically by local position so that
-/// the ordering leaks no identity; in identified systems they are sorted by
-/// visible id. `self` is the index of the observer's own entry — a robot can
-/// always recognize itself (it knows its own position by odometry; see
-/// sim/frame.hpp on anchored frames).
+/// `robots` contains every robot the observer sees, itself included: all
+/// of them, unless a visibility radius hides the robots beyond it. In
+/// anonymous systems entries are sorted lexicographically by local position
+/// so that the ordering leaks no identity; in identified systems they are
+/// sorted by visible id. `self` is the index of the observer's own entry —
+/// a robot can always recognize itself (it knows its own position by
+/// odometry; see sim/frame.hpp on anchored frames).
 struct Snapshot {
   Time t = 0;
   std::vector<ObservedRobot> robots;
   std::size_t self = 0;
+  ChangeHint hint;
 
   [[nodiscard]] const ObservedRobot& self_robot() const {
     return robots[self];

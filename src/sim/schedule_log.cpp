@@ -59,14 +59,14 @@ std::uint64_t ScheduleLog::digest() const noexcept {
   for (std::size_t t = 0; t < ends_.size(); ++t) {
     mix(t);
     mix(robots(t));
-    auto bit = bits_.begin() + static_cast<std::ptrdiff_t>(begin(t));
+    std::size_t at = begin(t);
     for (std::size_t left = robots(t); left != 0;) {
       const std::size_t len = std::min<std::size_t>(left, 64);
       left -= len;
       std::uint64_t parity = h & 1U;
       std::uint64_t sum = 0;
-      for (std::size_t k = len; k != 0; --k, ++bit) {
-        const std::uint64_t b = *bit ? 1U : 0U;
+      for (std::size_t k = len; k != 0; --k, ++at) {
+        const std::uint64_t b = bit(at) ? 1U : 0U;
         sum += ((kFnvPow[k] ^ (0 - parity)) + parity) & (0 - b);  // +-p^k.
         parity ^= b;
       }

@@ -20,15 +20,29 @@
 namespace stig::sim {
 
 /// A recorded activation schedule: one ActivationSet per instant, in order,
-/// stored flat — every instant's bits in one bit vector plus the offset
-/// where each instant ends — so recording an instant allocates nothing
-/// once the two vectors have grown.
+/// stored flat — every instant's bits packed into 64-bit words, plus the
+/// bit offset where each instant ends — so recording an instant allocates
+/// nothing once the two vectors have grown.
 class ScheduleLog {
  public:
-  /// Appends the activation set of the next instant.
+  /// Appends the activation set of the next instant, a word at a time.
   void push(const ActivationSet& set) {
-    bits_.insert(bits_.end(), set.begin(), set.end());
-    ends_.push_back(bits_.size());
+    std::size_t at = bits();
+    // The last word, while partly filled, is taken off and put back.
+    std::uint64_t word = 0;
+    if (at % 64 != 0) {
+      word = words_.back();
+      words_.pop_back();
+    }
+    for (const bool b : set) {
+      word |= static_cast<std::uint64_t>(b) << (at % 64);
+      if (++at % 64 == 0) {
+        words_.push_back(word);
+        word = 0;
+      }
+    }
+    if (at % 64 != 0) words_.push_back(word);
+    ends_.push_back(at);
   }
 
   /// Robot count of instant `t`'s set. Precondition: t < instants().
@@ -39,15 +53,21 @@ class ScheduleLog {
   /// Instant `t`'s activation set into `out` (capacity reused).
   /// Precondition: t < instants().
   void read(std::size_t t, ActivationSet& out) const {
-    const auto first = bits_.begin() + static_cast<std::ptrdiff_t>(begin(t));
-    out.assign(first, first + static_cast<std::ptrdiff_t>(robots(t)));
+    const std::size_t first = begin(t);
+    out.resize(robots(t));
+    for (std::size_t k = 0; k < out.size(); ++k) out[k] = bit(first + k);
   }
 
   /// Keeps the first `count` instants (no-op when there are fewer).
   void truncate(std::size_t count) {
     if (count >= ends_.size()) return;
     ends_.resize(count);
-    bits_.resize(count == 0 ? 0 : ends_.back());
+    const std::size_t kept = bits();
+    words_.resize((kept + 63) / 64);
+    // Bits past the end stay zero, so equal logs have equal words.
+    if (kept % 64 != 0) {
+      words_.back() &= ~std::uint64_t{0} >> (64 - kept % 64);
+    }
   }
 
   /// FNV-1a fingerprint over (instant, robot count, activation bits).
@@ -55,7 +75,7 @@ class ScheduleLog {
   [[nodiscard]] std::uint64_t digest() const noexcept;
 
   void clear() {
-    bits_.clear();
+    words_.clear();
     ends_.clear();
   }
   [[nodiscard]] std::size_t instants() const noexcept { return ends_.size(); }
@@ -66,9 +86,17 @@ class ScheduleLog {
   [[nodiscard]] std::size_t begin(std::size_t t) const {
     return t == 0 ? 0 : ends_[t - 1];
   }
+  /// Bits recorded so far.
+  [[nodiscard]] std::size_t bits() const noexcept {
+    return ends_.empty() ? 0 : ends_.back();
+  }
+  /// Recorded bit `b`.
+  [[nodiscard]] bool bit(std::size_t b) const noexcept {
+    return ((words_[b / 64] >> (b % 64)) & 1U) != 0;
+  }
 
-  std::vector<bool> bits_;         ///< Every instant's set, concatenated.
-  std::vector<std::size_t> ends_;  ///< One past instant t's last bit.
+  std::vector<std::uint64_t> words_;  ///< Every instant's set, packed.
+  std::vector<std::size_t> ends_;     ///< One past instant t's last bit.
 };
 
 /// Wraps a scheduler, appending every activation set it produces to a log.

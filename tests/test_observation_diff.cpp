@@ -1,21 +1,25 @@
-// Differential tests for the two linear-time observation paths.
+// Differential tests for the observation paths that pay for what moved.
 //
-// Engine: each anonymous observer's snapshot is listed by repairing the
-// order it listed last (insertion sort, std::sort fallback on exact ties).
-// Every snapshot a robot receives must equal a from-scratch reference —
-// entries in index order, std::sort-ed by local position (by id when
-// identified) — field for field, `self` included.
+// Engine: each observer's snapshot is listed from the rows it listed last:
+// only robots written since are re-sighted, the order is repaired (moved
+// rows, insertion sort, std::sort fallback on exact ties). Every snapshot a
+// robot receives must equal a from-scratch reference — entries in index
+// order, std::sort-ed by local position (by id when identified) — field
+// for field, `self` included; and its change hint must name every slot
+// whose entry differs from the observer's previous snapshot.
 //
 // `sim::initial_observation_order`, which core::ChatNetwork builds its
 // tables from, must list every t0 snapshot in the engine's order,
 // quantized and limited-visibility views included.
 //
 // SlicedCore: `observe` matches an unchanged entry by its bits and tries a
-// mover against its own slot before the center grid, and `signal`
-// classifies only what moved; granular geometry is built on first use.
-// Every activation must give the positions and signals of the full path it
-// replaced — association of every entry, then classification of every
-// robot against eagerly built granulars — which lives here as the oracle.
+// mover against its own slot before the center grid, skips the entries a
+// change hint leaves out, and `signal` classifies only what moved;
+// granular geometry is built on first use. Every activation must give the
+// positions and signals of the full path it replaced — association of
+// every entry, then classification of every robot against eagerly built
+// granulars — which lives here as the oracle; a hinted observe must also
+// report the changed granulars an unhinted one reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,10 +30,13 @@
 #include <numeric>
 #include <optional>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
 #include "geom/sec.hpp"
 #include "geom/voronoi.hpp"
 #include "proto/naming.hpp"
@@ -118,21 +125,61 @@ std::string diff(const Snapshot& got, const Snapshot& want) {
   return out.str();
 }
 
-/// Checks every snapshot it receives against the reference, and counts the
-/// activations whose listing differs from its previous one; then walks
-/// `velocity` (global units per instant) for `leg` instants, then back.
+/// Empty when `snap`'s change hint covers every slot whose entry differs
+/// from `prev` (the observer's previous snapshot), else what is wrong. A
+/// swarm of `n` <= sim::kUnhintedSwarmMax robots must carry no hint.
+std::string hint_gap(const Snapshot& snap, const Snapshot& prev,
+                     std::size_t n) {
+  const sim::ChangeHint& h = snap.hint;
+  if (n <= sim::kUnhintedSwarmMax) {
+    return h.known ? "hint in a small swarm" : "";
+  }
+  if (!h.known) return "no hint";
+  if (h.since != prev.t) {
+    return "hint since " + std::to_string(h.since) + ", previous t " +
+           std::to_string(prev.t);
+  }
+  for (std::size_t k = 0; k < h.slots.size(); ++k) {
+    if (h.slots[k] >= snap.size() || (k > 0 && h.slots[k] <= h.slots[k - 1])) {
+      return "hint slots not ascending in range";
+    }
+  }
+  for (std::size_t k = 0; k < snap.size(); ++k) {
+    const bool differs =
+        k >= prev.size() ||
+        !geom::same_bits(snap.robots[k].position, prev.robots[k].position) ||
+        snap.robots[k].id != prev.robots[k].id;
+    if (differs && !std::binary_search(h.slots.begin(), h.slots.end(),
+                                       static_cast<std::uint32_t>(k))) {
+      return "changed slot " + std::to_string(k) + " not hinted";
+    }
+  }
+  return "";
+}
+
+/// Checks every snapshot it receives against the reference and its hint
+/// against its previous snapshot, and counts the activations whose listing
+/// differs from its previous one; then walks `velocity` (global units per
+/// instant) for `leg` instants, then back.
 class Probe final : public sim::Robot {
  public:
   Probe(RobotIndex self, Vec2 velocity, sim::Time leg)
       : self_(self), velocity_(velocity), leg_(leg) {}
 
-  void initialize(const Snapshot& snap) override { t0 = snap; }
+  void initialize(const Snapshot& snap) override {
+    t0 = snap;
+    last = snap;
+  }
 
   Vec2 on_activate(const Snapshot& snap) override {
     ++checked;
     std::vector<RobotIndex> order;
-    const std::string d =
+    std::string d =
         diff(snap, reference_snapshot(*engine, *options, self_, &order));
+    if (d.empty()) d = hint_gap(snap, last, engine->robot_count());
+    hinted += snap.hint.slots.size();
+    listed += snap.size();
+    last = snap;
     if (!last_order_.empty() && order != last_order_) ++reorders;
     last_order_ = std::move(order);
     if (!d.empty() && first_mismatch.empty()) {
@@ -149,8 +196,11 @@ class Probe final : public sim::Robot {
   const Engine* engine = nullptr;
   const EngineOptions* options = nullptr;
   Snapshot t0;
+  Snapshot last;  ///< The previous snapshot received.
   std::size_t checked = 0;
   std::size_t reorders = 0;
+  std::size_t hinted = 0;  ///< Hinted slots over all snapshots.
+  std::size_t listed = 0;  ///< Entries over all snapshots.
   std::string first_mismatch;
 
  private:
@@ -171,12 +221,25 @@ struct Swarm {
   /// Every even robot sits still exactly on the quantum grid, where the
   /// quantized sightings of its neighbours can tie with its own position.
   bool on_grid = false;
+  /// When positive, only robots 0 .. movers - 1 move.
+  std::size_t movers = 0;
   EngineOptions options;
+  /// Displacements by Engine::teleport before the step of instant `at`
+  /// (at 0: before the first step, after the t0 wake-up).
+  struct Shove {
+    sim::Time at = 0;
+    RobotIndex robot = 0;
+    Vec2 by;
+  };
+  std::vector<Shove> shoves;
+  sim::StepInterceptor* interceptor = nullptr;
 };
 
 struct Tally {
   std::size_t checked = 0;   ///< Snapshots compared with the reference.
   std::size_t reorders = 0;  ///< Activations whose listing changed.
+  std::size_t hinted = 0;    ///< Hinted slots over all snapshots.
+  std::size_t listed = 0;    ///< Entries over all snapshots.
 };
 
 /// Runs `s` for `instants` under `scheduler`; fails the test on the first
@@ -218,6 +281,7 @@ Tally run_swarm(const Swarm& s, sim::Time instants,
                      : Vec2{rng.uniform(-s.speed, s.speed),
                             rng.uniform(-s.speed, s.speed)};
     if (s.on_grid && i % 2 == 0) v = Vec2{0.0, 0.0};
+    if (s.movers > 0 && i >= s.movers) v = Vec2{0.0, 0.0};
     auto p = std::make_unique<Probe>(i, v, s.leg);
     probes.push_back(p.get());
     programs.push_back(std::move(p));
@@ -243,19 +307,31 @@ Tally run_swarm(const Swarm& s, sim::Time instants,
     }
     EXPECT_EQ(visible, listed) << "t0 order of robot " << i;
   }
-  e.run(instants);
+  e.set_step_interceptor(s.interceptor);
+  for (sim::Time t = 0; t < instants; ++t) {
+    for (const Swarm::Shove& shove : s.shoves) {
+      if (shove.at == t) {
+        e.teleport(shove.robot, e.positions()[shove.robot] + shove.by);
+      }
+    }
+    e.step();
+  }
   Tally tally;
   for (const Probe* p : probes) {
     EXPECT_TRUE(p->first_mismatch.empty()) << p->first_mismatch;
     tally.checked += p->checked;
     tally.reorders += p->reorders;
+    tally.hinted += p->hinted;
+    tally.listed += p->listed;
   }
   if (s.options.observation_delay == 0) {
     // Between steps make_snapshot sees the current instant; it repairs a
-    // copy of the stored order and must agree with the reference too.
+    // copy of the stored rows and must agree with the reference too, its
+    // hint relative to the robot's last snapshot from a step.
     for (RobotIndex i = 0; i < s.n; ++i) {
-      const std::string d =
-          diff(e.make_snapshot(i), reference_snapshot(e, s.options, i));
+      const Snapshot snap = e.make_snapshot(i);
+      std::string d = diff(snap, reference_snapshot(e, s.options, i));
+      if (d.empty()) d = hint_gap(snap, probes[i]->last, s.n);
       EXPECT_TRUE(d.empty()) << "make_snapshot(" << i << "): " << d;
     }
   }
@@ -357,12 +433,78 @@ TEST(ObservationDiff, LimitedVisibilityMatchesReference) {
   }
 }
 
+TEST(ObservationDiff, HintsCoverEveryChangeUnderEveryScheduler) {
+  // Five schedulers, observation delays 0-2, a sensor quantum with ties,
+  // a visibility radius; teleports before the first step and between
+  // steps, and a jitter fault that shoves robots after the moves of an
+  // instant. n = 5 is listed from scratch and carries no hint; n = 40
+  // re-sights only what was written.
+  const auto schedulers = [](std::uint64_t seed) {
+    std::vector<std::unique_ptr<sim::Scheduler>> out;
+    out.push_back(std::make_unique<sim::SynchronousScheduler>());
+    out.push_back(std::make_unique<sim::BernoulliScheduler>(0.3, seed, 8));
+    out.push_back(std::make_unique<sim::CentralizedScheduler>());
+    out.push_back(std::make_unique<sim::KSubsetScheduler>(3, seed, 8));
+    out.push_back(std::make_unique<sim::AdversarialScheduler>(6));
+    return out;
+  };
+  for (const std::size_t n : {5u, 40u}) {
+    for (sim::Time delay = 0; delay <= 2; ++delay) {
+      for (int variant = 0; variant < 3; ++variant) {
+        fault::FaultPlan plan;
+        plan.jitters.push_back(fault::JitterFault{3, 5, 200, -150});
+        plan.jitters.push_back(fault::JitterFault{0, 11, -90, 60});
+        std::size_t kind = 0;
+        for (auto& scheduler : schedulers(60 + n + delay)) {
+          fault::FaultInjector jitter(plan);
+          Swarm s;
+          s.n = n;
+          s.seed = 61 + 7 * n + 3 * delay + static_cast<std::uint64_t>(variant);
+          s.speed = 0.5;
+          s.leg = 4;
+          s.options.observation_delay = delay;
+          if (variant == 1) {
+            s.options.observation_quantum = 4.0;
+            s.on_grid = true;
+          }
+          if (variant == 2) s.options.visibility_radius = 9.0;
+          s.shoves = {{0, 1, Vec2{0.3, -0.2}},
+                      {7, 2, Vec2{-0.25, 0.15}},
+                      {13, 0, Vec2{0.2, 0.35}}};
+          s.interceptor = &jitter;
+          EXPECT_GT(run_swarm(s, 24, std::move(scheduler)).checked, 0u)
+              << "n=" << n << " delay=" << delay << " variant=" << variant
+              << " scheduler=" << kind;
+          ++kind;
+        }
+      }
+    }
+  }
+}
+
+TEST(ObservationDiff, HintsNameOnlyWhatMoved) {
+  // Three movers among 64 (and 257) robots: an observer's hint lists the
+  // movers' slots and the neighbours they pass, not the swarm.
+  for (const std::size_t n : {64u, 257u}) {
+    Swarm s;
+    s.n = n;
+    s.seed = 71 + n;
+    s.speed = 0.6;
+    s.leg = 3;
+    s.movers = 3;
+    const Tally t = run_swarm(s, 12, sync());
+    EXPECT_GT(t.reorders, 0u);
+    EXPECT_LT(4 * t.hinted, t.listed) << "n=" << n;
+  }
+}
+
 TEST(ObservationDiff, IdentifiedSwarmsListInIdOrder) {
   for (const std::size_t n : {2u, 64u}) {
     Swarm s;
     s.n = n;
     s.seed = 53 + n;
     s.identified = true;
+    EXPECT_GT(run_swarm(s, 20, sync()).checked, 0u);
     s.options.visibility_radius = 9.0;
     EXPECT_GT(run_swarm(s, 20, bernoulli(11)).checked, 0u);
   }
@@ -453,13 +595,6 @@ FullDecode full_decode(const std::vector<geom::Granular>& granulars,
             : std::nullopt);
   }
   return out;
-}
-
-bool same_bits(const Vec2& a, const Vec2& b) {
-  return std::bit_cast<std::uint64_t>(a.x) ==
-             std::bit_cast<std::uint64_t>(b.x) &&
-         std::bit_cast<std::uint64_t>(a.y) ==
-             std::bit_cast<std::uint64_t>(b.y);
 }
 
 bool same_granular(const geom::Granular& a, const geom::Granular& b) {
@@ -760,6 +895,165 @@ TEST(DecodeMemo, QuantizedObservation) {
         checker.check(listed(pos, naming), "t=" + std::to_string(t));
       }
     }
+  }
+}
+
+/// `cur` at instant `t` with the exact change hint relative to `prev`:
+/// every slot whose entry differs, or that `prev` lacks.
+Snapshot hinted(Snapshot cur, const Snapshot& prev, sim::Time t) {
+  cur.t = t;
+  cur.hint.known = true;
+  cur.hint.since = prev.t;
+  cur.hint.slots.clear();
+  for (std::size_t k = 0; k < cur.size(); ++k) {
+    if (k >= prev.size() ||
+        !geom::same_bits(cur.robots[k].position, prev.robots[k].position)) {
+      cur.hint.slots.push_back(static_cast<std::uint32_t>(k));
+    }
+  }
+  return cur;
+}
+
+/// Feeds one snapshot sequence to two cores from the same t0: one as
+/// given, one with every hint dropped (the full pass). After each observe
+/// both must hold the same positions, signals and changed granulars.
+class HintChecker {
+ public:
+  HintChecker(const Snapshot& t0, proto::NamingMode naming)
+      : hinted_(t0, naming, t0.size()), full_(t0, naming, t0.size()) {}
+
+  void check(const Snapshot& snap, const std::string& what) {
+    Snapshot plain = snap;
+    plain.hint = sim::ChangeHint{};
+    hinted_.observe(snap);
+    full_.observe(plain);
+    const std::span<const std::uint32_t> a = hinted_.changed();
+    const std::span<const std::uint32_t> b = full_.changed();
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << what << ": changed granulars differ (" << a.size() << " vs "
+        << b.size() << ")";
+    for (std::size_t i = 0; i < full_.robot_count(); ++i) {
+      EXPECT_TRUE(geom::same_bits(hinted_.position(i), full_.position(i)))
+          << what << ": robot " << i << " at " << hinted_.position(i)
+          << ", full pass " << full_.position(i);
+      EXPECT_EQ(hinted_.signal(i), full_.signal(i))
+          << what << ": robot " << i << " signal";
+    }
+  }
+
+  proto::SlicedCore& core() { return full_; }
+
+ private:
+  proto::SlicedCore hinted_;
+  proto::SlicedCore full_;
+};
+
+TEST(DecodeMemo, HintedObserveEqualsTheFullPass) {
+  // Synchronous chats, every snapshot hinted relative to the one before:
+  // senders go out and back, passing neighbours in anonymous listings.
+  std::size_t shifted = 0;
+  for (const proto::NamingMode naming : kModes) {
+    for (const std::size_t n : {5u, 63u, 64u, 257u}) {
+      const std::vector<Vec2> centers = t0_centers(n, 820 + n);
+      const Snapshot t0 = t0_view(centers, naming);
+      HintChecker checker(t0, naming);
+      proto::SlicedCore& core = checker.core();
+      sim::Rng rng(830 + n);
+      std::vector<Vec2> pos = centers;
+      Snapshot prev = t0;
+      for (sim::Time t = 1; t <= 24; ++t) {
+        if (t % 2 == 1) {
+          for (int m = 0; m < 3; ++m) {
+            const auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+            pos[j] = core.granular(j).point_on(
+                static_cast<std::size_t>(rng.uniform_int(0, n - 1)),
+                rng.uniform(0.0, 1.0) < 0.5 ? geom::DiameterSide::positive
+                                            : geom::DiameterSide::negative,
+                0.45 * core.radius(j));
+          }
+        } else {
+          pos = centers;
+        }
+        const Snapshot snap = hinted(listed(pos, naming), prev, t);
+        for (std::size_t k = 0; k < n; ++k) {
+          shifted += geom::same_bits(snap.robots[k].position, pos[k]) ? 0 : 1;
+        }
+        checker.check(snap, "n=" + std::to_string(n) + " t=" +
+                                std::to_string(t));
+        prev = snap;
+      }
+    }
+  }
+  EXPECT_GT(shifted, 0u) << "no sender ever passed a neighbour";
+}
+
+TEST(DecodeMemo, HintedMoverPassingNeighbours) {
+  // One robot steps along x past exactly 1, 2 and 3 neighbours in the
+  // lexicographic listing and back, each snapshot hinted: the hint names
+  // the mover's slot and the slots it shifted.
+  const std::size_t n = 257;
+  const std::vector<Vec2> centers = t0_centers(n, 740);
+  const Snapshot t0 = t0_view(centers, proto::NamingMode::lexicographic);
+  for (const std::size_t passes : {1u, 2u, 3u}) {
+    bool found = false;
+    for (std::size_t j = 0; j + passes < n && !found; ++j) {
+      HintChecker checker(t0, proto::NamingMode::lexicographic);
+      const double r = checker.core().radius(j);
+      const Vec2 target{centers[j + passes].x + 1e-9, centers[j].y};
+      if (!(target.x - centers[j].x < 0.8 * r) ||
+          centers[j + passes + (j + passes + 1 < n ? 1 : 0)].x <= target.x) {
+        continue;
+      }
+      std::vector<Vec2> pos = centers;
+      pos[j] = target;
+      const Snapshot out = hinted(
+          listed(pos, proto::NamingMode::lexicographic), t0, 1);
+      if (!geom::same_bits(out.robots[j + passes].position, target)) continue;
+      found = true;
+      EXPECT_EQ(out.hint.slots.size(), passes + 1);
+      checker.check(out, "out past " + std::to_string(passes));
+      checker.check(
+          hinted(listed(centers, proto::NamingMode::lexicographic), out, 2),
+          "back");
+    }
+    EXPECT_TRUE(found) << "no robot can pass " << passes << " neighbours";
+  }
+}
+
+TEST(DecodeMemo, HintsOnlyCountRelativeToTheSnapshotObserved) {
+  // A hint is relative to the snapshot its `since` names. After a
+  // hand-built snapshot (no hint) at that same instant, or for a hint
+  // relative to another instant, the core must pass over every entry: the
+  // hints below leave out a change the core has not seen.
+  for (const std::size_t n : {5u, 64u}) {
+    const std::vector<Vec2> centers = t0_centers(n, 850 + n);
+    const Snapshot t0 = t0_view(centers, proto::NamingMode::relative);
+    HintChecker checker(t0, proto::NamingMode::relative);
+    proto::SlicedCore& core = checker.core();
+    const std::size_t j = n / 2;
+    std::vector<Vec2> moved = centers;
+    moved[j] = core.granular(j).point_on(1, geom::DiameterSide::positive,
+                                         0.45 * core.radius(j));
+    const Snapshot s1 = hinted(listed(centers, proto::NamingMode::relative),
+                               t0, 3);
+    checker.check(s1, "engine snapshot");
+    Snapshot hand = listed(moved, proto::NamingMode::relative);
+    hand.t = s1.t;  // Same instant, no hint.
+    checker.check(hand, "hand-built");
+    // Relative to s1 nothing changed, so the hint is empty; the core last
+    // saw `hand`, where robot j was out.
+    checker.check(hinted(listed(centers, proto::NamingMode::relative), s1, 4),
+                  "after the hand-built snapshot");
+
+    checker.check(hinted(listed(moved, proto::NamingMode::relative), s1, 5),
+                  "robot j out again");
+    // Names instant 2, which the core never observed; relative to the
+    // last snapshot (t 5) robot j moved back.
+    Snapshot other = listed(centers, proto::NamingMode::relative);
+    other.t = 6;
+    other.hint.known = true;
+    other.hint.since = 2;
+    checker.check(other, "hint relative to another t");
   }
 }
 

@@ -214,12 +214,33 @@ std::uint64_t reference_digest(const std::vector<ActivationSet>& sets) {
   return h;
 }
 
+/// What `push` must store: every set's bits appended one at a time,
+/// where each instant ends.
+struct BitLog {
+  std::vector<bool> bits;
+  std::vector<std::size_t> ends;
+
+  void push(const ActivationSet& set) {
+    for (const bool b : set) bits.push_back(b);
+    ends.push_back(bits.size());
+  }
+  [[nodiscard]] ActivationSet read(std::size_t t) const {
+    const std::size_t first = t == 0 ? 0 : ends[t - 1];
+    return ActivationSet(bits.begin() + static_cast<std::ptrdiff_t>(first),
+                         bits.begin() + static_cast<std::ptrdiff_t>(ends[t]));
+  }
+};
+
 TEST(ScheduleLog, DigestEqualsByteLoop) {
   // Random logs: sparse and dense sets, zero runs far past 64 bits, empty
-  // sets, and more than 256 instants so t spans two bytes.
+  // sets, and more than 256 instants so t spans two bytes. Sets of every
+  // length land at every bit offset of a word, so `push` splits them
+  // across words every way; each log reads back as the bit-at-a-time
+  // reference stores it, and truncating one equals pushing its prefix.
   Rng rng(2024);
   for (int round = 0; round < 200; ++round) {
     ScheduleLog log;
+    BitLog ref;
     std::vector<ActivationSet> sets;
     const std::size_t instants = rng.uniform_int(0, 600);
     const double density = rng.uniform(0.0, 1.0);
@@ -227,9 +248,33 @@ TEST(ScheduleLog, DigestEqualsByteLoop) {
       ActivationSet set(rng.uniform_int(0, rng.flip(0.1) ? 300 : 9));
       for (std::size_t i = 0; i < set.size(); ++i) set[i] = rng.flip(density);
       log.push(set);
+      ref.push(set);
       sets.push_back(std::move(set));
     }
     ASSERT_EQ(log.digest(), reference_digest(sets)) << "round " << round;
+    ASSERT_EQ(log.instants(), ref.ends.size());
+    ActivationSet got(3, true);  // read() must overwrite, not append.
+    for (std::size_t t = 0; t < instants; ++t) {
+      log.read(t, got);
+      ASSERT_EQ(log.robots(t), sets[t].size()) << "round " << round;
+      ASSERT_EQ(got, ref.read(t)) << "round " << round << " t " << t;
+    }
+    const std::size_t keep = rng.uniform_int(0, instants);
+    ScheduleLog prefix;
+    for (std::size_t t = 0; t < keep; ++t) prefix.push(sets[t]);
+    ScheduleLog cut = log;
+    cut.truncate(keep);
+    ASSERT_EQ(cut, prefix) << "round " << round << " keep " << keep;
+    ASSERT_EQ(cut.digest(), prefix.digest());
+    if (keep < instants) {
+      // Pushing after a cut stores the new bits, not the cut ones.
+      ActivationSet flipped = sets[keep];
+      flipped.flip();
+      cut.push(flipped);
+      prefix.push(flipped);
+      ASSERT_EQ(cut, prefix) << "round " << round;
+      ASSERT_EQ(cut == log, sets[keep].empty() && keep + 1 == instants);
+    }
   }
   // Past 65536 instants t takes three bytes.
   ScheduleLog log;

@@ -201,6 +201,38 @@ TEST(WatchdogReconverged, ShortRunIsInconclusiveNotViolating) {
   EXPECT_TRUE(wd.ok());
 }
 
+TEST(WatchdogReconverged, InconclusiveRunsAreCountedAndReported) {
+  obs::WatchdogOptions opt;
+  opt.reconverge_budget = 10;
+  obs::Watchdog clean(opt);
+  clean.finalize(100);
+  std::ostringstream quiet;
+  clean.report(quiet);
+  EXPECT_EQ(clean.reconverge_inconclusive(), 0u);
+  EXPECT_EQ(quiet.str().find("inconclusive"), std::string::npos);
+
+  obs::Watchdog wd(opt);
+  wd.on_event(fault_event(5, "corrupt_naming"));
+  wd.finalize(12);
+  wd.finalize(12);  // Idempotent: the corruption is counted once.
+  EXPECT_TRUE(wd.ok());
+  EXPECT_FALSE(wd.reconverge_pending());
+  EXPECT_EQ(wd.reconverge_inconclusive(), 1u);
+  std::ostringstream out;
+  wd.report(out);
+  EXPECT_NE(out.str().find("all invariants held"), std::string::npos);
+  EXPECT_NE(out.str().find("1 reconvergence check(s) inconclusive"),
+            std::string::npos)
+      << out.str();
+
+  // A timely delivery or a decided violation is not inconclusive.
+  obs::Watchdog late(opt);
+  late.on_event(fault_event(5, "corrupt_parser"));
+  late.finalize(50);
+  EXPECT_EQ(late.reconverge_inconclusive(), 0u);
+  EXPECT_FALSE(late.ok());
+}
+
 TEST(WatchdogReconverged, ZeroBudgetDisablesTheInvariant) {
   obs::Watchdog wd(obs::WatchdogOptions{});
   wd.on_event(fault_event(5, "corrupt_cursor"));
