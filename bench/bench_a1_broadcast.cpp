@@ -46,8 +46,8 @@ int main() {
           delivered += bc.received(j).size();
         }
         return Row{uni.engine().now(), bc.engine().now() - 2,
-                   uni.engine().trace().stats(0).distance,
-                   bc.engine().trace().stats(0).distance,
+                   uni.engine().motion(0).distance,
+                   bc.engine().motion(0).distance,
                    delivered == n - 1};
       });
   for (std::size_t i = 0; i < sizes.size(); ++i) {

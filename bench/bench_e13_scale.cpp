@@ -118,7 +118,7 @@ int main() {
 
     std::uint64_t activations = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      activations += engine.trace().stats(i).activations;
+      activations += engine.motion(i).activations;
     }
     const double ns = wall / static_cast<double>(kInstants) * 1e9;
     per_instant_ns.push_back(ns);
@@ -173,7 +173,7 @@ int main() {
     const Clock::time_point t2 = Clock::now();
     const double build = std::chrono::duration<double>(t1 - t0).count();
     const double run = std::chrono::duration<double>(t2 - t1).count();
-    const std::uint64_t instants = net.engine().trace().instants();
+    const std::uint64_t instants = net.engine().now();
     std::uint64_t bits = 0;
     for (std::size_t i = 0; i < n; ++i) {
       for (const core::Delivery& d : net.received(i)) {

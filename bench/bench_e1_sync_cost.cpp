@@ -96,8 +96,8 @@ int main() {
         const double instants = static_cast<double>(net.engine().now());
         // Sender distance per bit; idle moves measured on a non-sender.
         return Row{instants / frame_bits,
-                   net.engine().trace().stats(0).distance / frame_bits,
-                   net.engine().trace().stats(c.n - 1).moves};
+                   net.engine().motion(0).distance / frame_bits,
+                   net.engine().motion(c.n - 1).moves};
       });
   for (std::size_t i = 0; i < cases.size(); ++i) {
     t.row(cases[i].name, cases[i].n, rows[i].instants_per_bit,

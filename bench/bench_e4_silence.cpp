@@ -79,8 +79,8 @@ int main() {
         double moves = 0.0;
         double dist = 0.0;
         for (std::size_t j = 0; j < c.n; ++j) {
-          moves += static_cast<double>(net.engine().trace().stats(j).moves);
-          dist += net.engine().trace().stats(j).distance;
+          moves += static_cast<double>(net.engine().motion(j).moves);
+          dist += net.engine().motion(j).distance;
         }
         return Row{moves / static_cast<double>(c.n),
                    dist / static_cast<double>(c.n)};

@@ -79,7 +79,7 @@ int main() {
     core::ChatNetwork net(start, opt);
     net.run(500);
     t2.row(speed,
-           static_cast<double>(net.engine().trace().stats(0).moves));
+           static_cast<double>(net.engine().motion(0).moves));
   }
   std::cout << "\nexpected shape: a stationary swarm is silent (0); a "
                "flocking swarm moves every instant by definition.\n";

@@ -39,7 +39,7 @@ int main() {
         const bool ok = net.run_until_quiescent(5'000'000);
         net.run(5000);  // Idle a long while after: footprint keeps moving?
         double max_pos = 0.0;
-        for (const auto& config : net.engine().trace().positions()) {
+        for (const auto& config : net.position_history()) {
           for (const auto& p : config) max_pos = std::max(max_pos, p.norm());
         }
         net.run(64);
@@ -48,7 +48,7 @@ int main() {
         return Row{net.engine().now(),
                    geom::dist(net.engine().positions()[0],
                               net.engine().positions()[1]),
-                   max_pos, net.engine().trace().min_separation(),
+                   max_pos, net.engine().min_separation(),
                    ok && delivered == 2};
       });
   for (std::size_t i = 0; i < variants.size(); ++i) {

@@ -27,7 +27,7 @@ int main() {
   net.run_until_quiescent(10'000);
   net.run(2);
 
-  const auto& hist = net.engine().trace().positions();
+  const auto& hist = net.position_history();
   // Classify robot 0's offset relative to the line p0 -> p1: its "right"
   // (facing robot 1, shared handedness) is -y.
   std::cout << "t     robot0 position        movement-signal\n";

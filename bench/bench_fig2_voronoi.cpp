@@ -53,7 +53,7 @@ int main() {
   net.run_until_quiescent(10'000);
   net.run(2);
 
-  const auto& hist = net.engine().trace().positions();
+  const auto& hist = net.position_history();
   int shown = 0;
   for (std::size_t step = 0; step < hist.size() && shown < 6; ++step) {
     const geom::Vec2 pos = hist[step][9];

@@ -39,19 +39,22 @@ int main() {
   std::vector<std::unique_ptr<sim::Robot>> programs;
   programs.push_back(std::move(r));
   programs.push_back(std::move(rp));
-  sim::EngineOptions eopt;
-  eopt.record_positions = true;
   sim::Engine engine(specs, std::move(programs),
-                     std::make_unique<sim::BernoulliScheduler>(0.5, 3, 32),
-                     eopt);
+                     std::make_unique<sim::BernoulliScheduler>(0.5, 3, 32));
+  // The position history the figure draws: P(t0), then every step's.
+  std::vector<std::vector<geom::Vec2>> hist;
+  const auto step = [&] {
+    engine.step();
+    hist.emplace_back(engine.positions().begin(), engine.positions().end());
+  };
+  hist.emplace_back(engine.positions().begin(), engine.positions().end());
   while ((!r_raw->send_queue_empty() || !rp_raw->send_queue_empty()) &&
          engine.now() < 200'000) {
-    engine.step();
+    step();
   }
-  engine.run(64);
+  for (int k = 0; k < 64; ++k) step();
 
   const geom::Line h = geom::Line::through(p0, p1);
-  const auto& hist = engine.trace().positions();
   std::cout << "timeline (sampled every 16 instants; E/W = excursion side "
                "w.r.t. each robot's own North):\n";
   std::cout << "t        r offset   r' offset   phase glyphs\n";
@@ -74,7 +77,7 @@ int main() {
 
   {
     viz::SvgScene fig;
-    viz::draw_trajectories(fig, engine.trace().positions());
+    viz::draw_trajectories(fig, hist);
     if (fig.write("figure5_async2.svg")) {
       std::cout << "\nwrote figure5_async2.svg (both trajectories: marches "
                    "along H, East/West excursions)\n";

@@ -71,12 +71,12 @@ int main() {
   std::cout << "bits signaled: " << net.stats(2).bits_sent
             << " (each waits for every robot to be observed changing "
                "twice, twice — the Lemma 4.1 double-ack)\n";
-  std::cout << "idle robots moved " << net.engine().trace().stats(0).moves
+  std::cout << "idle robots moved " << net.engine().motion(0).moves
             << " times on their kappa lanes (Remark 4.3: an active robot "
                "always moves)\n";
   report.value("instants", net.engine().now());
   report.value("delivered", std::string(ok ? "true" : "false"));
   report.value("bits_sent", net.stats(2).bits_sent);
-  report.value("idle_robot_moves", net.engine().trace().stats(0).moves);
+  report.value("idle_robot_moves", net.engine().motion(0).moves);
   return 0;
 }

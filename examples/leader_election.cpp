@@ -121,7 +121,7 @@ int main() {
             << ", total distance swum by the swarm: ";
   double dist = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    dist += net.engine().trace().stats(i).distance;
+    dist += net.engine().motion(i).distance;
   }
   std::cout << std::fixed << std::setprecision(1) << dist
             << " units — a classical distributed algorithm executed by "

@@ -48,6 +48,6 @@ int main() {
   std::cout << "\ninstants elapsed: " << net.engine().now()
             << ", bits moved by robot 0: " << net.stats(0).bits_sent
             << ", distance traveled by robot 0: "
-            << net.engine().trace().stats(0).distance << "\n";
+            << net.engine().motion(0).distance << "\n";
   return 0;
 }

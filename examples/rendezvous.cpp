@@ -128,7 +128,7 @@ int main() {
             << std::scientific << std::setprecision(1) << max_err
             << "), min separation during the walk "
             << std::fixed << std::setprecision(2)
-            << walk.trace().min_separation() << "\n";
+            << walk.min_separation() << "\n";
   std::cout << "\nrendezvous complete: the swarm decided by chatting with "
                "its feet, then met up.\n";
   return max_err < 1e-6 ? 0 : 1;

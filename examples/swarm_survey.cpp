@@ -83,11 +83,11 @@ int main() {
     std::cout << std::setw(6) << i << std::setw(12)
               << net.stats(i).bits_sent << std::setw(14)
               << net.stats(i).bits_decoded << std::setw(12) << std::fixed
-              << std::setprecision(2) << net.engine().trace().stats(i).distance
+              << std::setprecision(2) << net.engine().motion(i).distance
               << '\n';
   }
   std::cout << "min pairwise separation over the whole run: "
-            << net.engine().trace().min_separation()
+            << net.engine().min_separation()
             << " (collision avoidance held)\n";
   return all_agree ? 0 : 1;
 }

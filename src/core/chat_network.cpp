@@ -161,7 +161,6 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
   }
 
   sim::EngineOptions eopt;
-  eopt.record_positions = options_.record_positions;
   eopt.observation_quantum = options_.observation_quantum;
   eopt.observation_delay = options_.observation_delay;
   eopt.visibility_radius = options_.visibility_radius;
@@ -329,7 +328,7 @@ obs::RunReport ChatNetwork::report() const {
   r.robots = chat_.size();
   r.instants = engine_->now();
   r.quiescent = quiescent();
-  r.min_separation = engine_->trace().min_separation();
+  r.min_separation = engine_->min_separation();
   for (const proto::ChatRobot* robot : chat_) {
     if (robot->decode_fault_pending()) ++r.unfired_decode_faults;
   }
@@ -351,7 +350,7 @@ obs::RunReport ChatNetwork::report() const {
   }
   r.per_robot.resize(chat_.size());
   for (std::size_t i = 0; i < chat_.size(); ++i) {
-    const sim::MotionStats& m = engine_->trace().stats(i);
+    const sim::MotionStats& m = engine_->motion(i);
     const proto::ChatStats& c = chat_[i]->stats();
     obs::RobotReport& out = r.per_robot[i];
     out.activations = m.activations;
@@ -411,6 +410,16 @@ void ChatNetwork::collect() {
 
 void ChatNetwork::step() {
   engine_->step();
+  if (options_.record_positions) {
+    // Seeded with the configuration the first step started from, still in
+    // the engine's epoch ring.
+    if (history_.empty()) {
+      const auto before = engine_->config(engine_->now() - 1);
+      history_.emplace_back(before.begin(), before.end());
+    }
+    const auto after = engine_->positions();
+    history_.emplace_back(after.begin(), after.end());
+  }
   {
     obs::prof::Scope s(prof_, ph_collect_);
     collect();

@@ -70,7 +70,7 @@ struct ChatNetworkOptions {
                                  ///< of direction is absent).
   bool mirrored_frames = false;  ///< Left-handed frames for every robot
                                  ///< (chirality holds either way).
-  bool record_positions = false;
+  bool record_positions = false;  ///< Keep `position_history()`.
 
   // Asynchronous scheduling.
   SchedulerKind scheduler = SchedulerKind::bernoulli;
@@ -193,6 +193,13 @@ class ChatNetwork {
   /// distance/bit, idle moves, min separation) plus per-robot counters.
   /// `wall_seconds` is left 0 — timing belongs to the caller.
   [[nodiscard]] obs::RunReport report() const;
+  /// Every configuration so far when `record_positions` is set (memory
+  /// O(instants * n)), else empty: entry 0 is the configuration the first
+  /// step started from, entry k the one step k - 1 produced.
+  [[nodiscard]] const std::vector<std::vector<geom::Vec2>>& position_history()
+      const noexcept {
+    return history_;
+  }
   /// The protocol robot driving simulator robot `i` (for inspection).
   [[nodiscard]] const proto::ChatRobot& chat_robot(sim::RobotIndex i) const {
     return *chat_.at(i);
@@ -263,6 +270,7 @@ class ChatNetwork {
   std::vector<std::vector<sim::RobotIndex>> slot_to_engine_;
   std::vector<std::vector<Delivery>> received_;
   std::vector<std::vector<Delivery>> overheard_;
+  std::vector<std::vector<geom::Vec2>> history_;  ///< See position_history.
 
   // Stabilization bookkeeping (inert unless schedule_corruption was
   // called). Tracks the two recovery metrics: convergence time (instants

@@ -6,7 +6,7 @@
 // a small POD record stamped with the simulated instant — emitted by the
 // engine, the protocol drivers and the chat network into an `EventSink`
 // (see sink.hpp). Exporters turn the stream into JSONL, Chrome trace JSON
-// or aggregate metrics; the built-in `sim::Trace` consumes the same stream.
+// or aggregate metrics.
 //
 // This header deliberately depends on nothing above the standard library so
 // every layer (sim, proto, core, tools, bench) can emit events without

@@ -1,5 +1,7 @@
 #include "obs/jsonl_sink.hpp"
 
+#include <iomanip>
+
 #include "obs/json.hpp"
 
 namespace stig::obs {
@@ -85,5 +87,23 @@ void JsonlEventSink::on_event(const Event& e) {
 }
 
 void JsonlEventSink::flush() { out_->flush(); }
+
+bool write_history_jsonl(std::ostream& out,
+                         const std::vector<std::vector<geom::Vec2>>& history) {
+  if (history.empty()) return false;
+  const std::size_t n = history.front().size();
+  out << "{\"type\":\"header\",\"robots\":" << n
+      << ",\"instants\":" << history.size() << "}\n";
+  out << std::setprecision(17);
+  for (std::size_t t = 0; t < history.size(); ++t) {
+    out << "{\"type\":\"config\",\"t\":" << t << ",\"p\":[";
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i != 0) out << ',';
+      out << '[' << history[t][i].x << ',' << history[t][i].y << ']';
+    }
+    out << "]}\n";
+  }
+  return static_cast<bool>(out);
+}
 
 }  // namespace stig::obs

@@ -7,13 +7,20 @@
 // value, bit, label) and only when meaningful for the event type, so the
 // stream is deterministic and golden-testable. The file is self-describing:
 // external tooling can filter on `type` without knowing the full schema.
+//
+// A run's position history (`stigsim --jsonl`) has its own two records:
+//
+//   {"type":"header","robots":3,"instants":120}
+//   {"type":"config","t":0,"p":[[0,0],[5,0],[2,4]]}
 #pragma once
 
 #include <fstream>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "geom/vec.hpp"
 #include "obs/sink.hpp"
 
 namespace stig::obs {
@@ -38,5 +45,12 @@ class JsonlEventSink final : public EventSink {
   std::unique_ptr<std::ofstream> owned_;
   std::ostream* out_;
 };
+
+/// Writes a position history (`history[t]` is the configuration at instant
+/// t) as one header record and one config record per instant, every
+/// coordinate at 17 significant digits so doubles round-trip exactly.
+/// Returns false when `history` is empty or `out` fails.
+bool write_history_jsonl(std::ostream& out,
+                         const std::vector<std::vector<geom::Vec2>>& history);
 
 }  // namespace stig::obs

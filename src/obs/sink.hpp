@@ -25,6 +25,8 @@ namespace stig::obs {
 class EventSink {
  public:
   EventSink() = default;
+  EventSink(const EventSink&) = delete;
+  EventSink& operator=(const EventSink&) = delete;
   virtual ~EventSink() = default;
 
   /// Receives one event. Called on the emitting thread, in timeline order.
@@ -32,11 +34,6 @@ class EventSink {
 
   /// Finalizes output (exporters override; flushing twice is harmless).
   virtual void flush() {}
-
- protected:
-  // Copyable only through concrete subclasses (sim::Trace is value-like).
-  EventSink(const EventSink&) = default;
-  EventSink& operator=(const EventSink&) = default;
 };
 
 /// Fans one stream out to several sinks (non-owning).

@@ -4,23 +4,96 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <string>
 
 namespace stig::sim {
 namespace {
 
-/// Below this swarm size the all-pairs scans stay: they are cache-friendly,
-/// exactly reproduce the legacy answers, and the grid's build cost is not
-/// yet paid back. At or above it, collision checks go through a PointGrid
-/// (same doubles, same first pair — see geom/point_grid.hpp).
+/// Below this swarm size a pair scan visits all pairs: cache-friendly, and
+/// the grid's build cost is not yet paid back. At or above it, the scan
+/// goes through a PointGrid (same first pair — see geom/point_grid.hpp).
 constexpr std::size_t kGridThreshold = 128;
 
-/// Candidate radius for grid collision queries: collision_distance^2 with
-/// enough slack to cover the ulp gap between `hypot` (the legacy predicate)
-/// and the grid's squared-distance prefilter; every candidate is re-checked
-/// with `dist_cmp`, which answers exactly as the legacy predicate.
-double collision_radius2(double cd) { return cd * cd * 1.00001; }
+/// Squared-distance prefilter for collisions: kCollisionDistance^2 with
+/// enough slack to cover the ulp gap between `hypot` (the predicate) and a
+/// squared distance; every candidate is re-checked with `dist_cmp`, which
+/// answers exactly as hypot does.
+constexpr double kCollisionRadius2 =
+    kCollisionDistance * kCollisionDistance * 1.00001;
+
+/// Whether robots a and b collide: dist(a, b) <= kCollisionDistance.
+bool collide(const geom::Vec2& a, const geom::Vec2& b) {
+  return std::is_lteq(geom::dist_cmp(a, b, kCollisionDistance));
+}
+
+/// What one pass over a configuration's pairs finds: its lexicographically
+/// first colliding pair (i, j), if any, else its minimum separation.
+struct PairScan {
+  bool collided = false;
+  std::size_t i = 0, j = 0;
+  double min_separation = std::numeric_limits<double>::infinity();
+};
+
+/// The one pair routine: the constructor's distinctness check, every step,
+/// and the re-scan after an interceptor shove all call it. The separation
+/// has one rule per side of kGridThreshold, and the replay motion pins
+/// hold both (DESIGN.md §15): below it the smallest hypot over all pairs,
+/// taken only where a squared distance lies within dist_cmp's band of the
+/// smallest one (every other pair's hypot is larger); at or above it the
+/// root of the smallest squared nearest-neighbour distance.
+PairScan scan_pairs(std::span<const geom::Vec2> c, geom::PointGrid& grid) {
+  const std::size_t n = c.size();
+  PairScan scan;
+  double min_d2 = std::numeric_limits<double>::infinity();
+  if (n < kGridThreshold) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double d2 = geom::dist2(c[i], c[j]);
+        if (d2 <= kCollisionRadius2 && collide(c[i], c[j])) {
+          return PairScan{true, i, j};
+        }
+        min_d2 = std::min(min_d2, d2);
+      }
+    }
+    // Outside the band's range, every pair takes hypot.
+    const bool filtered = geom::in_dist_band_range(min_d2);
+    const double limit = min_d2 * (1.0 + geom::kDistBand);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (filtered && !(geom::dist2(c[i], c[j]) <= limit)) continue;
+        scan.min_separation =
+            std::min(scan.min_separation, geom::dist(c[i], c[j]));
+      }
+    }
+    return scan;
+  }
+  grid.build(c);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d2 = grid.nearest_other_dist2(i);
+    if (d2 <= kCollisionRadius2) {
+      // Lowest i first (this loop), lowest j among its collisions.
+      std::size_t hit = n;
+      grid.for_each_within(c[i], kCollisionRadius2, [&](std::size_t j) {
+        if (j > i && j < hit && collide(c[i], c[j])) hit = j;
+      });
+      if (hit < n) return PairScan{true, i, hit};
+    }
+    min_d2 = std::min(min_d2, d2);
+  }
+  scan.min_separation = std::sqrt(min_d2);
+  return scan;
+}
+
+/// The lowest robot other than i that collides with robot i, or c.size().
+std::size_t first_collision_with(std::span<const geom::Vec2> c,
+                                 std::size_t i) {
+  for (std::size_t j = 0; j < c.size(); ++j) {
+    if (j != i && collide(c[i], c[j])) return j;
+  }
+  return c.size();
+}
 
 // The sighting and listing helpers are templates only because
 // Engine::Sighting, the row type of `seen`, is private.
@@ -132,7 +205,7 @@ Engine::Engine(std::vector<RobotSpec> specs,
       programs_(std::move(programs)),
       scheduler_(std::move(scheduler)),
       options_(options),
-      trace_(specs_.size(), options.record_positions) {
+      motion_(specs_.size()) {
   if (specs_.empty() || specs_.size() != programs_.size() || !scheduler_) {
     throw std::invalid_argument("Engine: inconsistent construction");
   }
@@ -163,29 +236,7 @@ Engine::Engine(std::vector<RobotSpec> specs,
     p0.push_back(s.position);
   }
 
-  bool coincident = false;
-  if (n < kGridThreshold) {
-    for (std::size_t i = 0; i < n && !coincident; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (geom::dist(p0[i], p0[j]) <= options_.collision_distance) {
-          coincident = true;
-          break;
-        }
-      }
-    }
-  } else {
-    grid_scratch_.build(p0);
-    const double r2 = collision_radius2(options_.collision_distance);
-    for (std::size_t i = 0; i < n && !coincident; ++i) {
-      grid_scratch_.for_each_within(p0[i], r2, [&](std::size_t j) {
-        if (j != i &&
-            geom::dist(p0[i], p0[j]) <= options_.collision_distance) {
-          coincident = true;
-        }
-      });
-    }
-  }
-  if (coincident) {
+  if (scan_pairs(p0, grid_scratch_).collided) {
     throw std::invalid_argument(
         "Engine: initial positions must be pairwise distinct");
   }
@@ -274,14 +325,10 @@ void Engine::teleport(RobotIndex i, const geom::Vec2& global_position) {
     e.y = global_position.y;
     sink_->on_event(e);
   }
-  if (options_.check_collisions) {
-    for (std::size_t j = 0; j < cur.size(); ++j) {
-      if (j != i && geom::dist(cur[i], cur[j]) <=
-                        options_.collision_distance) {
-        throw CollisionError("teleport collided robots " + std::to_string(i) +
-                             " and " + std::to_string(j));
-      }
-    }
+  const std::size_t j = first_collision_with(cur, i);
+  if (j < cur.size()) {
+    throw CollisionError("teleport collided robots " + std::to_string(i) +
+                         " and " + std::to_string(j));
   }
 }
 
@@ -484,48 +531,22 @@ inline void Engine::list_rows(RobotIndex i, Rows rows, std::size_t self_row,
   }
 }
 
-void Engine::check_collisions(std::span<const geom::Vec2> after) {
-  const std::size_t n = after.size();
-  const double cd = options_.collision_distance;
-  const auto report = [&](std::size_t i, std::size_t j) {
-    if (sink_ != nullptr) {
-      obs::Event e;
-      e.type = obs::EventType::Collision;
-      e.t = t_;
-      e.robot = static_cast<std::int64_t>(i);
-      e.peer = static_cast<std::int64_t>(j);
-      e.x = after[i].x;
-      e.y = after[i].y;
-      sink_->on_event(e);
-    }
-    throw CollisionError("robots " + std::to_string(i) + " and " +
-                         std::to_string(j) + " collided at instant " +
-                         std::to_string(t_));
-  };
-  if (n < kGridThreshold) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (std::is_lteq(geom::dist_cmp(after[i], after[j], cd))) {
-          report(i, j);
-        }
-      }
-    }
-    return;
+double Engine::separation(std::span<const geom::Vec2> after) {
+  const PairScan scan = scan_pairs(after, grid_scratch_);
+  if (!scan.collided) return scan.min_separation;
+  if (sink_ != nullptr) {
+    obs::Event e;
+    e.type = obs::EventType::Collision;
+    e.t = t_;
+    e.robot = static_cast<std::int64_t>(scan.i);
+    e.peer = static_cast<std::int64_t>(scan.j);
+    e.x = after[scan.i].x;
+    e.y = after[scan.i].y;
+    sink_->on_event(e);
   }
-  grid_scratch_.build(after);
-  const double r2 = collision_radius2(cd);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t hit = n;
-    grid_scratch_.for_each_within(after[i], r2, [&](std::size_t j) {
-      if (j > i && j < hit &&
-          std::is_lteq(geom::dist_cmp(after[i], after[j], cd))) {
-        hit = j;
-      }
-    });
-    // Lexicographically first pair, as the all-pairs scan reports: lowest
-    // i first (outer loop), lowest j among its collisions (min above).
-    if (hit < n) report(i, hit);
-  }
+  throw CollisionError("robots " + std::to_string(scan.i) + " and " +
+                       std::to_string(scan.j) + " collided at instant " +
+                       std::to_string(t_));
 }
 
 void Engine::step() {
@@ -621,51 +642,86 @@ void Engine::step_impl() {
     if (!geom::same_bits(after[i], before[i])) stamp(i);
   }
 
+  double separation_after;
   {
-  obs::prof::Scope commit_scope(prof_, ph_commit_);
-  if (options_.check_collisions) check_collisions(after);
-
-  if (interceptor_ != nullptr) {
-    pre_scratch_.assign(after.begin(), after.end());
-    interceptor_->on_positions(t_, std::span<geom::Vec2>{after});
+    obs::prof::Scope commit_scope(prof_, ph_commit_);
+    separation_after = separation(after);
+    if (interceptor_ != nullptr) {
+      pre_scratch_.assign(after.begin(), after.end());
+      interceptor_->on_positions(t_, std::span<geom::Vec2>{after});
+      bool shoved = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (geom::same_bits(after[i], pre_scratch_[i])) continue;
+        stamp(i);
+        if (after[i] == pre_scratch_[i]) continue;
+        shoved = true;
+        // Transient perturbation: surface it like the teleport fault so the
+        // watchdog re-anchors granular containment for the shoved robot.
+        if (sink_ != nullptr) {
+          obs::Event e;
+          e.type = obs::EventType::Teleport;
+          e.t = t_;
+          e.robot = static_cast<std::int64_t>(i);
+          e.x = after[i].x;
+          e.y = after[i].y;
+          sink_->on_event(e);
+        }
+        const std::size_t j = first_collision_with(after, i);
+        if (j < n) {
+          // Publish the collided configuration for post-mortems without
+          // advancing time (the legacy `positions_ = after`).
+          for (std::size_t k = 0; k < n; ++k) {
+            if (!geom::same_bits(before_v[k], after[k])) stamp(k);
+          }
+          before_v = after;
+          throw CollisionError("perturbation collided robots " +
+                               std::to_string(i) + " and " +
+                               std::to_string(j) + " at instant " +
+                               std::to_string(t_));
+        }
+      }
+      if (shoved) separation_after = separation(after);
+    }
+  }
+  {
+    // The instant's record: Activation per active robot, Move per robot
+    // that ended it elsewhere, one StepComplete with its separation.
+    obs::prof::Scope s(prof_, ph_emit_);
+    obs::Event e;
+    e.t = t_;
     for (std::size_t i = 0; i < n; ++i) {
-      if (geom::same_bits(after[i], pre_scratch_[i])) continue;
-      stamp(i);
-      if (after[i] == pre_scratch_[i]) continue;
-      // Transient perturbation: surface it like the teleport fault so the
-      // watchdog re-anchors granular containment for the shoved robot.
+      if (!active[i]) continue;
+      MotionStats& m = motion_[i];
+      ++m.activations;
+      e.robot = static_cast<std::int64_t>(i);
       if (sink_ != nullptr) {
-        obs::Event e;
-        e.type = obs::EventType::Teleport;
-        e.t = t_;
-        e.robot = static_cast<std::int64_t>(i);
-        e.x = after[i].x;
-        e.y = after[i].y;
+        e.type = obs::EventType::Activation;
+        e.x = before[i].x;
+        e.y = before[i].y;
+        e.value = 0.0;
         sink_->on_event(e);
       }
-      if (options_.check_collisions) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (j != i && geom::dist(after[i], after[j]) <=
-                            options_.collision_distance) {
-            // Publish the collided configuration for post-mortems without
-            // advancing time (the legacy `positions_ = after`).
-            for (std::size_t k = 0; k < n; ++k) {
-              if (!geom::same_bits(before_v[k], after[k])) stamp(k);
-            }
-            before_v = after;
-            throw CollisionError("perturbation collided robots " +
-                                 std::to_string(i) + " and " +
-                                 std::to_string(j) + " at instant " +
-                                 std::to_string(t_));
-          }
+      if (std::is_gt(geom::dist_cmp(before[i], after[i], geom::kEps))) {
+        const double d = geom::dist(before[i], after[i]);
+        ++m.moves;
+        m.distance += d;
+        if (sink_ != nullptr) {
+          e.type = obs::EventType::Move;
+          e.x = after[i].x;
+          e.y = after[i].y;
+          e.value = d;
+          sink_->on_event(e);
         }
       }
     }
-  }
-  }  // commit_scope
-  {
-    obs::prof::Scope s(prof_, ph_emit_);
-    trace_.record_step(active, before, after, sink_);
+    min_separation_ = std::min(min_separation_, separation_after);
+    if (sink_ != nullptr) {
+      e.type = obs::EventType::StepComplete;
+      e.robot = -1;
+      e.x = e.y = 0.0;
+      e.value = separation_after;
+      sink_->on_event(e);
+    }
   }
   // Publishing the step is just the epoch increment: `positions()` now
   // views the slot the moves were written into.

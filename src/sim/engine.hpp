@@ -6,6 +6,11 @@
 // all observations happen before any move is applied, matching "computes a
 // position depending only on the system configuration at t_j"), computes a
 // destination in its local frame, and travels toward it by at most sigma_r.
+// Each step is recorded here and nowhere else: one pair scan of the new
+// configuration yields both its minimum separation and its first colliding
+// pair, and the engine folds the instant into per-robot MotionStats and the
+// run's minimum separation, emitting the same facts as Activation, Move and
+// StepComplete events when a sink is attached (DESIGN.md §15).
 //
 // World state lives in an epoch ring: one immutable position array per
 // instant, kept for the last `observation_delay + 2` instants. Instant e's
@@ -36,6 +41,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -51,7 +57,6 @@
 #include "sim/frame.hpp"
 #include "sim/robot.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace stig::sim {
@@ -73,13 +78,20 @@ struct RobotSpec {
                spec.frame_mirrored);
 }
 
+/// Two robots at most this far apart collide: at t0 the engine refuses
+/// them, after a step it throws CollisionError.
+inline constexpr double kCollisionDistance = 1e-12;
+
+/// Per-robot cumulative motion statistics: what the harness measures per
+/// bit (EXPERIMENTS.md) and the idle moves of a silent protocol (Section 5).
+struct MotionStats {
+  std::uint64_t activations = 0;  ///< Times the scheduler activated it.
+  std::uint64_t moves = 0;        ///< Activations that changed its position.
+  double distance = 0.0;          ///< Total Euclidean distance traveled.
+};
+
 /// Engine construction options.
 struct EngineOptions {
-  bool record_positions = false;  ///< Keep full per-instant history.
-  /// Two robots closer than this after a step is reported as a collision.
-  double collision_distance = 1e-12;
-  bool check_collisions = true;  ///< Throw CollisionError on collision.
-
   /// Sensor resolution (Section 5 "computation errors due to round off"):
   /// when positive, every *observed* position of another robot is snapped
   /// to this global grid before entering the observer's snapshot. The
@@ -206,23 +218,30 @@ class Engine {
   [[nodiscard]] const Robot& program(RobotIndex i) const {
     return *programs_.at(i);
   }
-  [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
   [[nodiscard]] bool identified() const noexcept { return identified_; }
+
+  /// Robot i's motion over the steps taken (a step that threw counts
+  /// nothing): the fold of its Activation and Move events.
+  [[nodiscard]] const MotionStats& motion(RobotIndex i) const {
+    return motion_.at(i);
+  }
+  /// Smallest pairwise separation of any configuration a step produced
+  /// (+infinity before the first step): the fold of the StepComplete
+  /// events. The collision-avoidance invariant is `min_separation() > 0`.
+  [[nodiscard]] double min_separation() const noexcept {
+    return min_separation_;
+  }
 
   /// Routes telemetry events (Activation, Move, StepComplete, Collision,
   /// Teleport) into `sink`; null detaches. The hot path pays one branch
   /// when detached and one virtual dispatch per event when attached — the
-  /// built-in Trace keeps updating either way.
+  /// motion counters keep updating either way.
   void set_event_sink(obs::EventSink* sink) noexcept { sink_ = sink; }
-  [[nodiscard]] obs::EventSink* event_sink() const noexcept { return sink_; }
 
   /// Attaches a fault-injection interceptor (not owned; must outlive the
   /// engine; null detaches). See StepInterceptor.
   void set_step_interceptor(StepInterceptor* interceptor) noexcept {
     interceptor_ = interceptor;
-  }
-  [[nodiscard]] StepInterceptor* step_interceptor() const noexcept {
-    return interceptor_;
   }
 
   /// Registers engine-level metrics into `registry` (currently the
@@ -236,9 +255,6 @@ class Engine {
   /// brackets each in every subsequent `step()`. Detached, the hot path
   /// pays one null check per phase; see obs/prof.hpp.
   void set_profiler(obs::prof::Profiler* profiler);
-  [[nodiscard]] obs::prof::Profiler* profiler() const noexcept {
-    return prof_;
-  }
 
   /// Attaches a coverage map (not owned; null detaches). Records
   /// sched-domain 2-grams over interleaving classes: each instant's
@@ -246,7 +262,6 @@ class Engine {
   /// (previous class -> current class) edge is hit. Detached, the hot path
   /// pays one null check per step.
   void set_coverage(obs::cov::CovMap* map);
-  [[nodiscard]] obs::cov::CovMap* coverage() const noexcept { return cov_; }
 
   /// Builds the snapshot robot `i` would observe right now (exposed for
   /// tests; the engine itself uses `build_observation` during `step`).
@@ -366,10 +381,10 @@ class Engine {
     if (hinted_) stamps_[i] = ++writes_;
   }
 
-  /// Throws CollisionError for the lexicographically first colliding pair
-  /// in `config` (same pair the all-pairs scan reports); grid-accelerated
-  /// for large n, brute below the threshold.
-  void check_collisions(std::span<const geom::Vec2> config);
+  /// The minimum separation of the configuration a step produced, `after`;
+  /// first emits a Collision event and throws CollisionError for its
+  /// lexicographically first pair within kCollisionDistance.
+  double separation(std::span<const geom::Vec2> after);
 
   void step_impl();
 
@@ -415,8 +430,9 @@ class Engine {
   Snapshot snap_scratch_;
   ActivationSet active_scratch_;
   std::vector<geom::Vec2> pre_scratch_;  ///< Interceptor before-image.
-  geom::PointGrid grid_scratch_;         ///< Large-n collision checks.
-  Trace trace_;
+  geom::PointGrid grid_scratch_;         ///< Large-n pair scans.
+  std::vector<MotionStats> motion_;
+  double min_separation_ = std::numeric_limits<double>::infinity();
   obs::EventSink* sink_ = nullptr;
   StepInterceptor* interceptor_ = nullptr;
   obs::LogHistogram* step_wall_ = nullptr;  ///< Owned by the registry.

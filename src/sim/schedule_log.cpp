@@ -56,22 +56,25 @@ std::uint64_t ScheduleLog::digest() const noexcept {
     }
     zeros += static_cast<std::size_t>(8 - bytes);
   };
+  // Chunks end at word boundaries, so each is one shifted, masked word
+  // whose 1 bits are visited lowest first.
   for (std::size_t t = 0; t < ends_.size(); ++t) {
     mix(t);
     mix(robots(t));
-    std::size_t at = begin(t);
-    for (std::size_t left = robots(t); left != 0;) {
-      const std::size_t len = std::min<std::size_t>(left, 64);
-      left -= len;
+    for (std::size_t at = begin(t); at != ends_[t];) {
+      const std::size_t len =
+          std::min<std::size_t>(ends_[t] - at, 64 - at % 64);
+      std::uint64_t word = words_[at / 64] >> (at % 64);
+      if (len < 64) word &= (std::uint64_t{1} << len) - 1;
       std::uint64_t parity = h & 1U;
       std::uint64_t sum = 0;
-      for (std::size_t k = len; k != 0; --k, ++at) {
-        const std::uint64_t b = bit(at) ? 1U : 0U;
-        sum += ((kFnvPow[k] ^ (0 - parity)) + parity) & (0 - b);  // +-p^k.
-        parity ^= b;
+      for (; word != 0; word &= word - 1, parity ^= 1U) {
+        const auto j = static_cast<std::size_t>(std::countr_zero(word));
+        sum += (kFnvPow[len - j] ^ (0 - parity)) + parity;  // +-p^(len-j).
       }
       h = h * fnv_pow(zeros + len) + sum;
       zeros = 0;
+      at += len;
     }
   }
   return h * fnv_pow(zeros);

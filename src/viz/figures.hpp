@@ -1,6 +1,6 @@
 // Higher-level figure composition: draws whole configurations (Voronoi
 // cells, granulars with paper-accurate slicing and labels, the SEC and a
-// horizon line) and trajectories from a recorded trace — enough to
+// horizon line) and trajectories from a position history — enough to
 // regenerate each of the paper's Figures 1-6 as an .svg.
 #pragma once
 
@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "geom/vec.hpp"
 #include "proto/slices.hpp"
-#include "sim/trace.hpp"
 #include "viz/svg.hpp"
 
 namespace stig::viz {
@@ -35,7 +35,7 @@ struct SwarmDrawing {
                                   const SwarmDrawing& what);
 
 /// Overlays each robot's trajectory from a recorded position history
-/// (`Trace::positions()`), one default color per robot.
+/// (`core::ChatNetwork::position_history()`), one default color per robot.
 void draw_trajectories(
     SvgScene& scene,
     const std::vector<std::vector<geom::Vec2>>& history);

@@ -6,8 +6,8 @@
 // sliced-protocol robot is at its granular center, on one of its labeled
 // rays, or (asynchronously) on its kappa lane; an Async2 robot is on the
 // horizon line or perpendicular to it. The validators below replay a
-// recorded position history (Trace::positions()) and report every
-// violation.
+// recorded position history (ChatNetwork::position_history()) and report
+// every violation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -144,7 +144,7 @@ TEST(Conformance, SyncSlicedTraceIsClean) {
   }
   ASSERT_TRUE(net.run_until_quiescent(100'000));
   const auto violations = validate_sliced_trace(
-      pts, net.engine().trace().positions(),
+      pts, net.position_history(),
       proto::NamingMode::lexicographic, n);
   for (const auto& v : violations) {
     ADD_FAILURE() << "robot " << v.robot << " t=" << v.instant << ": "
@@ -163,7 +163,7 @@ TEST(Conformance, SyncSlicedRelativeTraceIsClean) {
   net.broadcast(2, random_payload(4, 2));
   ASSERT_TRUE(net.run_until_quiescent(100'000));
   EXPECT_TRUE(validate_sliced_trace(
-                  pts, net.engine().trace().positions(),
+                  pts, net.position_history(),
                   proto::NamingMode::relative, n)
                   .empty());
 }
@@ -180,7 +180,7 @@ TEST(Conformance, AsyncNTraceIsClean) {
   ASSERT_TRUE(net.run_until_quiescent(2'000'000));
   // AsyncN slices into n+1 diameters (kappa included), relative reference.
   EXPECT_TRUE(validate_sliced_trace(
-                  pts, net.engine().trace().positions(),
+                  pts, net.position_history(),
                   proto::NamingMode::relative, n + 1)
                   .empty());
 }
@@ -198,7 +198,7 @@ TEST(Conformance, KSegmentTraceIsClean) {
   net.send(0, 5, random_payload(5, 4));
   ASSERT_TRUE(net.run_until_quiescent(100'000));
   EXPECT_TRUE(validate_sliced_trace(
-                  pts, net.engine().trace().positions(),
+                  pts, net.position_history(),
                   proto::NamingMode::lexicographic, 3 + 1)
                   .empty());
 }
@@ -215,7 +215,7 @@ TEST(Conformance, Async2TraceIsClean) {
   net.send(1, 0, random_payload(3, 6));
   ASSERT_TRUE(net.run_until_quiescent(1'000'000));
   EXPECT_TRUE(validate_async2_trace(
-                  a, b, net.engine().trace().positions())
+                  a, b, net.position_history())
                   .empty());
 }
 
@@ -231,7 +231,7 @@ TEST(Conformance, BandedAsync2TraceIsClean) {
   net.send(0, 1, random_payload(6, 7));
   ASSERT_TRUE(net.run_until_quiescent(1'000'000));
   EXPECT_TRUE(validate_async2_trace(
-                  a, b, net.engine().trace().positions())
+                  a, b, net.position_history())
                   .empty());
 }
 
@@ -253,7 +253,7 @@ TEST(Conformance, ValidatorCatchesInjectedViolations) {
   net.engine().teleport(0, pts[0] + dir * (0.5 * r0));
   net.run(1);
   const auto violations = validate_sliced_trace(
-      pts, net.engine().trace().positions(),
+      pts, net.position_history(),
       proto::NamingMode::lexicographic, n);
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].robot, 0u);
@@ -276,7 +276,7 @@ TEST(Conformance, ValidatorCatchesOutsideGranular) {
   net.engine().teleport(1, pts[1] + geom::Vec2{1.3 * r1, 0.0});
   net.run(1);
   const auto violations = validate_sliced_trace(
-      pts, net.engine().trace().positions(),
+      pts, net.position_history(),
       proto::NamingMode::lexicographic, n);
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].rule, "outside granular");

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/chat_network.hpp"
 #include "geom/angle.hpp"
@@ -203,6 +204,26 @@ TEST(ChatNetwork, QuantizedListingNamesTheRightRobot) {
   EXPECT_EQ(net.received(0)[0].from, 2u);
   EXPECT_EQ(net.received(0)[0].payload, answer);
   EXPECT_TRUE(net.received(1).empty());
+}
+
+TEST(ChatNetwork, PositionHistoryOnlyWhenAsked) {
+  ChatNetworkOptions off;
+  ChatNetworkOptions on;
+  on.record_positions = true;
+  const std::vector<geom::Vec2> pts{{0, 0}, {5, 0}};
+  ChatNetwork quiet(pts, off);
+  ChatNetwork recorded(pts, on);
+  recorded.send(0, 1, encode::bytes_of("h"));
+  quiet.run(3);
+  recorded.run(3);
+  EXPECT_TRUE(quiet.position_history().empty());
+  // P(t0), then the configuration each step produced.
+  const auto& history = recorded.position_history();
+  ASSERT_EQ(history.size(), 4u);
+  EXPECT_EQ(history[0], pts);
+  const auto now = recorded.engine().positions();
+  EXPECT_EQ(history[3], std::vector<geom::Vec2>(now.begin(), now.end()));
+  EXPECT_NE(history[1], history[0]);  // The sender signaled.
 }
 
 TEST(ChatNetwork, RejectsSelfSend) {

@@ -206,7 +206,7 @@ TEST_P(LatticeSoakTest, RandomScenarioDelivers) {
       << "seed=" << seed << " n=" << n << " sync=" << synchronous;
   EXPECT_EQ(net.received(to)[0].payload, msg);
   EXPECT_EQ(net.received(to)[0].from, from);
-  EXPECT_GT(net.engine().trace().min_separation(), 0.0);
+  EXPECT_GT(net.engine().min_separation(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LatticeSoakTest,

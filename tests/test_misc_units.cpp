@@ -1,6 +1,6 @@
-// Remaining unit coverage: Trace recording options, Rng determinism,
-// horizon-direction edge geometry, relative naming on collinear/minimal
-// sets, ChatStats accounting.
+// Remaining unit coverage: Rng determinism, horizon-direction edge
+// geometry, relative naming on collinear/minimal sets, ChatStats
+// accounting.
 #include <gtest/gtest.h>
 
 #include "core/chat_network.hpp"
@@ -9,48 +9,11 @@
 #include "geom/angle.hpp"
 #include "proto/naming.hpp"
 #include "sim/rng.hpp"
-#include "sim/trace.hpp"
 
 namespace stig {
 namespace {
 
 using geom::Vec2;
-
-TEST(Trace, PositionsRecordedOnlyWhenEnabled) {
-  sim::Trace off(2, false);
-  sim::Trace on(2, true);
-  const std::vector<bool> active{true, true};
-  const std::vector<Vec2> before{Vec2{0, 0}, Vec2{5, 0}};
-  const std::vector<Vec2> after{Vec2{0, 1}, Vec2{5, 0}};
-  off.record_step(active, before, after);
-  on.record_step(active, before, after);
-  EXPECT_TRUE(off.positions().empty());
-  ASSERT_EQ(on.positions().size(), 2u);  // t0 config + after step 0.
-  EXPECT_EQ(on.positions()[0][0], before[0]);
-  EXPECT_EQ(on.positions()[1][0], after[0]);
-}
-
-TEST(Trace, InactiveRobotsNotCharged) {
-  sim::Trace t(2, false);
-  const std::vector<Vec2> before{Vec2{0, 0}, Vec2{5, 0}};
-  const std::vector<Vec2> after{Vec2{0, 1}, Vec2{5, 0}};
-  t.record_step({true, false}, before, after);
-  EXPECT_EQ(t.stats(0).activations, 1u);
-  EXPECT_EQ(t.stats(1).activations, 0u);
-  EXPECT_EQ(t.stats(0).moves, 1u);
-  EXPECT_NEAR(t.stats(0).distance, 1.0, 1e-12);
-}
-
-TEST(Trace, MinSeparationTracksClosestApproach) {
-  sim::Trace t(2, false);
-  const std::vector<bool> a{true, true};
-  const std::vector<Vec2> p0{Vec2{0, 0}, Vec2{10, 0}};
-  const std::vector<Vec2> p1{Vec2{0, 0}, Vec2{3, 0}};
-  const std::vector<Vec2> p2{Vec2{0, 0}, Vec2{8, 0}};
-  t.record_step(a, p0, p1);
-  t.record_step(a, p1, p2);
-  EXPECT_NEAR(t.min_separation(), 3.0, 1e-12);
-}
 
 TEST(Rng, SeededStreamsReproducible) {
   sim::Rng a(42);

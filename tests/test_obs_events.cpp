@@ -1,10 +1,12 @@
 // Event-stream tests: golden JSONL rendering, deterministic event logs,
 // payload reconstruction from BitDecoded events, Chrome trace shape (spans
-// per protocol phase, no overlap per thread), and Trace-as-EventSink
-// equivalence (replaying a run's events reproduces its statistics).
+// per protocol phase, no overlap per thread), and the engine's motion
+// counters as a fold of its own event stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -17,7 +19,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/sink.hpp"
-#include "sim/trace.hpp"
 
 namespace stig {
 namespace {
@@ -232,32 +233,78 @@ TEST(Events, ChromeTraceIsWellFormedAndPhaseSpansDoNotOverlap) {
   }
 }
 
-TEST(Events, TraceReplayReproducesRunStatistics) {
-  const auto msg = encode::bytes_of("ok");
-  obs::CollectSink sink;
-  std::vector<sim::MotionStats> expected;
-  double expected_min_sep = 0.0;
-  sim::Time expected_instants = 0;
-  run_two_robot_sync(&sink, msg, [&](core::ChatNetwork& net) {
-    for (std::size_t i = 0; i < 2; ++i) {
-      expected.push_back(net.engine().trace().stats(i));
-    }
-    expected_min_sep = net.engine().trace().min_separation();
-    expected_instants = net.engine().trace().instants();
-  });
+/// A test-local fold of an engine's Activation, Move and StepComplete
+/// events: what its motion counters must equal.
+struct MotionFold {
+  std::vector<sim::MotionStats> robots;
+  double min_separation = std::numeric_limits<double>::infinity();
+  sim::Time instants = 0;
+};
 
-  sim::Trace replay(2);
-  for (const obs::Event& e : sink.events()) replay.on_event(e);
-  EXPECT_EQ(replay.instants(), expected_instants);
-  EXPECT_DOUBLE_EQ(replay.min_separation(), expected_min_sep);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(replay.stats(i).activations, expected[i].activations);
-    EXPECT_EQ(replay.stats(i).moves, expected[i].moves);
-    EXPECT_DOUBLE_EQ(replay.stats(i).distance, expected[i].distance);
+MotionFold fold_motion(const std::vector<obs::Event>& events,
+                       std::size_t n) {
+  MotionFold f;
+  f.robots.resize(n);
+  for (const obs::Event& e : events) {
+    switch (e.type) {
+      case obs::EventType::Activation:
+        ++f.robots.at(static_cast<std::size_t>(e.robot)).activations;
+        break;
+      case obs::EventType::Move: {
+        sim::MotionStats& m = f.robots.at(static_cast<std::size_t>(e.robot));
+        ++m.moves;
+        m.distance += e.value;
+        break;
+      }
+      case obs::EventType::StepComplete:
+        f.min_separation = std::min(f.min_separation, e.value);
+        ++f.instants;
+        break;
+      default:
+        break;
+    }
+  }
+  return f;
+}
+
+/// The engine's counters equal the fold of its own events, bit for bit.
+void expect_counters_fold(const core::ChatNetwork& net,
+                          const obs::CollectSink& sink) {
+  const MotionFold f = fold_motion(sink.events(), net.robot_count());
+  EXPECT_EQ(f.instants, net.engine().now());
+  EXPECT_EQ(f.min_separation, net.engine().min_separation());
+  for (std::size_t i = 0; i < net.robot_count(); ++i) {
+    const sim::MotionStats& m = net.engine().motion(i);
+    EXPECT_EQ(f.robots[i].activations, m.activations) << "robot " << i;
+    EXPECT_EQ(f.robots[i].moves, m.moves) << "robot " << i;
+    EXPECT_EQ(f.robots[i].distance, m.distance) << "robot " << i;
   }
 }
 
-TEST(Events, ReportMatchesTraceCounters) {
+TEST(Events, EngineCountersAreTheFoldOfItsEvents) {
+  {
+    obs::CollectSink sink;
+    run_two_robot_sync(&sink, encode::bytes_of("ok"),
+                       [&](core::ChatNetwork& net) {
+                         expect_counters_fold(net, sink);
+                       });
+  }
+  // Five asynchronous robots: partial activation sets, idle activations.
+  core::ChatNetworkOptions opt;
+  opt.synchrony = core::Synchrony::asynchronous;
+  opt.seed = 3;
+  core::ChatNetwork net({geom::Vec2{0, 0}, geom::Vec2{6, 0}, geom::Vec2{3, 5},
+                         geom::Vec2{-3, 4}, geom::Vec2{2, -5}},
+                        opt);
+  obs::CollectSink sink;
+  net.attach_event_sink(&sink);
+  net.send(0, 3, encode::bytes_of("fold"));
+  net.run(2000);
+  ASSERT_GT(net.engine().motion(0).moves, 0u);
+  expect_counters_fold(net, sink);
+}
+
+TEST(Events, ReportMatchesEngineCounters) {
   const auto msg = encode::bytes_of("hi");
   run_two_robot_sync(nullptr, msg, [&](core::ChatNetwork& net) {
     const obs::RunReport r = net.report();
@@ -268,7 +315,7 @@ TEST(Events, ReportMatchesTraceCounters) {
     EXPECT_EQ(r.instants, net.engine().now());
     EXPECT_EQ(r.messages_delivered, 1u);
     EXPECT_DOUBLE_EQ(r.min_separation,
-                     net.engine().trace().min_separation());
+                     net.engine().min_separation());
     EXPECT_EQ(r.bits_sent, net.stats(0).bits_sent + net.stats(1).bits_sent);
     ASSERT_GT(r.bits_sent, 0u);
     EXPECT_DOUBLE_EQ(r.instants_per_bit,
@@ -276,9 +323,9 @@ TEST(Events, ReportMatchesTraceCounters) {
                          static_cast<double>(r.bits_sent));
     double dist = 0.0;
     for (std::size_t i = 0; i < 2; ++i) {
-      dist += net.engine().trace().stats(i).distance;
+      dist += net.engine().motion(i).distance;
       EXPECT_EQ(r.per_robot[i].activations,
-                net.engine().trace().stats(i).activations);
+                net.engine().motion(i).activations);
     }
     EXPECT_DOUBLE_EQ(r.total_distance, dist);
 

@@ -70,10 +70,10 @@ TEST(Async2, NotSilentRemark43) {
   ChatNetwork net({geom::Vec2{0, 0}, geom::Vec2{4, 0}}, opt);
   net.run(500);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(net.engine().trace().stats(i).moves,
-              net.engine().trace().stats(i).activations)
+    EXPECT_EQ(net.engine().motion(i).moves,
+              net.engine().motion(i).activations)
         << i;
-    EXPECT_GT(net.engine().trace().stats(i).moves, 0u);
+    EXPECT_GT(net.engine().motion(i).moves, 0u);
   }
 }
 
@@ -102,7 +102,7 @@ TEST(Async2, BandedVariantStaysBounded) {
   net.run(64);
   ASSERT_EQ(net.received(1).size(), 1u);
   EXPECT_EQ(net.received(1)[0].payload, msg);
-  EXPECT_GT(net.engine().trace().min_separation(), 0.5);
+  EXPECT_GT(net.engine().min_separation(), 0.5);
 }
 
 TEST(Async2, LongMessageUnderSlowActivation) {
@@ -180,12 +180,12 @@ TEST(AsyncN, StaysInsideGranulars) {
   for (std::size_t i = 0; i < 4; ++i) {
     radius[i] = geom::granular_radius(pts, i);
   }
-  for (const auto& config : net.engine().trace().positions()) {
+  for (const auto& config : net.position_history()) {
     for (std::size_t i = 0; i < 4; ++i) {
       EXPECT_LT(geom::dist(config[i], pts[i]), radius[i]);
     }
   }
-  EXPECT_GT(net.engine().trace().min_separation(), 0.0);
+  EXPECT_GT(net.engine().min_separation(), 0.0);
 }
 
 TEST(AsyncN, WorksWithIdsAndSenseOfDirectionToo) {

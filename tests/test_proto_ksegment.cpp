@@ -133,7 +133,7 @@ TEST(KSegment, SilentWhenIdle) {
   ChatNetwork net(scatter(5, 37), ksegment_options(4));
   net.run(100);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(net.engine().trace().stats(i).moves, 0u);
+    EXPECT_EQ(net.engine().motion(i).moves, 0u);
   }
 }
 

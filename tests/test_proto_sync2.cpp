@@ -44,8 +44,8 @@ TEST(Sync2, SilentWhenIdle) {
   ChatNetwork net({geom::Vec2{0, 0}, geom::Vec2{5, 0}}, sync2_options());
   net.run(100);
   // The Section 5 "silent" property: no message, no movement.
-  EXPECT_EQ(net.engine().trace().stats(0).moves, 0u);
-  EXPECT_EQ(net.engine().trace().stats(1).moves, 0u);
+  EXPECT_EQ(net.engine().motion(0).moves, 0u);
+  EXPECT_EQ(net.engine().motion(1).moves, 0u);
   EXPECT_EQ(net.stats(0).idle_activations, 100u);
 }
 
@@ -97,7 +97,7 @@ TEST(Sync2, RobotsReturnToBaseBetweenBits) {
   ChatNetwork net({geom::Vec2{0, 0}, geom::Vec2{5, 0}}, opt);
   net.send(0, 1, random_payload(2, 4));
   ASSERT_TRUE(net.run_until_quiescent(10'000));
-  const auto& hist = net.engine().trace().positions();
+  const auto& hist = net.position_history();
   // Even-indexed configurations (0, 2, 4, ...) have robot 0 at its base.
   for (std::size_t t = 0; t < hist.size(); t += 2) {
     EXPECT_NEAR(geom::dist(hist[t][0], geom::Vec2{0, 0}), 0.0, 1e-9)

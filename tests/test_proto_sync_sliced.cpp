@@ -114,7 +114,7 @@ TEST(SyncSliced, SilentWhenIdle) {
   ChatNetwork net(scatter(6, 3), sliced_options(false, true));
   net.run(200);
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(net.engine().trace().stats(i).moves, 0u) << i;
+    EXPECT_EQ(net.engine().motion(i).moves, 0u) << i;
   }
 }
 
@@ -133,12 +133,12 @@ TEST(SyncSliced, StaysInsideGranulars) {
   for (std::size_t i = 0; i < 5; ++i) {
     radius[i] = geom::granular_radius(pts, i);
   }
-  for (const auto& config : net.engine().trace().positions()) {
+  for (const auto& config : net.position_history()) {
     for (std::size_t i = 0; i < 5; ++i) {
       EXPECT_LT(geom::dist(config[i], pts[i]), radius[i]);
     }
   }
-  EXPECT_GT(net.engine().trace().min_separation(), 0.0);
+  EXPECT_GT(net.engine().min_separation(), 0.0);
 }
 
 TEST(SyncSliced, TwoInstantsPerBitEvenWithConcurrentSenders) {

@@ -248,29 +248,29 @@ constexpr PinnedDigest kPinnedDecode[] = {
 /// fault and corruption draws, the others force theirs like stigfuzz
 /// --faults and --corrupt.
 struct ModeRuns {
-  RunDigest digests[std::size(kPinnedMotion)];
-  std::set<core::ProtocolKind> protocols;
-  std::set<core::SchedulerKind> schedulers;
-};
-
-const ModeRuns& mode_runs() {
-  static const ModeRuns runs = [] {
+  ModeRuns() {
     constexpr std::uint64_t kMaster = 0x6d6f74696f6eULL;
     constexpr std::size_t kCasesPerMode = 100;
-    ModeRuns r;
     for (std::size_t m = 0; m < std::size(kPinnedMotion); ++m) {
       for (std::size_t i = 0; i < kCasesPerMode; ++i) {
         FuzzConfig cfg =
             sample_config(par::derive_seed(kMaster, m * kCasesPerMode + i));
         if (m == 1) force_fault_dimensions(cfg);
         if (m == 2) force_corrupt_dimensions(cfg);
-        r.protocols.insert(cfg.protocol);
-        r.schedulers.insert(cfg.scheduler);
-        r.digests[m].end_run(run_motion(cfg, r.digests[m]));
+        protocols.insert(cfg.protocol);
+        schedulers.insert(cfg.scheduler);
+        digests[m].end_run(run_motion(cfg, digests[m]));
       }
     }
-    return r;
-  }();
+  }
+
+  RunDigest digests[std::size(kPinnedMotion)];
+  std::set<core::ProtocolKind> protocols;
+  std::set<core::SchedulerKind> schedulers;
+};
+
+const ModeRuns& mode_runs() {
+  static const ModeRuns runs;
   return runs;
 }
 

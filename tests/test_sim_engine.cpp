@@ -1,12 +1,16 @@
 // Engine tests: the SSM step semantics (two-phase observation, sigma clamp),
 // snapshot construction for identified/anonymous systems, collision
-// detection, trace counters, and construction validation.
+// detection and separation on both sides of the grid threshold, motion
+// counters, and construction validation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "geom/angle.hpp"
+#include "obs/sink.hpp"
 #include "sim/engine.hpp"
 #include "sim/observation.hpp"
 
@@ -218,7 +222,7 @@ TEST(Engine, RejectsBadSigmaAndUnit) {
                std::invalid_argument);
 }
 
-TEST(Engine, TraceCountsMovesAndDistance) {
+TEST(Engine, MotionCountsMovesAndDistance) {
   std::vector<RobotSpec> specs{{.position = Vec2{0, 0}, .sigma = 10},
                                {.position = Vec2{5, 0}, .sigma = 10}};
   std::vector<std::unique_ptr<Robot>> programs;
@@ -227,12 +231,175 @@ TEST(Engine, TraceCountsMovesAndDistance) {
   Engine e(specs, std::move(programs),
            std::make_unique<SynchronousScheduler>());
   e.run(10);
-  EXPECT_EQ(e.trace().instants(), 10u);
-  EXPECT_EQ(e.trace().stats(0).activations, 10u);
-  EXPECT_EQ(e.trace().stats(0).moves, 10u);
-  EXPECT_NEAR(e.trace().stats(0).distance, 10.0, 1e-9);
-  EXPECT_EQ(e.trace().stats(1).moves, 0u);
-  EXPECT_GT(e.trace().min_separation(), 4.9);
+  EXPECT_EQ(e.now(), 10u);
+  EXPECT_EQ(e.motion(0).activations, 10u);
+  EXPECT_EQ(e.motion(0).moves, 10u);
+  EXPECT_NEAR(e.motion(0).distance, 10.0, 1e-9);
+  EXPECT_EQ(e.motion(1).activations, 10u);
+  EXPECT_EQ(e.motion(1).moves, 0u);
+  EXPECT_GT(e.min_separation(), 4.9);
+}
+
+TEST(Engine, InactiveRobotsNotCharged) {
+  std::vector<RobotSpec> specs{{.position = Vec2{0, 0}},
+                               {.position = Vec2{5, 0}}};
+  // Centralized: only robot 0 is active at t0.
+  Engine e(specs, walkers({Vec2{0, 1}, Vec2{0, 1}}),
+           std::make_unique<CentralizedScheduler>());
+  e.step();
+  EXPECT_EQ(e.motion(0).activations, 1u);
+  EXPECT_EQ(e.motion(1).activations, 0u);
+  EXPECT_EQ(e.motion(0).moves, 1u);
+  EXPECT_EQ(e.motion(1).moves, 0u);
+  EXPECT_NEAR(e.motion(0).distance, 1.0, 1e-12);
+}
+
+/// A robot that walks a scripted local displacement per activation, then
+/// stays.
+class Script final : public Robot {
+ public:
+  explicit Script(std::vector<Vec2> moves) : moves_(std::move(moves)) {}
+  void initialize(const Snapshot&) override {}
+  Vec2 on_activate(const Snapshot& snap) override {
+    const Vec2 self = snap.self_robot().position;
+    return next_ < moves_.size() ? self + moves_[next_++] : self;
+  }
+
+ private:
+  std::vector<Vec2> moves_;
+  std::size_t next_ = 0;
+};
+
+TEST(Engine, MinSeparationTracksClosestApproach) {
+  std::vector<RobotSpec> specs{{.position = Vec2{0, 0}, .sigma = 10},
+                               {.position = Vec2{10, 0}, .sigma = 10}};
+  std::vector<std::unique_ptr<Robot>> programs;
+  programs.push_back(std::make_unique<Sitter>());
+  programs.push_back(std::make_unique<Script>(
+      std::vector<Vec2>{Vec2{-7, 0}, Vec2{5, 0}}));
+  Engine e(specs, std::move(programs),
+           std::make_unique<SynchronousScheduler>());
+  EXPECT_EQ(e.min_separation(), std::numeric_limits<double>::infinity());
+  e.run(2);  // Separation 3, then 8.
+  EXPECT_EQ(e.min_separation(), 3.0);
+  EXPECT_TRUE(nearly_equal(e.positions()[1], Vec2{8, 0}));
+}
+
+// One pair scan serves the t0 check and every step, all pairs below 128
+// robots and a PointGrid at or above. These run each case at n = 5 and
+// n = 130: the answers must not depend on the side.
+
+/// `n` robots: the five given positions, then the rest on a lattice of
+/// spacing 2 from (0, 5) up, far from the first five.
+std::vector<RobotSpec> swarm(std::size_t n, std::initializer_list<Vec2> first) {
+  std::vector<RobotSpec> specs;
+  for (const Vec2& p : first) specs.push_back({.position = p, .sigma = 10});
+  for (std::size_t k = 0; specs.size() < n; ++k) {
+    const Vec2 p{2.0 * static_cast<double>(k % 12),
+                 5.0 + 2.0 * static_cast<double>(k / 12)};
+    specs.push_back({.position = p, .sigma = 10});
+  }
+  return specs;
+}
+
+/// Sitters, except robot i walks `moves[i]` once when it is given.
+std::vector<std::unique_ptr<Robot>> scripted(
+    std::size_t n, const std::vector<std::vector<Vec2>>& moves) {
+  std::vector<std::unique_ptr<Robot>> v;
+  for (std::size_t i = 0; i < n; ++i) {
+    v.push_back(std::make_unique<Script>(
+        i < moves.size() ? moves[i] : std::vector<Vec2>{}));
+  }
+  return v;
+}
+
+/// The values the StepComplete events of a run carried.
+std::vector<double> separations(const obs::CollectSink& sink) {
+  std::vector<double> out;
+  for (const obs::Event& ev : sink.events()) {
+    if (ev.type == obs::EventType::StepComplete) out.push_back(ev.value);
+  }
+  return out;
+}
+
+TEST(EnginePairScan, SeparationRuleOnEachSideOfTheGrid) {
+  // The closest pair is robots 0 and 1. Below the grid threshold the
+  // separation is the smallest hypot, at or above it the root of the
+  // smallest squared distance; for this pair glibc's hypot and the root
+  // differ by an ulp, so each side's rule is pinned.
+  for (const std::size_t n : {std::size_t{5}, std::size_t{130}}) {
+    obs::CollectSink sink;
+    Engine e(swarm(n, {Vec2{0, 0}, Vec2{0.51, 0.54}, Vec2{3, 0}, Vec2{6, 0},
+                       Vec2{9, 0}}),
+             scripted(n, {}), std::make_unique<SynchronousScheduler>());
+    e.set_event_sink(&sink);
+    // From the engine's own positions: a constant-folded hypot could be
+    // rounded differently from the library's.
+    const auto p = e.positions();
+    const double by_hypot = geom::dist(p[0], p[1]);
+    const double by_root = std::sqrt(geom::dist2(p[0], p[1]));
+    e.run(2);
+    const std::vector<double> want(2, n < 128 ? by_hypot : by_root);
+    EXPECT_EQ(separations(sink), want) << "n=" << n;
+  }
+}
+
+TEST(EnginePairScan, FirstCollidingPairAtBothSizes) {
+  // Robot 4 lands on robot 1 and robot 3 on robot 2: pairs (1,4) and
+  // (2,3) collide, and (1,4) comes first.
+  for (const std::size_t n : {std::size_t{5}, std::size_t{130}}) {
+    obs::CollectSink sink;
+    Engine e(swarm(n, {Vec2{0, 0}, Vec2{3, 0}, Vec2{6, 0}, Vec2{9, 0},
+                       Vec2{12, 0}}),
+             scripted(n, {{}, {}, {}, {Vec2{-3, 0}}, {Vec2{-9, 0}}}),
+             std::make_unique<SynchronousScheduler>());
+    e.set_event_sink(&sink);
+    try {
+      e.step();
+      ADD_FAILURE() << "no collision at n=" << n;
+    } catch (const CollisionError& err) {
+      EXPECT_STREQ(err.what(), "robots 1 and 4 collided at instant 0")
+          << "n=" << n;
+    }
+    ASSERT_FALSE(sink.events().empty());
+    const obs::Event& last = sink.events().back();
+    EXPECT_EQ(last.type, obs::EventType::Collision) << "n=" << n;
+    EXPECT_EQ(last.robot, 1) << "n=" << n;
+    EXPECT_EQ(last.peer, 4) << "n=" << n;
+    EXPECT_TRUE(separations(sink).empty()) << "n=" << n;
+  }
+}
+
+TEST(EnginePairScan, CollisionDistanceIsInclusive) {
+  // Robot 1 steps from (x, 1) straight down to (x, 0), x from robot 0.
+  const double at = kCollisionDistance;
+  const double beyond = std::nextafter(at, 1.0);
+  for (const std::size_t n : {std::size_t{5}, std::size_t{130}}) {
+    for (const double x : {at, beyond}) {
+      Engine e(swarm(n, {Vec2{0, 0}, Vec2{x, 1}, Vec2{3, 0}, Vec2{6, 0},
+                         Vec2{9, 0}}),
+               scripted(n, {{}, {Vec2{0, -1}}}),
+               std::make_unique<SynchronousScheduler>());
+      if (x == at) {
+        EXPECT_THROW(e.step(), CollisionError) << "n=" << n;
+      } else {
+        EXPECT_NO_THROW(e.step()) << "n=" << n;
+        EXPECT_EQ(e.positions()[1], (Vec2{x, 0})) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(EnginePairScan, CoincidentStartRefusedAtBothSizes) {
+  for (const std::size_t n : {std::size_t{5}, std::size_t{130}}) {
+    // Robot 4 starts on robot 2.
+    EXPECT_THROW(Engine(swarm(n, {Vec2{0, 0}, Vec2{3, 0}, Vec2{6, 0},
+                                  Vec2{9, 0}, Vec2{6, 0}}),
+                        scripted(n, {}),
+                        std::make_unique<SynchronousScheduler>()),
+                 std::invalid_argument)
+        << "n=" << n;
+  }
 }
 
 TEST(Engine, RunUntilPredicate) {

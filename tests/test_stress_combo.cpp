@@ -160,7 +160,7 @@ TEST(Combo, HeavyTrafficEveryProtocolFeature) {
       }
     }
   }
-  EXPECT_GT(net.engine().trace().min_separation(), 0.0);
+  EXPECT_GT(net.engine().min_separation(), 0.0);
 }
 
 TEST(Combo, AsyncDelayAndKSubsetScheduler) {

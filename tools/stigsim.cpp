@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/chat_network.hpp"
 #include "core/exit_codes.hpp"
@@ -44,7 +45,6 @@
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
 #include "obs/watchdog.hpp"
-#include "sim/jsonl.hpp"
 #include "viz/figures.hpp"
 
 namespace {
@@ -129,7 +129,8 @@ void print_help() {
       "                    exit (\"-\" = stdout)\n"
       "  --replay FILE     re-execute a stigfuzz repro and verify the\n"
       "                    failure reproduces bit-for-bit (kind + schedule\n"
-      "                    digest); ignores the other run flags\n"
+      "                    digest); ignores the other run flags and refuses\n"
+      "                    output flags (exit 2)\n"
       "  --watchdog MODE   check paper invariants live: report|abort\n"
       "  --min-separation X  watchdog separation floor (default off)\n"
       "  --flight-recorder N keep the last N events for post-mortem dumps\n"
@@ -271,6 +272,25 @@ int main(int argc, char** argv) {
   }
 
   if (!args.replay.empty()) {
+    // A replay runs the repro's own configuration with no sink attached:
+    // asking it for an output it cannot write is a usage error.
+    const std::pair<const char*, bool> outputs[] = {
+        {"--events", !args.events.empty()},
+        {"--chrome-trace", !args.chrome_trace.empty()},
+        {"--report", !args.report.empty()},
+        {"--spans", !args.spans.empty()},
+        {"--span-trace", !args.span_trace.empty()},
+        {"--metrics", !args.metrics.empty()},
+        {"--watchdog", !args.watchdog.empty()},
+        {"--flight-recorder", args.flight_recorder > 0},
+        {"--jsonl", !args.jsonl.empty()},
+        {"--svg", !args.svg.empty()}};
+    for (const auto& [flag, given] : outputs) {
+      if (given) {
+        std::cerr << "--replay cannot honour " << flag << "\n";
+        return kExitUsage;
+      }
+    }
     std::string error;
     const auto repro = fuzz::load_repro(args.replay, &error);
     if (!repro) {
@@ -451,14 +471,13 @@ int main(int argc, char** argv) {
 
     human << "\nrobot   activations   moves   distance   bits_sent\n";
     for (std::size_t i = 0; i < args.n; ++i) {
-      const auto& m = net.engine().trace().stats(i);
+      const auto& m = net.engine().motion(i);
       human << std::setw(5) << i << std::setw(14) << m.activations
             << std::setw(8) << m.moves << std::setw(11) << std::fixed
             << std::setprecision(2) << m.distance << std::setw(12)
             << net.stats(i).bits_sent << "\n";
     }
-    human << "min separation: " << net.engine().trace().min_separation()
-          << "\n";
+    human << "min separation: " << net.engine().min_separation() << "\n";
 
     if (!args.report.empty()) {
       obs::RunReport report = net.report();
@@ -515,7 +534,8 @@ int main(int argc, char** argv) {
       human << "wrote " << args.chrome_trace << "\n";
     }
     if (!args.jsonl.empty()) {
-      if (!sim::write_trace_jsonl(args.jsonl, net.engine().trace())) {
+      std::ofstream out(args.jsonl);
+      if (!obs::write_history_jsonl(out, net.position_history())) {
         std::cerr << "error: could not write " << args.jsonl << "\n";
         return kExitRuntime;
       }
@@ -523,7 +543,7 @@ int main(int argc, char** argv) {
     }
     if (!args.svg.empty()) {
       viz::SvgScene fig;
-      viz::draw_trajectories(fig, net.engine().trace().positions());
+      viz::draw_trajectories(fig, net.position_history());
       if (!fig.write(args.svg)) {
         std::cerr << "error: could not write " << args.svg << "\n";
         return kExitRuntime;
