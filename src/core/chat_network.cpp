@@ -65,19 +65,19 @@ std::unique_ptr<sim::Scheduler> make_scheduler(
   return base;
 }
 
-/// The naming tables robot `observer` builds from its t0 view: `specs`
-/// seen in its frame, listed in its t0 snapshot order `order`.
+/// The naming tables robot `observer` builds from its t0 view: every
+/// robot seen in its frame, listed in its t0 snapshot order.
 std::shared_ptr<const proto::NamingTables> tables_in_view_of(
-    std::span<const sim::RobotSpec> specs,
-    const std::vector<sim::RobotIndex>& order, sim::RobotIndex observer,
+    const sim::Engine& engine, sim::RobotIndex observer,
     proto::NamingMode naming) {
-  const sim::Frame frame = sim::frame_of(specs[observer]);
+  const sim::Frame& frame = engine.frame(observer);
+  const std::span<const std::uint32_t> order = engine.listing(observer);
   std::vector<geom::Vec2> points;
   std::vector<sim::VisibleId> ids;
   points.reserve(order.size());
-  for (const sim::RobotIndex j : order) {
-    points.push_back(frame.to_local(specs[j].position));
-    if (naming == proto::NamingMode::by_ids) ids.push_back(*specs[j].id);
+  for (const std::uint32_t j : order) {
+    points.push_back(frame.to_local(engine.spec(j).position));
+    if (naming == proto::NamingMode::by_ids) ids.push_back(*engine.spec(j).id);
   }
   return std::make_shared<const proto::NamingTables>(points, ids, naming);
 }
@@ -165,15 +165,15 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
   eopt.observation_delay = options_.observation_delay;
   eopt.visibility_radius = options_.visibility_radius;
 
-  // t0 observation orders: orders[i][k] is the simulator index of the
-  // k-th robot in robot i's t0 snapshot, by the engine's own observation
-  // rule (a quantized sensor can list two robots in another order than
-  // their exact positions). They translate slots to simulator indices and
-  // place each robot's view of the shared naming tables.
-  std::vector<std::vector<sim::RobotIndex>> orders(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    orders[i] = sim::initial_observation_order(specs, i, eopt);
-  }
+  // The engine sorts every robot's t0 listing once: `listing(i)[k]` is the
+  // simulator index of the k-th robot in robot i's t0 snapshot, by the
+  // engine's own observation rule (a quantized sensor can list two robots
+  // in another order than their exact positions). Before the robots wake,
+  // those listings place each robot's view of the shared naming tables;
+  // after, they translate its slots to simulator indices.
+  engine_ = std::make_unique<sim::Engine>(std::move(specs),
+                                          make_scheduler(options_), eopt);
+  const sim::Engine& engine = *engine_;
 
   // One set of naming tables per swarm (DESIGN.md §9), built in robot 0's
   // t0 view — not the global frame, whose "clockwise" mirrored frames
@@ -188,9 +188,10 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
   if ((kind_ == ProtocolKind::sliced || kind_ == ProtocolKind::ksegment ||
        kind_ == ProtocolKind::asyncn) &&
       options_.observation_quantum <= 0.0) {
-    tables = tables_in_view_of(specs, orders[0], 0, naming);
+    tables = tables_in_view_of(engine, 0, naming);
+    const std::span<const std::uint32_t> order0 = engine.listing(0);
     for (std::size_t k = 0; k < n; ++k) {
-      canonical[orders[0][k]] = static_cast<std::uint32_t>(k);
+      canonical[order0[k]] = static_cast<std::uint32_t>(k);
     }
   }
   const auto shared_naming = [&](std::size_t i) {
@@ -198,7 +199,7 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
     if (tables == nullptr) return view;
     view.tables = tables;
     view.to_canonical.reserve(n);
-    for (const sim::RobotIndex j : orders[i]) {
+    for (const std::uint32_t j : engine.listing(i)) {
       view.to_canonical.push_back(canonical[j]);
     }
     return view;
@@ -207,7 +208,8 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
   programs.reserve(n);
   chat_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double sigma_local = options_.sigma / specs[i].frame_unit;
+    const sim::RobotSpec& spec = engine.spec(i);
+    const double sigma_local = options_.sigma / spec.frame_unit;
     std::unique_ptr<proto::ChatRobot> robot;
     switch (kind_) {
       case ProtocolKind::sync2: {
@@ -222,9 +224,9 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
         o.naming = naming;
         o.sigma_local = sigma_local;
         o.flock_velocity =
-            sim::Frame(geom::Vec2{0, 0}, specs[i].frame_rotation,
-                       specs[i].frame_unit, specs[i].frame_mirrored)
-                    .to_local(options_.flock_velocity);
+            sim::Frame(geom::Vec2{0, 0}, spec.frame_rotation,
+                       spec.frame_unit, spec.frame_mirrored)
+                .to_local(options_.flock_velocity);
         o.shared_naming = shared_naming(i);
         robot = std::make_unique<proto::SyncSlicedRobot>(std::move(o));
         break;
@@ -262,17 +264,15 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
     chat_.push_back(robot.get());
     programs.push_back(std::move(robot));
   }
+  engine_->wake(std::move(programs));
 
-  engine_ = std::make_unique<sim::Engine>(std::move(specs),
-                                          std::move(programs),
-                                          make_scheduler(options_), eopt);
-
-  // slot <-> simulator-index translation, per robot.
-  slot_to_engine_.assign(n, std::vector<sim::RobotIndex>(n));
+  // slot -> simulator index, per robot (the listings are still t0's).
+  slot_to_engine_.resize(n * n);
   for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const std::uint32_t> order = engine.listing(i);
+    std::uint32_t* const row = slot_to_engine_.data() + i * n;
     for (std::size_t t0_index = 0; t0_index < n; ++t0_index) {
-      const std::size_t slot = chat_[i]->slot_of_t0_index(t0_index);
-      slot_to_engine_[i][slot] = orders[i][t0_index];
+      row[chat_[i]->slot_of_t0_index(t0_index)] = order[t0_index];
     }
   }
   received_.assign(n, {});
@@ -283,7 +283,7 @@ void ChatNetwork::attach_event_sink(obs::EventSink* sink) {
   sink_ = sink;
   engine_->set_event_sink(sink);
   for (std::size_t i = 0; i < chat_.size(); ++i) {
-    chat_[i]->set_telemetry(sink, i, &slot_to_engine_[i]);
+    chat_[i]->set_telemetry(sink, i, slots(i));
   }
 }
 
@@ -380,12 +380,15 @@ obs::RunReport ChatNetwork::report() const {
 void ChatNetwork::send(sim::RobotIndex from, sim::RobotIndex to,
                        std::span<const std::uint8_t> payload) {
   if (from == to) throw std::invalid_argument("from == to");
-  const std::vector<sim::RobotIndex>& slots = slot_to_engine_.at(from);
-  const auto it = std::find(slots.begin(), slots.end(), to);
-  if (it == slots.end()) {
+  if (from >= chat_.size()) {
+    throw std::out_of_range("send: unknown source robot");
+  }
+  const std::span<const std::uint32_t> row = slots(from);
+  const auto it = std::find(row.begin(), row.end(), to);
+  if (it == row.end()) {
     throw std::invalid_argument("send: unknown destination robot");
   }
-  const auto slot = static_cast<std::size_t>(it - slots.begin());
+  const auto slot = static_cast<std::size_t>(it - row.begin());
   chat_.at(from)->send_message(slot, payload);
 }
 
@@ -396,13 +399,13 @@ void ChatNetwork::broadcast(sim::RobotIndex from,
 
 void ChatNetwork::collect() {
   for (std::size_t i = 0; i < chat_.size(); ++i) {
-    const std::vector<sim::RobotIndex>& slots = slot_to_engine_[i];
+    const std::span<const std::uint32_t> row = slots(i);
     for (auto& m : chat_[i]->take_inbox()) {
-      received_[i].push_back(Delivery{slots[m.sender], slots[m.addressee],
+      received_[i].push_back(Delivery{row[m.sender], row[m.addressee],
                                       m.broadcast, std::move(m.payload)});
     }
     for (auto& m : chat_[i]->take_overheard()) {
-      overheard_[i].push_back(Delivery{slots[m.sender], slots[m.addressee],
+      overheard_[i].push_back(Delivery{row[m.sender], row[m.addressee],
                                        m.broadcast, std::move(m.payload)});
     }
   }

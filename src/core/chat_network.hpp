@@ -200,6 +200,13 @@ class ChatNetwork {
       const noexcept {
     return history_;
   }
+  /// Robot `i`'s slot table: the simulator index of the robot its
+  /// protocol calls slot s is `slots(i)[s]`. Built from the engine's t0
+  /// listings (`sim::Engine::listing`).
+  [[nodiscard]] std::span<const std::uint32_t> slots(sim::RobotIndex i) const {
+    const std::size_t n = chat_.size();
+    return {slot_to_engine_.data() + i * n, n};
+  }
   /// The protocol robot driving simulator robot `i` (for inspection).
   [[nodiscard]] const proto::ChatRobot& chat_robot(sim::RobotIndex i) const {
     return *chat_.at(i);
@@ -265,9 +272,9 @@ class ChatNetwork {
   obs::prof::PhaseId ph_collect_ = 0;
   obs::cov::CovMap* cov_ = nullptr;              ///< Not owned.
   std::vector<proto::ChatRobot*> chat_;  ///< Non-owning; engine owns.
-  /// slot_to_engine_[i][slot] = simulator index of the robot that robot i's
-  /// protocol calls `slot`.
-  std::vector<std::vector<sim::RobotIndex>> slot_to_engine_;
+  /// slot_to_engine_[i * n + slot] = simulator index of the robot that
+  /// robot i's protocol calls `slot` (see `slots`).
+  std::vector<std::uint32_t> slot_to_engine_;
   std::vector<std::vector<Delivery>> received_;
   std::vector<std::vector<Delivery>> overheard_;
   std::vector<std::vector<geom::Vec2>> history_;  ///< See position_history.

@@ -121,10 +121,12 @@ ScenarioResult run_scenario(const Scenario& s) {
 
   obs::alloc::reset_peak();
   const obs::alloc::Counters before = obs::alloc::snapshot();
+  const std::uint64_t rows_before = net.engine().row_visits();
   const auto t0 = std::chrono::steady_clock::now();
   r.quiescent = net.run_until_quiescent(s.max_instants);
   const auto t1 = std::chrono::steady_clock::now();
   const obs::alloc::Counters after = obs::alloc::snapshot();
+  r.observe_rows = net.engine().row_visits() - rows_before;
 
   r.alloc_tracking = obs::alloc::active();
   r.instants = net.engine().now();
@@ -159,6 +161,7 @@ std::string render_perf_json(const ScenarioResult& r, bool include_timing) {
   emit_value(out, first, "alloc_tracking",
              r.alloc_tracking ? "true" : "false");
   emit_value(out, first, "events", u64(r.events));
+  emit_value(out, first, "observe_rows", u64(r.observe_rows));
   emit_value(out, first, "events_per_instant",
              obs::json_number(static_cast<double>(r.events) / inst));
   emit_value(out, first, "allocs", u64(r.allocs));

@@ -53,6 +53,8 @@ struct ScenarioResult {
   std::uint64_t bytes = 0;        ///< Cumulative bytes requested.
   std::int64_t peak_bytes = 0;    ///< Peak live bytes above the pre-run level.
   std::uint64_t events = 0;       ///< Telemetry events emitted.
+  /// Listing rows the engine's looks visited (sim::Engine::row_visits).
+  std::uint64_t observe_rows = 0;
   double run_ns = 0.0;            ///< Wall time of the measured loop.
   std::vector<obs::prof::PhaseStats> phases;
 };

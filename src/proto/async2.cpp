@@ -14,7 +14,7 @@ void Async2Robot::initialize(const sim::Snapshot& snap) {
   }
   self_t0_ = snap.self;
   const geom::Vec2 self = snap.self_robot().position;
-  const geom::Vec2 peer = snap.robots[1 - snap.self].position;
+  const geom::Vec2 peer = snap.robots.position(1 - snap.self);
   sep_ = geom::dist(self, peer);
   north_ = (self - peer).normalized();  // Away from the peer.
   east_ = geom::rotate_clockwise(north_, geom::kPi / 2.0);
@@ -83,7 +83,7 @@ void Async2Robot::corrupt_protocol_state(CorruptKind kind,
 geom::Vec2 Async2Robot::on_activate(const sim::Snapshot& snap) {
   note_activation(snap);
   const geom::Vec2 self = snap.self_robot().position;
-  const geom::Vec2 peer = snap.robots[1 - snap.self].position;
+  const geom::Vec2 peer = snap.robots.position(1 - snap.self);
   tracker_.observe(0, peer);
 
   // Decode the peer: which side of H is it on? (East/West are relative to

@@ -91,11 +91,11 @@ class ChatRobot : public sim::Robot {
   /// Attaches telemetry. Events this robot emits (BitEmitted, BitDecoded,
   /// FrameDelivered, PhaseEnter, AckObserved) flow into `sink`, stamped
   /// with simulator index `self_index` and the time of the robot's latest
-  /// activation. `slot_map` (not owned; may be null) translates protocol
+  /// activation. `slot_map` (not owned; may be empty) translates protocol
   /// slots to simulator indices — without it events carry raw slot numbers.
   /// Null `sink` detaches; the hot path then pays a single branch.
   void set_telemetry(obs::EventSink* sink, sim::RobotIndex self_index,
-                     const std::vector<sim::RobotIndex>* slot_map) noexcept {
+                     std::span<const std::uint32_t> slot_map) noexcept {
     sink_ = sink;
     self_index_ = self_index;
     slot_map_ = slot_map;
@@ -245,7 +245,7 @@ class ChatRobot : public sim::Robot {
   /// Simulator index for `slot`, or the raw slot without a map.
   [[nodiscard]] std::int64_t engine_index(std::size_t slot) const {
     return static_cast<std::int64_t>(
-        slot_map_ != nullptr ? (*slot_map_)[slot] : slot);
+        slot_map_.empty() ? slot : slot_map_[slot]);
   }
   void emit(obs::Event& e) const;
 
@@ -261,7 +261,7 @@ class ChatRobot : public sim::Robot {
   // Telemetry plumbing (inactive until set_telemetry).
   obs::EventSink* sink_ = nullptr;
   sim::RobotIndex self_index_ = 0;
-  const std::vector<sim::RobotIndex>* slot_map_ = nullptr;
+  std::span<const std::uint32_t> slot_map_;
   std::uint64_t now_ = 0;            ///< Time of the latest activation.
   std::uint64_t ack_armed_t_ = 0;
   std::optional<std::uint64_t> fault_first_;  ///< Armed decode fault start.

@@ -43,8 +43,8 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
       shared_(std::move(shared.tables)) {
   assert(diameter_count >= 1);
   centers_.reserve(n_);
-  for (const sim::ObservedRobot& r : t0.robots) {
-    centers_.push_back(r.position);
+  for (std::size_t k = 0; k < n_; ++k) {
+    centers_.push_back(t0.robots.position(k));
   }
 
   if (shared_ == nullptr) {
@@ -224,7 +224,7 @@ bool SlicedCore::observe_hinted(const sim::Snapshot& snap) {
   }
   for (std::size_t h = 0; one_to_one && h < hinted.size(); ++h) {
     const std::uint32_t k = hinted[h];
-    const std::size_t g = granular_of(k, snap.robots[k].position);
+    const std::size_t g = granular_of(k, snap.robots.position(k));
     one_to_one = marks_[g] == kFree;
     marks_[g] = kFilled;
     slot_granular_[k] = static_cast<std::uint32_t>(g);
@@ -238,7 +238,7 @@ bool SlicedCore::observe_hinted(const sim::Snapshot& snap) {
   for (const std::uint32_t k : hinted) {
     const std::uint32_t g = slot_granular_[k];
     marks_[g] = 0;
-    const geom::Vec2& p = snap.robots[k].position;
+    const geom::Vec2& p = snap.robots.position(k);
     if (!same_bits(p, observed_[g])) {
       observed_[g] = p;
       note_change(g);
@@ -260,11 +260,11 @@ bool SlicedCore::observe_all(const sim::Snapshot& snap) {
   // other, so entry k is usually robot k: at the bits granular k holds
   // (unchanged: one comparison) or moved within its own slot. While that
   // holds, each entry fills its own granular and needs no bookkeeping.
-  const std::vector<sim::ObservedRobot>& robots = snap.robots;
+  const sim::ObservedList& robots = snap.robots;
   std::size_t k = 0;
   if (robots.size() == n_ && !vacancies_) {
     for (; k < n_; ++k) {
-      const geom::Vec2& p = robots[k].position;
+      const geom::Vec2& p = robots.position(k);
       if (same_bits(p, observed_[k])) continue;
       if (!in_own_slot(k, p)) break;
       observed_[k] = p;
@@ -288,7 +288,7 @@ bool SlicedCore::observe_all(const sim::Snapshot& snap) {
   slots_in_place_ = false;
   std::size_t filled = k;
   for (; k < robots.size(); ++k) {
-    const geom::Vec2& p = robots[k].position;
+    const geom::Vec2& p = robots.position(k);
     const std::size_t best = granular_of(k, p);
     assert((marks_[best] & kFilled) == 0 &&
            "two robots associated to one granular");

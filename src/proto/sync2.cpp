@@ -22,7 +22,7 @@ void Sync2Robot::initialize(const sim::Snapshot& snap) {
   }
   self_t0_ = snap.self;
   base_self_ = snap.self_robot().position;
-  base_peer_ = snap.robots[1 - snap.self].position;
+  base_peer_ = snap.robots.position(1 - snap.self);
   const geom::Vec2 facing = (base_peer_ - base_self_).normalized();
   // "Right with respect to the direction given by the peer": 90 degrees
   // clockwise from the facing direction, in the shared handedness.
@@ -63,7 +63,7 @@ void Sync2Robot::corrupt_protocol_state(CorruptKind kind,
 
 geom::Vec2 Sync2Robot::on_activate(const sim::Snapshot& snap) {
   note_activation(snap);
-  const geom::Vec2 peer = snap.robots[1 - snap.self].position;
+  const geom::Vec2 peer = snap.robots.position(1 - snap.self);
 
   // Decode: the peer's displacement from its base along its "right" axis.
   const geom::Vec2 disp = peer - base_peer_;

@@ -61,9 +61,12 @@ geom::Vec2 SyncSlicedRobot::on_activate(const sim::Snapshot& snap) {
     core_.observe(snap);
   } else {
     snap_scratch_.t = snap.t;
-    snap_scratch_.robots = snap.robots;
     snap_scratch_.self = snap.self;
-    for (sim::ObservedRobot& r : snap_scratch_.robots) r.position -= drift;
+    snap_scratch_.robots.clear();
+    for (sim::ObservedRobot r : snap.robots) {
+      r.position -= drift;
+      snap_scratch_.robots.push_back(r);
+    }
     core_.observe(snap_scratch_);
   }
 

@@ -142,12 +142,13 @@ void sort_from_index_order(std::span<std::uint32_t> order,
 }
 
 /// Insertion-sorts `order` by local position: O(n + inversions), so O(n)
-/// when no robot passed another since the listing was stored. Returns
-/// false on an exact tie, leaving `order` some permutation: which of two
-/// equal entries comes first is the legacy std::sort's call.
+/// when no robot passed another since the listing was stored; `shifts`
+/// grows by the rows moved. Returns false on an exact tie, leaving `order`
+/// some permutation: which of two equal entries comes first is the legacy
+/// std::sort's call.
 template <typename Sighting>
 bool insertion_sort(std::span<std::uint32_t> order,
-                    const std::vector<Sighting>& seen) {
+                    const std::vector<Sighting>& seen, std::uint64_t& shifts) {
   for (std::size_t k = 1; k < order.size(); ++k) {
     const std::uint32_t v = order[k];
     const geom::Vec2 p = seen[v].obs.position;
@@ -156,6 +157,7 @@ bool insertion_sort(std::span<std::uint32_t> order,
       order[m] = order[m - 1];
     }
     order[m] = v;
+    shifts += k - m;
     if (m > 0 && !(seen[order[m - 1]].obs.position < p)) return false;
   }
   return true;
@@ -199,14 +201,12 @@ std::vector<RobotIndex> initial_observation_order(
 }
 
 Engine::Engine(std::vector<RobotSpec> specs,
-               std::vector<std::unique_ptr<Robot>> programs,
                std::unique_ptr<Scheduler> scheduler, EngineOptions options)
     : specs_(std::move(specs)),
-      programs_(std::move(programs)),
       scheduler_(std::move(scheduler)),
       options_(options),
       motion_(specs_.size()) {
-  if (specs_.empty() || specs_.size() != programs_.size() || !scheduler_) {
+  if (specs_.empty() || !scheduler_) {
     throw std::invalid_argument("Engine: inconsistent construction");
   }
   const std::size_t with_id = static_cast<std::size_t>(
@@ -234,6 +234,7 @@ Engine::Engine(std::vector<RobotSpec> specs,
     frames_.push_back(frame_of(s));
     sigmas_.push_back(s.sigma);
     p0.push_back(s.position);
+    if (identified_) ids_.push_back(s.id);
   }
 
   if (scan_pairs(p0, grid_scratch_).collided) {
@@ -241,40 +242,73 @@ Engine::Engine(std::vector<RobotSpec> specs,
         "Engine: initial positions must be pairwise distinct");
   }
 
-  orders_.resize(identified_ ? n : n * n);
-  if (identified_) {
+  hinted_ = n > kUnhintedSwarmMax;
+  // One id order serves every observer unless a hinted swarm's rows put
+  // each observer's hidden robots last.
+  const bool shared =
+      identified_ && !(hinted_ && options_.visibility_radius > 0.0);
+  orders_.resize(shared ? n : n * n);
+  if (shared) {
     std::iota(orders_.begin(), orders_.end(), std::uint32_t{0});
     std::sort(orders_.begin(), orders_.end(),
               [this](std::uint32_t a, std::uint32_t b) {
-                return specs_[a].id.value() < specs_[b].id.value();
+                return *ids_[a] < *ids_[b];
               });
   }
-  hinted_ = n > kUnhintedSwarmMax;
   if (hinted_) {
     listed_.resize(n * n);
-    if (options_.visibility_radius > 0.0) hidden_.resize(n * n);
+    rows_of_.resize(orders_.size());
     looks_.resize(n);
     stamps_.assign(n, 0);
+    log_.assign(n * ring_.size(), 0);
     seals_.assign(ring_.size(), 0);
     snap_scratch_.hint.slots.reserve(n);
+    look_scratch_.ranges.reserve(n);
   }
-  snap_scratch_.robots.reserve(n);
 
-  // Paper Section 4.2: every robot knows P(t0) — wake all at t0 once. The
-  // t0 sort seeds each observer's stored listing (and rows); the t0
-  // snapshot has no previous one, so it carries no hint.
-  std::vector<Sighting>& seen = seen_scratch_;
-  Snapshot snap;
+  // Paper Section 4.2: every robot knows P(t0). Each observer's t0
+  // listing is sorted here, once; `wake` hands the robots their t0
+  // snapshots in these orders.
   for (std::size_t i = 0; i < n; ++i) {
-    const std::span<std::uint32_t> order = listing(i);
-    observe_all(i, p0, p0, 0, order, /*repair=*/false, seen, snap);
+    if (hinted_) {
+      relist(i, p0, p0, rows(i), looks_[i], seen_scratch_);
+    } else if (!identified_) {
+      sight_all(i, p0, p0, seen_scratch_);
+      sort_from_index_order(listing(i), seen_scratch_);
+    }
+  }
+}
+
+Engine::Engine(std::vector<RobotSpec> specs,
+               std::vector<std::unique_ptr<Robot>> programs,
+               std::unique_ptr<Scheduler> scheduler, EngineOptions options)
+    : Engine(std::move(specs), std::move(scheduler), options) {
+  wake(std::move(programs));
+}
+
+void Engine::wake(std::vector<std::unique_ptr<Robot>> programs) {
+  if (!programs_.empty()) {
+    throw std::logic_error("Engine::wake: the robots are already awake");
+  }
+  if (programs.size() != specs_.size() ||
+      std::any_of(programs.begin(), programs.end(),
+                  [](const std::unique_ptr<Robot>& r) { return !r; })) {
+    throw std::invalid_argument("Engine: inconsistent construction");
+  }
+  programs_ = std::move(programs);
+  // The t0 snapshot has no previous one, so it carries no hint.
+  const std::span<const geom::Vec2> p0 = ring_[0];
+  Snapshot& snap = snap_scratch_;
+  for (std::size_t i = 0; i < specs_.size(); ++i) {
     if (hinted_) {
       const Rows r = rows(i);
-      for (std::size_t k = 0; k < n; ++k) {
-        r.position[k] = seen[order[k]].obs.position;
-        if (!r.hidden.empty()) r.hidden[k] = seen[order[k]].visible ? 0 : 1;
-        if (order[k] == i) looks_[i].row = static_cast<std::uint32_t>(k);
-      }
+      snap.t = 0;
+      snap.self = r.row_of[i];
+      snap.robots.view(r.position.data(), r.order.data(),
+                       identified_ ? ids_.data() : nullptr, looks_[i].shown);
+    } else {
+      observe_all(i, p0, p0, 0, listing(i), /*repair=*/false, seen_scratch_,
+                  snap);
     }
     programs_[i]->initialize(snap);
   }
@@ -290,29 +324,36 @@ Snapshot Engine::make_snapshot(RobotIndex i) const {
   // Works on copies: the stored listing and rows belong to `step`.
   const std::span<const std::uint32_t> stored = listing(i);
   std::vector<std::uint32_t> order(stored.begin(), stored.end());
-  std::vector<Sighting> seen;
   Snapshot snap;
   if (!hinted_) {
+    std::vector<Sighting> seen;
     observe_all(i, ring_[slot(t_)], ring_[slot(stale_e)], t_, order,
                 /*repair=*/true, seen, snap);
     return snap;
   }
   const std::size_t n = specs_.size();
   const auto at = static_cast<std::ptrdiff_t>(i * n);
-  const auto end = at + static_cast<std::ptrdiff_t>(n);
   std::vector<geom::Vec2> position(listed_.begin() + at,
-                                   listed_.begin() + end);
-  std::vector<std::uint8_t> hidden;
-  if (!hidden_.empty()) {
-    hidden.assign(hidden_.begin() + at, hidden_.begin() + end);
-  }
+                                   listed_.begin() + at +
+                                       static_cast<std::ptrdiff_t>(n));
+  const auto row_at =
+      static_cast<std::ptrdiff_t>(rows_of_.size() == n ? 0 : i * n);
+  std::vector<std::uint32_t> row_of(
+      rows_of_.begin() + row_at,
+      rows_of_.begin() + row_at + static_cast<std::ptrdiff_t>(n));
   Look look = looks_.at(i);
-  observe_moved(i, ring_[slot(t_)], ring_[slot(stale_e)], t_, 0, 0,
-                Rows{order, position, hidden}, look, seen, snap);
-  return snap;
+  LookScratch scratch;
+  observe_in_place(i, ring_[slot(t_)], ring_[slot(stale_e)], t_,
+                   seal(stale_e), writes_, Rows{order, position, row_of},
+                   look, scratch, snap);
+  Snapshot owned = snap;  // The view dies with the copies.
+  return owned;
 }
 
 void Engine::teleport(RobotIndex i, const geom::Vec2& global_position) {
+  if (programs_.empty()) {
+    throw std::logic_error("Engine::teleport: wake the robots first");
+  }
   std::vector<geom::Vec2>& cur = ring_[slot(t_)];
   cur.at(i) = global_position;
   stamp(i);
@@ -364,171 +405,219 @@ void Engine::set_coverage(obs::cov::CovMap* map) {
   cov_prev_ = cov_->state("start");
 }
 
-void Engine::observe_all(RobotIndex i, std::span<const geom::Vec2> config,
-                         std::span<const geom::Vec2> stale_config, Time t,
-                         std::span<std::uint32_t> order, bool repair,
-                         std::vector<Sighting>& seen, Snapshot& out) const {
+void Engine::sight_all(RobotIndex i, std::span<const geom::Vec2> config,
+                       std::span<const geom::Vec2> stale_config,
+                       std::vector<Sighting>& seen) const {
   const Frame& f = frames_[i];
   // What robot i sees of each robot, in index order: itself now, the
   // others as `stale_config` has them (CORDA-ish delay).
   seen.resize(config.size());
-  std::size_t visible = 0;
   for (std::size_t j = 0; j < config.size(); ++j) {
-    Sighting& s = seen[j];
-    sight(s, f, config[i], stale_config[j], j == i, options_);
-    s.obs.id = identified_ ? specs_[j].id : std::nullopt;
-    visible += s.visible ? 1 : 0;
-  }
-  // Identified: the id order is the listing. Anonymous: lexicographic by
-  // local position, which carries no identity and depends on this
-  // instant's geometry — repaired from the previous listing when there is
-  // one; distinct positions have exactly one such order.
-  if (!identified_ && !(repair && insertion_sort(order, seen))) {
-    sort_from_index_order(order, seen);
-  }
-  out.t = t;
-  out.self = 0;
-  out.robots.clear();
-  out.robots.reserve(visible);
-  for (const std::uint32_t j : order) {
-    if (!seen[j].visible) continue;
-    if (j == i) out.self = out.robots.size();
-    out.robots.push_back(seen[j].obs);
+    sight(seen[j], f, config[i], stale_config[j], j == i, options_);
   }
 }
 
-void Engine::observe_moved(RobotIndex i, std::span<const geom::Vec2> config,
-                           std::span<const geom::Vec2> stale_config, Time t,
-                           std::uint64_t stale_seal, std::uint64_t now_seal,
-                           Rows rows, Look& look, std::vector<Sighting>& seen,
-                           Snapshot& out) const {
+std::uint64_t Engine::observe_all(RobotIndex i,
+                                  std::span<const geom::Vec2> config,
+                                  std::span<const geom::Vec2> stale_config,
+                                  Time t, std::span<std::uint32_t> order,
+                                  bool repair, std::vector<Sighting>& seen,
+                                  Snapshot& out) const {
   const std::size_t n = config.size();
   const Frame& f = frames_[i];
-  const bool limited = !rows.hidden.empty();
+  // What robot i sees of each robot, in index order: itself now, the
+  // others as `stale_config` has them (CORDA-ish delay).
+  seen.resize(n);
+  std::size_t visible = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    sight(seen[j], f, config[i], stale_config[j], j == i, options_);
+    visible += seen[j].visible ? 1 : 0;
+  }
+  std::uint64_t visits = n + visible;
+  // Identified: the id order is the listing. Anonymous: lexicographic by
+  // local position, which carries no identity and depends on this
+  // instant's geometry — repaired from the previous listing; distinct
+  // positions have exactly one such order.
+  if (!identified_ && repair && !insertion_sort(order, seen, visits)) {
+    sort_from_index_order(order, seen);
+    visits += n;
+  }
+  out.t = t;
+  out.self = 0;
+  const ObservedList::Entries entries = out.robots.own(visible, identified_);
+  std::size_t k = 0;
+  for (const std::uint32_t j : order) {
+    const Sighting& s = seen[j];
+    if (!s.visible) continue;
+    if (j == i) out.self = k;
+    entries.positions[k] = s.obs.position;
+    if (identified_) entries.ids[k] = specs_[j].id;
+    ++k;
+  }
+  return visits;
+}
+
+void Engine::relist(RobotIndex i, std::span<const geom::Vec2> config,
+                    std::span<const geom::Vec2> stale_config, Rows rows,
+                    Look& look, std::vector<Sighting>& seen) const {
+  const std::size_t n = config.size();
+  sight_all(i, config, stale_config, seen);
+  std::uint32_t* const order = rows.order.data();
+  if (!identified_) {
+    sort_from_index_order(rows.order, seen);
+  } else if (options_.visibility_radius > 0.0) {
+    // The visible robots in id order, then the hidden ones.
+    std::size_t shown = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (seen[j].visible) order[shown++] = static_cast<std::uint32_t>(j);
+    }
+    std::size_t hidden = shown;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!seen[j].visible) order[hidden++] = static_cast<std::uint32_t>(j);
+    }
+    std::sort(order, order + shown, [this](std::uint32_t a, std::uint32_t b) {
+      return *ids_[a] < *ids_[b];
+    });
+  }
+  geom::Vec2* const position = rows.position.data();
+  look.shown = 0;
+  look.tied = false;
+  for (std::size_t k = 0; k < n; ++k) {
+    const Sighting& s = seen[order[k]];
+    position[k] = s.obs.position;
+    rows.row_of[order[k]] = static_cast<std::uint32_t>(k);
+    if (!s.visible) continue;
+    ++look.shown;
+    look.tied = look.tied ||
+                (!identified_ && k > 0 && !(position[k - 1] < position[k]));
+  }
+}
+
+std::uint64_t Engine::observe_in_place(
+    RobotIndex i, std::span<const geom::Vec2> config,
+    std::span<const geom::Vec2> stale_config, Time t,
+    std::uint64_t stale_seal, std::uint64_t now_seal, Rows rows, Look& look,
+    LookScratch& scratch, Snapshot& out) const {
+  const std::size_t n = config.size();
+  const Frame& f = frames_[i];
   std::uint32_t* const order = rows.order.data();
   geom::Vec2* const position = rows.position.data();
-  std::uint8_t* const hidden = limited ? rows.hidden.data() : nullptr;
-  // Who is within the visibility radius depends on robot i's own position,
-  // so its move re-sights everyone.
-  const bool self_moved = stamps_[i] > look.self;
-  const bool everyone = limited && self_moved;
-  // One pass over the rows. Row k is re-sighted when its robot was
-  // written since the look: robot i itself now (odometry), the others as
-  // `stale_config` has them (CORDA-ish delay). An anonymous listing is
+  std::uint32_t* const row_of = rows.row_of.data();
+  const std::uint32_t shown = look.shown;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges =
+      scratch.ranges;
+  ranges.clear();
+  std::uint64_t visits = 0;
+  // A robot appeared or vanished: the rows are listed again from scratch.
+  bool appeared = false;
+  // The listing holds an exact tie, or may: a move sees a tie only beside
+  // the row it moved, so one the last look had is checked again.
+  bool tie = look.tied;
+
+  // Re-sights robot j: robot i itself now (odometry), another robot as
+  // `stale_config` has it (CORDA-ish delay). A visible row that changed
+  // moves to its sorted place among the visible rows, and [first, last]
+  // of the rows it changed is recorded. An anonymous listing is
   // lexicographic by local position, which carries no identity and
-  // depends on this instant's geometry: row k is then inserted among the
-  // rows before it, O(n + inversions) in all; distinct positions have
-  // exactly one such order. The hint collects, ascending, every slot whose
-  // row changed or that an inserted row passed.
-  std::vector<std::uint32_t>& slots = out.hint.slots;
-  slots.clear();
-  bool tie = false;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t j = order[k];
-    bool changed = false;
-    if (everyone || (j == i ? self_moved : stamps_[j] > look.others)) {
-      Sighting s;
-      sight(s, f, config[i], stale_config[j], j == i, options_);
-      const std::uint8_t h = s.visible ? 0 : 1;
-      changed = !geom::same_bits(s.obs.position, position[k]) ||
-                (limited && hidden[k] != h);
-      position[k] = s.obs.position;
-      if (limited) hidden[k] = h;
+  // depends on this instant's geometry; distinct positions have exactly
+  // one such order, so moving each changed row into place gives it.
+  const auto resight = [&](std::uint32_t j) {
+    ++visits;
+    Sighting s;
+    sight(s, f, config[i], stale_config[j], j == i, options_);
+    const std::uint32_t k = row_of[j];
+    if (s.visible != (k < shown)) {
+      appeared = true;
+      return;
     }
-    std::size_t m = k;
-    if (!identified_ && !tie && k > 0 && !(position[k - 1] < position[k])) {
-      const geom::Vec2 p = position[k];
-      const std::uint8_t h = limited ? hidden[k] : 0;
+    const geom::Vec2 p = s.obs.position;
+    if (geom::same_bits(p, position[k])) return;
+    position[k] = p;
+    if (k >= shown) return;  // A hidden row has no slot.
+    std::uint32_t m = k;
+    if (!identified_) {
       for (; m > 0 && p < position[m - 1]; --m) {
         position[m] = position[m - 1];
         order[m] = order[m - 1];
-        if (limited) hidden[m] = hidden[m - 1];
+        row_of[order[m]] = m;
+      }
+      if (m == k) {
+        for (; m + 1 < shown && position[m + 1] < p; ++m) {
+          position[m] = position[m + 1];
+          order[m] = order[m + 1];
+          row_of[order[m]] = m;
+        }
       }
       position[m] = p;
       order[m] = j;
-      if (limited) hidden[m] = h;
-      tie = m > 0 && !(position[m - 1] < p);
-      if (look.row == k) {
-        look.row = static_cast<std::uint32_t>(m);
-      } else if (m <= look.row && look.row < k) {
-        ++look.row;
-      }
+      row_of[j] = m;
+      visits += m > k ? m - k : k - m;
+      tie = tie || (m > 0 && !(position[m - 1] < p)) ||
+            (m + 1 < shown && !(p < position[m + 1]));
     }
-    if (changed || m != k) {
-      while (!slots.empty() && slots.back() >= m) slots.pop_back();
-      for (std::size_t s = m; s <= k; ++s) {
-        slots.push_back(static_cast<std::uint32_t>(s));
-      }
+    ranges.emplace_back(std::min(k, m), std::max(k, m));
+  };
+
+  // Who is visible depends on where robot i is, so with a visibility
+  // radius its own move re-sights everyone; so does a look older than the
+  // write log reaches.
+  const bool self_moved = stamps_[i] > look.self;
+  if ((options_.visibility_radius > 0.0 && self_moved) ||
+      writes_ - look.others > log_.size()) {
+    for (std::uint32_t j = 0; j < n && !appeared; ++j) resight(j);
+  } else {
+    if (self_moved) resight(static_cast<std::uint32_t>(i));
+    for (std::uint64_t w = look.others + 1; w <= stale_seal && !appeared;
+         ++w) {
+      resight(log_[w % log_.size()]);
     }
-  }
-  if (tie) {
-    // Which of two equal entries comes first is the legacy std::sort's
-    // call: re-list from the sightings in index order, every slot slots.
-    seen.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      Sighting& s = seen[order[k]];
-      s.obs.position = position[k];
-      s.visible = !limited || hidden[k] == 0;
-    }
-    sort_from_index_order(rows.order, seen);
-    for (std::size_t k = 0; k < n; ++k) {
-      position[k] = seen[order[k]].obs.position;
-      if (limited) hidden[k] = seen[order[k]].visible ? 0 : 1;
-    }
-    look.row =
-        static_cast<std::uint32_t>(std::find(order, order + n, i) - order);
-    slots.resize(n);
-    std::iota(slots.begin(), slots.end(), std::uint32_t{0});
   }
 
-  list_rows(i, rows, look.row, out);
-  out.t = t;
-  out.hint.known = true;
-  out.hint.since = look.t;
-  if (limited && !slots.empty()) {
-    // Rows are slots only without hidden rows. A robot appearing or
-    // vanishing shifts every later slot: every slot from the first
-    // changed row's is slots.
-    const auto first = static_cast<std::uint32_t>(
-        std::count(hidden, hidden + slots.front(), std::uint8_t{0}));
-    slots.clear();
-    for (std::uint32_t s = first; s < out.robots.size(); ++s) {
-      slots.push_back(s);
+  std::vector<std::uint32_t>& slots = out.hint.slots;
+  slots.clear();
+  if (!appeared && tie) {
+    tie = false;
+    for (std::uint32_t k = 1; k < shown && !tie; ++k) {
+      tie = !(position[k - 1] < position[k]);
+    }
+    visits += shown;
+  }
+  if (appeared || tie) {
+    // Which of two equal entries comes first is the legacy std::sort's
+    // call, and a robot appearing or vanishing shifts every later slot:
+    // list from scratch, every slot hinted.
+    relist(i, config, stale_config, rows, look, scratch.seen);
+    visits += n;
+    slots.resize(look.shown);
+    std::iota(slots.begin(), slots.end(), std::uint32_t{0});
+  } else {
+    look.tied = false;
+    // The hint: the union of the changed row ranges, ascending. It equals
+    // the slots whose robot moved in the listing or whose position
+    // changed, with every slot in between (DESIGN.md §14).
+    if (!std::is_sorted(ranges.begin(), ranges.end())) {
+      std::sort(ranges.begin(), ranges.end());
+    }
+    std::uint32_t next = 0;
+    for (const auto& [first, last] : ranges) {
+      for (std::uint32_t k = std::max(first, next); k <= last; ++k) {
+        slots.push_back(k);
+      }
+      next = std::max(next, last + 1);
     }
   }
+  visits += slots.size();
+
+  out.t = t;
+  out.self = row_of[i];
+  out.robots.view(position, order, identified_ ? ids_.data() : nullptr,
+                  look.shown);
+  out.hint.known = true;
+  out.hint.since = look.t;
   look.others = stale_seal;
   look.self = now_seal;
   look.t = t;
-}
-
-inline void Engine::list_rows(RobotIndex i, Rows rows, std::size_t self_row,
-                              Snapshot& out) const {
-  const std::size_t n = rows.position.size();
-  const std::uint32_t* const order = rows.order.data();
-  const geom::Vec2* const position = rows.position.data();
-  if (rows.hidden.empty()) {
-    // Row k is slot k. Anonymous entries carry no id, and this buffer
-    // never held one.
-    if (out.robots.size() != n) out.robots.resize(n);
-    ObservedRobot* const listed = out.robots.data();
-    for (std::size_t k = 0; k < n; ++k) listed[k].position = position[k];
-    if (identified_) {
-      for (std::size_t k = 0; k < n; ++k) {
-        listed[k].id = specs_[order[k]].id;
-      }
-    }
-    out.self = self_row;
-    return;
-  }
-  out.self = 0;
-  out.robots.clear();
-  for (std::size_t k = 0; k < n; ++k) {
-    if (rows.hidden[k] != 0) continue;
-    const std::uint32_t j = order[k];
-    if (j == i) out.self = out.robots.size();
-    out.robots.push_back(ObservedRobot{
-        position[k], identified_ ? specs_[j].id : std::nullopt});
-  }
+  return visits;
 }
 
 double Engine::separation(std::span<const geom::Vec2> after) {
@@ -564,6 +653,9 @@ void Engine::step() {
 }
 
 void Engine::step_impl() {
+  if (programs_.empty()) {
+    throw std::logic_error("Engine::step: wake the robots first");
+  }
   obs::prof::Scope step_scope(prof_, ph_step_);
   const std::size_t n = specs_.size();
   // Engine-owned scratch: the activation set reuses its capacity across
@@ -619,13 +711,12 @@ void Engine::step_impl() {
     if (!active[i]) continue;
     {
       obs::prof::Scope s(prof_, ph_observe_);
-      if (hinted_) {
-        observe_moved(i, before, stale, t_, stale_seal, now_seal, rows(i),
-                      looks_[i], seen_scratch_, snap_scratch_);
-      } else {
-        observe_all(i, before, stale, t_, listing(i), /*repair=*/true,
-                    seen_scratch_, snap_scratch_);
-      }
+      row_visits_ +=
+          hinted_ ? observe_in_place(i, before, stale, t_, stale_seal,
+                                     now_seal, rows(i), looks_[i],
+                                     look_scratch_, snap_scratch_)
+                  : observe_all(i, before, stale, t_, listing(i),
+                                /*repair=*/true, seen_scratch_, snap_scratch_);
     }
     geom::Vec2 local_target;
     {

@@ -21,22 +21,26 @@
 // consumer shares the one array per instant (the PR-8 copy-on-write
 // snapshot refactor; see DESIGN.md "Epoch snapshots").
 //
-// Observation is linear per activation. An identified swarm is listed in
-// its fixed id order; an anonymous observer's listing is lexicographic by
-// local position, and the engine keeps the order each observer listed
-// last (4n^2 bytes per swarm, seeded by the t0 sort): each activation
-// repairs it with an insertion sort, O(n + inversions), and falls back to
-// a fresh std::sort from index order on an exact tie. Distinct positions
-// have one lexicographic order, so the stored order changes speed only,
-// never a snapshot (DESIGN.md §10).
+// Construction lists every observer's t0 snapshot once: an identified
+// swarm in its fixed id order, an anonymous observer's lexicographic by
+// local position (std::sort from index order). `listing(i)` exposes that
+// order until the first step, so core::ChatNetwork builds its slot and
+// naming tables from it before `wake` hands each robot its t0 snapshot.
+// The engine keeps the order each observer listed last (4n^2 bytes per
+// anonymous swarm). In a swarm of at most kUnhintedSwarmMax robots an
+// activation sights every robot and repairs that order with an insertion
+// sort, O(n + inversions), falling back to a fresh std::sort on an exact
+// tie (DESIGN.md §10).
 //
-// Above kUnhintedSwarmMax robots observation pays for what moved. The
-// engine keeps every observer's listed local positions beside its order
-// (16n^2 bytes more) and stamps every position write with a write count,
-// so an activation re-sights only the robots written since the epoch the
-// observer last read them at (all of them when its own move may change
-// who it sees), and each snapshot's change hint lists the slots that may
-// differ from the observer's previous one (DESIGN.md §14).
+// Above kUnhintedSwarmMax robots a look reads and writes the observer's
+// stored rows in place. The engine keeps each observer's listed local
+// positions and a row index per robot beside its order (24n^2 bytes in
+// all) and logs every position write, so a look re-sights only the robots
+// written since the observer's last look (everyone when that look is
+// older than the log), moves each changed row to its sorted place, and
+// re-sorts from scratch only while the listing holds an exact tie. The
+// robot then reads the rows themselves: its snapshot is a view, and its
+// change hint lists the slots that changed or moved (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>
@@ -46,6 +50,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "geom/point_grid.hpp"
@@ -164,15 +169,22 @@ class StepInterceptor {
 /// Owns the robots, the scheduler and the world state; advances time.
 class Engine {
  public:
-  /// Precondition: specs and programs have equal non-zero size; positions
-  /// are pairwise distinct; either every spec has a visible id (identified
-  /// system) or none has (anonymous system).
-  ///
-  /// The constructor calls `Robot::initialize` on every program with the
-  /// t0 snapshot (the paper's "all the robots are awake in t0").
+  /// Lists every robot's t0 snapshot; `wake` then hands the programs
+  /// theirs. Precondition: `specs` is non-empty; positions are pairwise
+  /// distinct; either every spec has a visible id (identified system) or
+  /// none has (anonymous system).
+  Engine(std::vector<RobotSpec> specs, std::unique_ptr<Scheduler> scheduler,
+         EngineOptions options = {});
+
+  /// Lists t0 and wakes `programs` (one per spec) at once.
   Engine(std::vector<RobotSpec> specs,
          std::vector<std::unique_ptr<Robot>> programs,
          std::unique_ptr<Scheduler> scheduler, EngineOptions options = {});
+
+  /// Calls `Robot::initialize` on every program, one per spec in index
+  /// order, with its t0 snapshot (the paper's "all the robots are awake
+  /// in t0"). Exactly once, before the first `step` or `teleport`.
+  void wake(std::vector<std::unique_ptr<Robot>> programs);
 
   /// Advances one instant.
   void step();
@@ -263,19 +275,41 @@ class Engine {
   /// pays one null check per step.
   void set_coverage(obs::cov::CovMap* map);
 
-  /// Builds the snapshot robot `i` would observe right now (exposed for
-  /// tests; the engine itself uses `build_observation` during `step`).
-  /// Works on a copy of robot i's stored rows, so its hint is relative to
-  /// i's last snapshot from `step` and the next one is too.
+  /// Builds the snapshot robot `i` would observe right now (for tests and
+  /// probes; `step` hands robots their stored rows instead). Works on a
+  /// copy of robot i's stored rows, so its hint is relative to i's last
+  /// snapshot from `step` and the next one is too. The snapshot owns its
+  /// entries.
   [[nodiscard]] Snapshot make_snapshot(RobotIndex i) const;
 
   /// Engine indices in the order robot `i` observed them at t0 (the order
-  /// of `Snapshot::robots` passed to `Robot::initialize`). Lets the
-  /// application layer translate between simulator indices and each robot's
-  /// local peer numbering.
+  /// of `Snapshot::robots` passed to `Robot::initialize`), recomputed by
+  /// `sim::initial_observation_order`. Lets tests translate between
+  /// simulator indices and each robot's local peer numbering.
   [[nodiscard]] std::vector<RobotIndex> initial_observation_order(
       RobotIndex i) const {
     return sim::initial_observation_order(specs_, i, options_);
+  }
+
+  /// Robot `i`'s stored listing: the engine index of each of its rows.
+  /// Until the first step it is the t0 listing the constructor sorted —
+  /// the robots it sees in the order of its t0 snapshot, then the hidden
+  /// ones in index order — which core::ChatNetwork reads between
+  /// construction and `wake`. Later looks reorder it.
+  [[nodiscard]] std::span<const std::uint32_t> listing(
+      RobotIndex i) const noexcept {
+    const std::size_t n = specs_.size();
+    return {orders_.data() + (orders_.size() == n ? 0 : i * n), n};
+  }
+
+  /// Listing rows the looks of every step so far visited: each robot
+  /// sighted, each row a moved row shifted past, each row a from-scratch
+  /// sort listed, and each entry handed to a robot as changed (every
+  /// entry of an unhinted snapshot, the hinted slots of a hinted one). A
+  /// deterministic work count: O(n) per look in a small swarm, O(what
+  /// moved) in a hinted one.
+  [[nodiscard]] std::uint64_t row_visits() const noexcept {
+    return row_visits_;
   }
 
   /// Fault injection: instantly moves robot `i` to `global_position`
@@ -301,84 +335,109 @@ class Engine {
     return static_cast<std::size_t>(e % ring_.size());
   }
 
-  /// Robot i's stored listing order: the shared id order of an identified
-  /// swarm, or row i of an anonymous swarm's per-observer orders.
-  [[nodiscard]] std::span<const std::uint32_t> listing(
-      RobotIndex i) const noexcept {
-    const std::size_t n = specs_.size();
-    return {orders_.data() + (identified_ ? 0 : i * n), n};
-  }
   [[nodiscard]] std::span<std::uint32_t> listing(RobotIndex i) noexcept {
     const std::size_t n = specs_.size();
-    return {orders_.data() + (identified_ ? 0 : i * n), n};
+    return {orders_.data() + (orders_.size() == n ? 0 : i * n), n};
   }
 
-  /// A hinted swarm's stored listing of one observer, a row per robot in
-  /// listing order, hidden robots included: the robot (`listing`), the
-  /// local position it was listed at, and whether it was hidden (empty
-  /// without a visibility radius). Views into the engine's arrays, or
+  /// A hinted swarm's stored rows of one observer: the robot at each row
+  /// (`listing`), the local position it was listed at, and each robot's
+  /// row. The first `Look::shown` rows are the visible ones in snapshot
+  /// order; the hidden ones follow. Views into the engine's arrays, or
   /// copies (make_snapshot).
   struct Rows {
     std::span<std::uint32_t> order;
     std::span<geom::Vec2> position;
-    std::span<std::uint8_t> hidden;
+    std::span<std::uint32_t> row_of;
   };
 
-  /// What an observer's stored rows already account for: every position
-  /// write up to `others` for the other robots (the count when the epoch
-  /// they were read at became final) and up to `self` for its own; the
-  /// `t` of the snapshot they listed; the observer's own row.
+  /// What an observer's stored rows account for: every position write up
+  /// to `others` for the other robots (the count when the epoch they were
+  /// read at became final) and up to `self` for its own; the `t` of the
+  /// snapshot they listed; how many rows are visible; whether two visible
+  /// rows are exactly tied.
   struct Look {
     std::uint64_t others = 0;
     std::uint64_t self = 0;
     Time t = 0;
-    std::uint32_t row = 0;
+    std::uint32_t shown = 0;
+    bool tied = false;
+  };
+
+  /// Scratch a hinted look needs beyond the rows.
+  struct LookScratch {
+    std::vector<Sighting> seen;  ///< From-scratch listings.
+    /// Row ranges a look changed, [first, last], before merging.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
   };
 
   [[nodiscard]] Rows rows(RobotIndex i) noexcept {
     const std::size_t n = specs_.size();
-    std::span<std::uint8_t> hidden;
-    if (!hidden_.empty()) hidden = {hidden_.data() + i * n, n};
-    return {listing(i), {listed_.data() + i * n, n}, hidden};
+    const std::size_t at = orders_.size() == n ? 0 : i * n;
+    return {{orders_.data() + at, n},
+            {listed_.data() + i * n, n},
+            {rows_of_.data() + at, n}};
   }
 
-  /// Writes robot i's observation at instant `t` into `out`, with no
-  /// change hint, sighting every robot: the listing of an unhinted swarm,
-  /// and every swarm's t0 listing. Anonymous swarms sort by local
-  /// position in `order`, a permutation of every robot index: with
-  /// `repair`, the observer's previous listing, insertion-sorted in
-  /// place; without it, or on an exact tie, a fresh std::sort of the
-  /// visible robots in index order (the legacy listing, whose unstable
-  /// tie placement decides the snapshot). `config` and `stale_config` are
-  /// epoch-ring views, read in place; `seen` receives the sightings in
-  /// index order.
-  void observe_all(RobotIndex i, std::span<const geom::Vec2> config,
-                   std::span<const geom::Vec2> stale_config, Time t,
-                   std::span<std::uint32_t> order, bool repair,
-                   std::vector<Sighting>& seen, Snapshot& out) const;
+  /// What robot i sees of every robot, into `seen` in index order: itself
+  /// as `config` has it, the others as `stale_config` does.
+  void sight_all(RobotIndex i, std::span<const geom::Vec2> config,
+                 std::span<const geom::Vec2> stale_config,
+                 std::vector<Sighting>& seen) const;
 
-  /// Writes a hinted swarm's robot i observation at instant `t` into
-  /// `out`, with its change hint, and updates its `rows` and `look` to it.
-  /// Re-sights only the robots written since `look` (everyone, with a
-  /// visibility radius, when robot i itself was written), insertion-sorts
-  /// anonymous rows, and on an exact tie falls back as `observe_all` does.
-  /// `stale_seal` and `now_seal` are the write counts at which the epochs
-  /// of `stale_config` and `config` became final; `seen` is scratch for
-  /// the fallback sort.
-  void observe_moved(RobotIndex i, std::span<const geom::Vec2> config,
-                     std::span<const geom::Vec2> stale_config, Time t,
-                     std::uint64_t stale_seal, std::uint64_t now_seal,
-                     Rows rows, Look& look, std::vector<Sighting>& seen,
-                     Snapshot& out) const;
+  /// Writes robot i's observation at instant `t` into `out`, which then
+  /// owns its entries, with no change hint, sighting every robot: the
+  /// listing of an unhinted swarm. Anonymous swarms sort by local position
+  /// in `order`, a permutation of every robot index: with `repair`, the
+  /// observer's previous listing is insertion-sorted in place, and on an
+  /// exact tie replaced by a fresh std::sort of the visible robots in
+  /// index order (the legacy listing, whose unstable tie placement decides
+  /// the snapshot); without it, `order` is listed as it is (the t0
+  /// listing, at `wake`). `config` and `stale_config` are epoch-ring
+  /// views, read in place; `seen` receives the sightings in index order.
+  /// Returns the rows visited (see `row_visits`).
+  std::uint64_t observe_all(RobotIndex i, std::span<const geom::Vec2> config,
+                            std::span<const geom::Vec2> stale_config, Time t,
+                            std::span<std::uint32_t> order, bool repair,
+                            std::vector<Sighting>& seen, Snapshot& out) const;
 
-  /// Copies the visible rows into `out` (entries and `self`, not the
-  /// hint); `self_row` is robot i's row.
-  void list_rows(RobotIndex i, Rows rows, std::size_t self_row,
-                 Snapshot& out) const;
+  /// Lists a hinted swarm's robot i from scratch into `rows`: sights every
+  /// robot, puts the visible ones first in snapshot order (by id, or
+  /// std::sort-ed by local position from index order), then the hidden
+  /// ones in index order, and records in `look` how many are visible and
+  /// whether two visible rows tie. The t0 listing, and a look's fallback.
+  void relist(RobotIndex i, std::span<const geom::Vec2> config,
+              std::span<const geom::Vec2> stale_config, Rows rows,
+              Look& look, std::vector<Sighting>& seen) const;
 
-  /// Records a write of robot i's position (see `stamps_`).
+  /// Robot i's look at instant `t` in a hinted swarm, in place: re-sights
+  /// the robots written since `look` (everyone when the write log no
+  /// longer reaches back to it, or with a visibility radius when robot i
+  /// itself was written), moves each changed row to its sorted place, and
+  /// relists from scratch when a robot appeared or vanished or the
+  /// listing holds an exact tie. Then points `out` at the visible rows,
+  /// with a change hint naming the slots that changed or moved, and
+  /// updates `look`. `stale_seal` and `now_seal` are the write counts at
+  /// which the epochs of `stale_config` and `config` became final.
+  /// Returns the rows visited (see `row_visits`).
+  std::uint64_t observe_in_place(RobotIndex i,
+                                 std::span<const geom::Vec2> config,
+                                 std::span<const geom::Vec2> stale_config,
+                                 Time t, std::uint64_t stale_seal,
+                                 std::uint64_t now_seal, Rows rows, Look& look,
+                                 LookScratch& scratch, Snapshot& out) const;
+
+  /// Records a write of robot i's position in the write log.
   void stamp(RobotIndex i) noexcept {
-    if (hinted_) stamps_[i] = ++writes_;
+    if (!hinted_) return;
+    stamps_[i] = ++writes_;
+    log_[writes_ % log_.size()] = static_cast<std::uint32_t>(i);
+  }
+
+  /// The write count at which epoch `e` (live) became final, or the
+  /// current count for the newest epoch, which only a step seals.
+  [[nodiscard]] std::uint64_t seal(Time e) const noexcept {
+    return e == t_ ? writes_ : seals_[slot(e)];
   }
 
   /// The minimum separation of the configuration a step produced, `after`;
@@ -397,17 +456,21 @@ class Engine {
   /// into a flat array so the commit loop touches 8 contiguous bytes per
   /// robot instead of striding over 72-byte RobotSpec rows.
   std::vector<double> sigmas_;
-  /// Listing orders (see `listing`). Identified: the robot indices sorted
-  /// by visible id, computed once (ids never change). Anonymous: n per
-  /// observer, the order robot i listed its last snapshot in.
+  /// Visible ids by robot index (identified swarms; empty otherwise), the
+  /// table snapshot views read ids from.
+  std::vector<std::optional<VisibleId>> ids_;
+  /// Listing orders (see `listing`). The robot indices sorted by visible
+  /// id, shared by every observer, in an identified swarm (unless a hinted
+  /// one has a visibility radius); otherwise n per observer, the order
+  /// robot i listed its last snapshot in.
   std::vector<std::uint32_t> orders_;
   /// More than kUnhintedSwarmMax robots: the members below are kept, and
-  /// snapshots carry change hints. Empty otherwise.
+  /// snapshots view the rows and carry change hints. Empty otherwise.
   bool hinted_ = false;
   /// Beside `orders_`, n per observer: the local position of each row.
   std::vector<geom::Vec2> listed_;
-  /// n per observer with a visibility radius: 1 for a hidden row.
-  std::vector<std::uint8_t> hidden_;
+  /// Beside `orders_` (shared or n per observer): the row of each robot.
+  std::vector<std::uint32_t> rows_of_;
   /// Per observer: what its rows account for.
   std::vector<Look> looks_;
   /// Per robot: the value of `writes_` at the latest write of its position
@@ -415,6 +478,12 @@ class Engine {
   /// instant: a teleport before the first step is a write after t0.
   std::vector<std::uint64_t> stamps_;
   std::uint64_t writes_ = 0;
+  /// The write log: write number w wrote robot `log_[w % log_.size()]`.
+  /// It holds n writes per epoch-ring slot, as many as the live epochs'
+  /// moves can make, so a synchronous look never reaches past it; a look
+  /// older than the log (a long sleep, many shoves or teleports)
+  /// re-sights everyone.
+  std::vector<std::uint32_t> log_;
   /// Per epoch-ring slot: `writes_` when that epoch's step began, after
   /// which its configuration is never written again.
   std::vector<std::uint64_t> seals_;
@@ -427,12 +496,14 @@ class Engine {
   /// configuration exactly once (current slot -> next slot).
   std::vector<std::vector<geom::Vec2>> ring_;
   std::vector<Sighting> seen_scratch_;
+  LookScratch look_scratch_;
   Snapshot snap_scratch_;
   ActivationSet active_scratch_;
   std::vector<geom::Vec2> pre_scratch_;  ///< Interceptor before-image.
   geom::PointGrid grid_scratch_;         ///< Large-n pair scans.
   std::vector<MotionStats> motion_;
   double min_separation_ = std::numeric_limits<double>::infinity();
+  std::uint64_t row_visits_ = 0;
   obs::EventSink* sink_ = nullptr;
   StepInterceptor* interceptor_ = nullptr;
   obs::LogHistogram* step_wall_ = nullptr;  ///< Owned by the registry.

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/chat_network.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "geom/sec.hpp"
@@ -179,6 +180,12 @@ class Probe final : public sim::Robot {
     if (d.empty()) d = hint_gap(snap, last, engine->robot_count());
     hinted += snap.hint.slots.size();
     listed += snap.size();
+    for (std::size_t k = 1; k < snap.size(); ++k) {
+      if (snap.robots.position(k) == snap.robots.position(k - 1)) {
+        ++tied;
+        break;
+      }
+    }
     last = snap;
     if (!last_order_.empty() && order != last_order_) ++reorders;
     last_order_ = std::move(order);
@@ -201,6 +208,7 @@ class Probe final : public sim::Robot {
   std::size_t reorders = 0;
   std::size_t hinted = 0;  ///< Hinted slots over all snapshots.
   std::size_t listed = 0;  ///< Entries over all snapshots.
+  std::size_t tied = 0;    ///< Snapshots with two equal entries.
   std::string first_mismatch;
 
  private:
@@ -223,6 +231,11 @@ struct Swarm {
   bool on_grid = false;
   /// When positive, only robots 0 .. movers - 1 move.
   std::size_t movers = 0;
+  /// Robots 0, 5, 10 and 15 sit still in one cell of the sensor quantum,
+  /// so every other observer's listing ties them at every look.
+  bool cluster = false;
+  /// Calls make_snapshot for every robot between steps and checks it.
+  bool probe_between = false;
   EngineOptions options;
   /// Displacements by Engine::teleport before the step of instant `at`
   /// (at 0: before the first step, after the t0 wake-up).
@@ -240,6 +253,9 @@ struct Tally {
   std::size_t reorders = 0;  ///< Activations whose listing changed.
   std::size_t hinted = 0;    ///< Hinted slots over all snapshots.
   std::size_t listed = 0;    ///< Entries over all snapshots.
+  std::size_t tied = 0;      ///< Snapshots with two equal entries.
+  /// Engine::row_visits of each step.
+  std::vector<std::uint64_t> step_visits;
 };
 
 /// Runs `s` for `instants` under `scheduler`; fails the test on the first
@@ -255,10 +271,17 @@ Tally run_swarm(const Swarm& s, sim::Time instants,
   while (specs.size() < s.n) {
     sim::RobotSpec spec;
     spec.position = Vec2{rng.uniform(0.0, side), rng.uniform(0.0, side)};
-    if (s.on_grid && specs.size() % 2 == 0) {
+    if ((s.on_grid && specs.size() % 2 == 0) ||
+        (s.cluster && specs.size() == 0)) {
       const double q = s.options.observation_quantum;
       spec.position = Vec2{std::round(spec.position.x / q) * q,
                            std::round(spec.position.y / q) * q};
+    }
+    if (s.cluster && specs.size() % 5 == 0 && specs.size() > 0 &&
+        specs.size() < 20) {
+      const double q = s.options.observation_quantum;
+      const double k = static_cast<double>(specs.size() / 5);
+      spec.position = specs[0].position + Vec2{0.1 * k * q, -0.1 * k * q};
     }
     if (std::any_of(specs.begin(), specs.end(), [&](const auto& o) {
           return o.position == spec.position;
@@ -282,6 +305,7 @@ Tally run_swarm(const Swarm& s, sim::Time instants,
                             rng.uniform(-s.speed, s.speed)};
     if (s.on_grid && i % 2 == 0) v = Vec2{0.0, 0.0};
     if (s.movers > 0 && i >= s.movers) v = Vec2{0.0, 0.0};
+    if (s.cluster && i % 5 == 0 && i < 20) v = Vec2{0.0, 0.0};
     auto p = std::make_unique<Probe>(i, v, s.leg);
     probes.push_back(p.get());
     programs.push_back(std::move(p));
@@ -308,21 +332,35 @@ Tally run_swarm(const Swarm& s, sim::Time instants,
     EXPECT_EQ(visible, listed) << "t0 order of robot " << i;
   }
   e.set_step_interceptor(s.interceptor);
+  Tally tally;
   for (sim::Time t = 0; t < instants; ++t) {
     for (const Swarm::Shove& shove : s.shoves) {
       if (shove.at == t) {
         e.teleport(shove.robot, e.positions()[shove.robot] + shove.by);
       }
     }
+    if (s.probe_between && s.options.observation_delay == 0) {
+      // make_snapshot works on copies: it must agree with the reference
+      // and leave the rows the next step repairs untouched.
+      for (RobotIndex i = 0; i < s.n; ++i) {
+        const Snapshot snap = e.make_snapshot(i);
+        std::string d = diff(snap, reference_snapshot(e, s.options, i));
+        if (d.empty()) d = hint_gap(snap, probes[i]->last, s.n);
+        EXPECT_TRUE(d.empty())
+            << "make_snapshot(" << i << ") before t=" << t << ": " << d;
+      }
+    }
+    const std::uint64_t before = e.row_visits();
     e.step();
+    tally.step_visits.push_back(e.row_visits() - before);
   }
-  Tally tally;
   for (const Probe* p : probes) {
     EXPECT_TRUE(p->first_mismatch.empty()) << p->first_mismatch;
     tally.checked += p->checked;
     tally.reorders += p->reorders;
     tally.hinted += p->hinted;
     tally.listed += p->listed;
+    tally.tied += p->tied;
   }
   if (s.options.observation_delay == 0) {
     // Between steps make_snapshot sees the current instant; it repairs a
@@ -510,6 +548,224 @@ TEST(ObservationDiff, IdentifiedSwarmsListInIdOrder) {
   }
 }
 
+/// Bernoulli activations, except that robot `sleeper` is kept asleep in
+/// [from, to) and is the only robot active at `to`.
+class SleeperScheduler final : public sim::Scheduler {
+ public:
+  SleeperScheduler(std::uint64_t seed, RobotIndex sleeper, sim::Time from,
+                   sim::Time to)
+      : base_(0.5, seed, 8), sleeper_(sleeper), from_(from), to_(to) {}
+
+  void activate_into(sim::Time t, std::size_t n,
+                     sim::ActivationSet& out) override {
+    base_.activate_into(t, n, out);
+    if (t == to_) {
+      std::fill(out.begin(), out.end(), false);
+      out[sleeper_] = true;
+    } else if (t >= from_ && t < to_) {
+      out[sleeper_] = false;
+      out[(sleeper_ + 1) % n] = true;
+    }
+  }
+
+ private:
+  sim::BernoulliScheduler base_;
+  RobotIndex sleeper_;
+  sim::Time from_, to_;
+};
+
+TEST(ObservationDiff, SleeperOlderThanTheWriteLogResightsEveryone) {
+  // An asynchronous hinted swarm: while robot 3 sleeps, the others write
+  // more positions than the write log holds, so its next look re-sights
+  // every robot — and must still match the reference, hint included.
+  for (const std::size_t n : {20u, 40u}) {
+    for (sim::Time delay = 0; delay <= 1; ++delay) {
+      Swarm s;
+      s.n = n;
+      s.seed = 300 + n + delay;
+      s.speed = 0.5;
+      s.leg = 4;
+      s.options.observation_delay = delay;
+      const sim::Time wake = 20;
+      const Tally t = run_swarm(
+          s, 30, std::make_unique<SleeperScheduler>(s.seed, 3, 4, wake));
+      EXPECT_GT(t.checked, 0u);
+      // Only the sleeper looks at `wake`: everyone re-sighted is n rows.
+      EXPECT_GE(t.step_visits[wake], n) << "n=" << n << " delay=" << delay;
+    }
+  }
+}
+
+TEST(ObservationDiff, DelayedSynchronousSwarmsMatchReference) {
+  for (sim::Time delay = 1; delay <= 3; ++delay) {
+    Swarm s;
+    s.n = 40;
+    s.seed = 320 + delay;
+    s.speed = 0.7;
+    s.leg = 3;
+    s.options.observation_delay = delay;
+    EXPECT_GT(run_swarm(s, 24, sync()).reorders, 0u) << "delay=" << delay;
+  }
+}
+
+TEST(ObservationDiff, TeleportsAndShovesBetweenLooksMatchReference) {
+  // Teleports before the first step and between steps, and a jitter
+  // fault that shoves robots after the moves of an instant; the robots'
+  // stored rows must follow every write.
+  fault::FaultPlan plan;
+  plan.jitters.push_back(fault::JitterFault{2, 5, 120, -80});
+  plan.jitters.push_back(fault::JitterFault{6, 17, -60, 90});
+  for (const std::size_t n : {24u, 40u}) {
+    fault::FaultInjector jitter(plan);
+    Swarm s;
+    s.n = n;
+    s.seed = 330 + n;
+    s.speed = 0.3;
+    s.leg = 5;
+    s.shoves = {{0, 4, Vec2{0.4, -0.3}},
+                {3, 9, Vec2{-0.3, 0.2}},
+                {3, 10, Vec2{0.25, 0.25}},
+                {9, 0, Vec2{0.1, 0.45}}};
+    s.interceptor = &jitter;
+    s.probe_between = true;
+    EXPECT_GT(run_swarm(s, 16, sync()).checked, 0u) << "n=" << n;
+  }
+}
+
+TEST(ObservationDiff, UnmovedClusterStaysTiedWhileOthersMove) {
+  // Four robots sit still in one quantum cell: every other observer sees
+  // them at one point at every look, a tie between robots that never
+  // move. Each such listing is the legacy std::sort's, every look.
+  for (const std::size_t n : {24u, 48u}) {
+    Swarm s;
+    s.n = n;
+    s.seed = 340 + n;
+    s.speed = 0.3;
+    s.leg = 4;
+    s.options.observation_quantum = 1.5;
+    s.cluster = true;
+    s.probe_between = true;
+    const Tally t = run_swarm(s, 12, sync());
+    EXPECT_GE(t.tied, (n - 2) * 12) << "n=" << n;
+    EXPECT_GT(run_swarm(s, 12, bernoulli(n)).tied, 0u) << "n=" << n;
+  }
+}
+
+TEST(ObservationDiff, MoverTyingWithTheObserverOnItsRight) {
+  // Identity frames and a unit quantum: robot 1 walks right along y = 0
+  // into the grid point robot 0 sits on, so in robot 0's listing the row
+  // that moved ties with robot 0's own row, on its right. Which of two
+  // equal entries is `self` is std::sort's call. A visibility radius hides
+  // the other 18 robots (they make the swarm hinted), so robot 0 sorts at
+  // most 16 robots, where std::sort is an insertion sort and keeps index
+  // order: robot 0's own entry first, before the row that moved.
+  EngineOptions o;
+  o.observation_quantum = 1.0;
+  o.visibility_radius = 5.0;
+  std::vector<sim::RobotSpec> specs;
+  const auto add = [&](Vec2 p) {
+    sim::RobotSpec spec;
+    spec.position = p;
+    specs.push_back(spec);
+  };
+  add(Vec2{5.0, 0.0});
+  add(Vec2{2.3, 0.2});
+  for (int k = 0; k < 18; ++k) {
+    add(Vec2{3.0 * (k % 6) + 0.4, 12.0 + 3.0 * (k / 6)});
+  }
+  std::vector<std::unique_ptr<sim::Robot>> programs;
+  std::vector<Probe*> probes;
+  for (RobotIndex i = 0; i < specs.size(); ++i) {
+    auto p = std::make_unique<Probe>(i, i == 1 ? Vec2{0.9, 0.0} : Vec2{}, 0);
+    probes.push_back(p.get());
+    programs.push_back(std::move(p));
+  }
+  Engine e(specs, std::move(programs), sync(), o);
+  for (Probe* p : probes) {
+    p->engine = &e;
+    p->options = &o;
+  }
+  e.run(6);
+  for (const Probe* p : probes) {
+    EXPECT_TRUE(p->first_mismatch.empty()) << p->first_mismatch;
+  }
+  EXPECT_GT(probes[0]->tied, 0u);
+}
+
+TEST(ObservationDiff, MakeSnapshotsBetweenStepsLeaveTheRowsAlone) {
+  for (const std::size_t n : {5u, 40u}) {
+    Swarm s;
+    s.n = n;
+    s.seed = 350 + n;
+    s.speed = 0.6;
+    s.leg = 3;
+    s.probe_between = true;
+    EXPECT_GT(run_swarm(s, 14, sync()).reorders, 0u) << "n=" << n;
+    EXPECT_GT(run_swarm(s, 14, bernoulli(n)).checked, 0u) << "n=" << n;
+  }
+}
+
+TEST(ObservationDiff, TheT0SnapshotOutlivesLaterSteps) {
+  // perfbench keeps make_snapshot(0) from before the chat and reads it
+  // after the chat ran: the snapshot owns its entries.
+  sim::Rng rng(360);
+  core::ChatNetworkOptions opt;
+  opt.seed = 361;
+  core::ChatNetwork net(sim::jittered_grid(rng, 40), opt);
+  const EngineOptions none;
+  std::optional<Snapshot> t0_view = net.engine().make_snapshot(0);
+  const Snapshot want = reference_snapshot(net.engine(), none, 0);
+  net.broadcast(0, std::vector<std::uint8_t>{0x5a});
+  net.run(10);
+  EXPECT_EQ(diff(*t0_view, want), "");
+  EXPECT_EQ(t0_view->size(), 40u);
+}
+
+TEST(ObservationDiff, ChatNetworkSlotsFollowTheEngineT0Listings) {
+  // ChatNetwork reads its slot tables from the engine's t0 listings; they
+  // must name the robots the engine's t0 rule lists, view by view.
+  for (int variant = 0; variant < 3; ++variant) {
+    for (const std::size_t n : {6u, 24u}) {
+      sim::Rng rng(370 + n);
+      core::ChatNetworkOptions opt;
+      opt.seed = 371 + static_cast<std::uint64_t>(variant);
+      if (variant == 0) opt.observation_quantum = 0.75;
+      if (variant == 1) opt.visibility_radius = 1e3;
+      if (variant == 2) {
+        opt.caps.visible_ids = true;
+        opt.caps.sense_of_direction = true;
+      }
+      core::ChatNetwork net(sim::jittered_grid(rng, n), opt);
+      for (RobotIndex i = 0; i < n; ++i) {
+        const std::vector<RobotIndex> order =
+            net.engine().initial_observation_order(i);
+        const std::span<const std::uint32_t> slots = net.slots(i);
+        for (std::size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(slots[net.chat_robot(i).slot_of_t0_index(k)], order[k])
+              << "variant " << variant << " n=" << n << " robot " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ObservationDiff, OneMoverCostsLinearRowsPerStep) {
+  // A hinted synchronous swarm in which one robot moves: each look
+  // re-sights that robot, shifts it past a few rows and hands over their
+  // slots, so a step visits O(n) rows, not the n^2 of a full pass.
+  Swarm s;
+  s.n = 256;
+  s.seed = 380;
+  s.speed = 0.1;
+  s.leg = 4;
+  s.movers = 1;
+  const Tally t = run_swarm(s, 10, sync());
+  for (std::size_t k = 1; k < t.step_visits.size(); ++k) {
+    EXPECT_LE(t.step_visits[k], 16 * s.n) << "step " << k;
+  }
+  EXPECT_GT(t.step_visits.back(), 0u);
+}
+
 // ---- SlicedCore association and the decode memo.
 
 /// Brute nearest-center association: ascending scan, lowest index on
@@ -669,29 +925,45 @@ class MemoChecker {
   std::size_t activations_ = 0;
 };
 
-/// A t0 view as a snapshot: listed lexicographically (anonymous) or by id.
-Snapshot t0_view(const std::vector<Vec2>& centers, proto::NamingMode naming) {
-  Snapshot s = snapshot_of(centers);
-  if (naming == proto::NamingMode::by_ids) {
-    for (std::size_t k = 0; k < s.robots.size(); ++k) {
-      s.robots[k].id = static_cast<sim::VisibleId>(100 + 3 * k);
+/// Robot i at pos[i], with id 100 + 3i for by_ids.
+std::vector<sim::ObservedRobot> entries(const std::vector<Vec2>& pos,
+                                        proto::NamingMode naming) {
+  std::vector<sim::ObservedRobot> out;
+  for (std::size_t k = 0; k < pos.size(); ++k) {
+    out.push_back(sim::ObservedRobot{pos[k], std::nullopt});
+    if (naming == proto::NamingMode::by_ids) {
+      out.back().id = static_cast<sim::VisibleId>(100 + 3 * k);
     }
   }
+  return out;
+}
+
+Snapshot snapshot_of(const std::vector<sim::ObservedRobot>& rows) {
+  Snapshot s;
+  for (const sim::ObservedRobot& r : rows) s.robots.push_back(r);
   return s;
 }
 
+/// A t0 view as a snapshot: listed lexicographically (anonymous) or by id.
+Snapshot t0_view(const std::vector<Vec2>& centers, proto::NamingMode naming) {
+  return snapshot_of(entries(centers, naming));
+}
+
 /// Robots at `pos` (robot i at pos[i]) listed as an observer would list
-/// them: by id for by_ids, else lexicographically by position.
-Snapshot listed(const std::vector<Vec2>& pos, proto::NamingMode naming) {
-  Snapshot s = t0_view(pos, naming);
+/// them: by id for by_ids, else lexicographically by position. With
+/// `drop_last`, the last entry is left out.
+Snapshot listed(const std::vector<Vec2>& pos, proto::NamingMode naming,
+                bool drop_last = false) {
+  std::vector<sim::ObservedRobot> rows = entries(pos, naming);
   if (naming != proto::NamingMode::by_ids) {
-    std::stable_sort(s.robots.begin(), s.robots.end(),
+    std::stable_sort(rows.begin(), rows.end(),
                      [](const sim::ObservedRobot& a,
                         const sim::ObservedRobot& b) {
                        return a.position < b.position;
                      });
   }
-  return s;
+  if (drop_last) rows.pop_back();
+  return snapshot_of(rows);
 }
 
 constexpr proto::NamingMode kModes[] = {proto::NamingMode::by_ids,
@@ -835,9 +1107,7 @@ TEST(DecodeMemo, TeleportedAndHiddenRobots) {
       }
       checker.check(listed(pos, naming), "teleported");
       checker.check(listed(pos, naming), "teleported, again");
-      Snapshot hidden = listed(pos, naming);
-      hidden.robots.erase(hidden.robots.begin() +
-                          static_cast<std::ptrdiff_t>(n - 1));
+      const Snapshot hidden = listed(pos, naming, /*drop_last=*/true);
       checker.check(hidden, "one hidden");
       checker.check(hidden, "one hidden, again");
       checker.check(listed(centers, naming), "all back");

@@ -85,12 +85,9 @@ TEST(SlicedCore, AssociateRecoverPositionsUnderDisplacement) {
   // Robots displaced within their granulars; snapshot arrives re-sorted
   // (anonymous ordering is by position).
   std::vector<Vec2> moved{Vec2{0.5, 0.3}, Vec2{5.2, -0.4}, Vec2{-0.7, 7.6}};
-  sim::Snapshot snap = snapshot_of(moved, 0);
-  std::sort(snap.robots.begin(), snap.robots.end(),
-            [](const auto& a, const auto& b) {
-              return a.position < b.position;
-            });
-  core.observe(snap);
+  std::vector<Vec2> listed = moved;
+  std::sort(listed.begin(), listed.end());
+  core.observe(snapshot_of(listed, 0));
   for (std::size_t i = 0; i < pts.size(); ++i) {
     EXPECT_TRUE(geom::nearly_equal(core.position(i), moved[i]));
   }

@@ -346,7 +346,7 @@ std::vector<std::string> corrupted_chat(std::size_t n, std::uint64_t seed,
                      std::make_unique<sim::SynchronousScheduler>(), eopt);
   EventLog log;
   for (std::size_t i = 0; i < n; ++i) {
-    robots[i]->set_telemetry(&log, i, nullptr);
+    robots[i]->set_telemetry(&log, i, {});
   }
   // Four senders, two frames each, queued apart so each rests between
   // them (idle counters run out, streams resync).
