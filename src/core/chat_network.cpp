@@ -65,6 +65,62 @@ std::unique_ptr<sim::Scheduler> make_scheduler(
   return base;
 }
 
+/// Robot `spec`'s program for protocol `kind`, its naming read through
+/// `shared` where the protocol names robots.
+std::unique_ptr<proto::ChatRobot> make_robot(ProtocolKind kind,
+                                             const ChatNetworkOptions& opt,
+                                             proto::NamingMode naming,
+                                             const sim::RobotSpec& spec,
+                                             proto::SharedNaming shared) {
+  const double sigma_local = opt.sigma / spec.frame_unit;
+  switch (kind) {
+    case ProtocolKind::sync2: {
+      proto::Sync2Options o;
+      o.sigma_local = sigma_local;
+      o.bits_per_symbol = opt.sync2_bits_per_symbol;
+      return std::make_unique<proto::Sync2Robot>(o);
+    }
+    case ProtocolKind::sliced: {
+      proto::SyncSlicedOptions o;
+      o.naming = naming;
+      o.sigma_local = sigma_local;
+      o.flock_velocity =
+          sim::Frame(geom::Vec2{0, 0}, spec.frame_rotation, spec.frame_unit,
+                     spec.frame_mirrored)
+              .to_local(opt.flock_velocity);
+      o.shared_naming = std::move(shared);
+      return std::make_unique<proto::SyncSlicedRobot>(std::move(o));
+    }
+    case ProtocolKind::ksegment: {
+      proto::KSegmentOptions o;
+      o.naming = naming;
+      o.k = opt.ksegment_k;
+      o.sigma_local = sigma_local;
+      o.shared_naming = std::move(shared);
+      return std::make_unique<proto::KSegmentRobot>(std::move(o));
+    }
+    case ProtocolKind::async2: {
+      proto::Async2Options o;
+      o.sigma_local = sigma_local;
+      o.ack_changes = 2 + 2 * opt.observation_delay;
+      o.bound = opt.async2_banded ? proto::BoundKind::banded
+                                  : proto::BoundKind::unbounded;
+      return std::make_unique<proto::Async2Robot>(o);
+    }
+    case ProtocolKind::asyncn: {
+      proto::AsyncNOptions o;
+      o.naming = naming;
+      o.sigma_local = sigma_local;
+      o.ack_changes = 2 + 2 * opt.observation_delay;
+      o.shared_naming = std::move(shared);
+      return std::make_unique<proto::AsyncNRobot>(std::move(o));
+    }
+    case ProtocolKind::automatic:
+      break;
+  }
+  throw std::logic_error("unresolved protocol kind");
+}
+
 /// The naming tables robot `observer` builds from its t0 view: every
 /// robot seen in its frame, listed in its t0 snapshot order.
 std::shared_ptr<const proto::NamingTables> tables_in_view_of(
@@ -109,6 +165,19 @@ const char* scheduler_kind_name(SchedulerKind kind) {
 ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
                          ChatNetworkOptions options)
     : options_(options) {
+  // Construction under the profiler: `net.build`, split into the engine's
+  // t0 listings, the shared naming tables, and the robots' programs with
+  // their t0 snapshots (waking them).
+  obs::prof::Profiler* const prof = options_.profiler;
+  const auto phase = [prof](const char* name) {
+    return prof != nullptr ? prof->phase(name) : obs::prof::PhaseId{0};
+  };
+  const obs::prof::PhaseId ph_build = phase("net.build");
+  const obs::prof::PhaseId ph_listing = phase("sim.t0_listing");
+  const obs::prof::PhaseId ph_naming = phase("naming.ranks");
+  const obs::prof::PhaseId ph_cores = phase("proto.cores");
+  const obs::prof::Scope build(prof, ph_build);
+
   const std::size_t n = positions.size();
   if (n < 2) {
     throw std::invalid_argument("ChatNetwork needs at least two robots");
@@ -119,8 +188,8 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
     // at least mutual visibility of the initial configuration.
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
-        if (geom::dist(positions[i], positions[j]) >
-            options_.visibility_radius) {
+        if (std::is_gt(geom::dist_cmp(positions[i], positions[j],
+                                      options_.visibility_radius))) {
           throw std::invalid_argument(
               "robots must be mutually visible at t0");
         }
@@ -171,8 +240,11 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
   // in another order than their exact positions). Before the robots wake,
   // those listings place each robot's view of the shared naming tables;
   // after, they translate its slots to simulator indices.
-  engine_ = std::make_unique<sim::Engine>(std::move(specs),
-                                          make_scheduler(options_), eopt);
+  {
+    const obs::prof::Scope listing(prof, ph_listing);
+    engine_ = std::make_unique<sim::Engine>(std::move(specs),
+                                            make_scheduler(options_), eopt);
+  }
   const sim::Engine& engine = *engine_;
 
   // One set of naming tables per swarm (DESIGN.md §9), built in robot 0's
@@ -188,6 +260,7 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
   if ((kind_ == ProtocolKind::sliced || kind_ == ProtocolKind::ksegment ||
        kind_ == ProtocolKind::asyncn) &&
       options_.observation_quantum <= 0.0) {
+    const obs::prof::Scope ranks(prof, ph_naming);
     tables = tables_in_view_of(engine, 0, naming);
     const std::span<const std::uint32_t> order0 = engine.listing(0);
     for (std::size_t k = 0; k < n; ++k) {
@@ -204,67 +277,19 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
     }
     return view;
   };
-  std::vector<std::unique_ptr<sim::Robot>> programs;
-  programs.reserve(n);
-  chat_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const sim::RobotSpec& spec = engine.spec(i);
-    const double sigma_local = options_.sigma / spec.frame_unit;
-    std::unique_ptr<proto::ChatRobot> robot;
-    switch (kind_) {
-      case ProtocolKind::sync2: {
-        proto::Sync2Options o;
-        o.sigma_local = sigma_local;
-        o.bits_per_symbol = options_.sync2_bits_per_symbol;
-        robot = std::make_unique<proto::Sync2Robot>(o);
-        break;
-      }
-      case ProtocolKind::sliced: {
-        proto::SyncSlicedOptions o;
-        o.naming = naming;
-        o.sigma_local = sigma_local;
-        o.flock_velocity =
-            sim::Frame(geom::Vec2{0, 0}, spec.frame_rotation,
-                       spec.frame_unit, spec.frame_mirrored)
-                .to_local(options_.flock_velocity);
-        o.shared_naming = shared_naming(i);
-        robot = std::make_unique<proto::SyncSlicedRobot>(std::move(o));
-        break;
-      }
-      case ProtocolKind::ksegment: {
-        proto::KSegmentOptions o;
-        o.naming = naming;
-        o.k = options_.ksegment_k;
-        o.sigma_local = sigma_local;
-        o.shared_naming = shared_naming(i);
-        robot = std::make_unique<proto::KSegmentRobot>(std::move(o));
-        break;
-      }
-      case ProtocolKind::async2: {
-        proto::Async2Options o;
-        o.sigma_local = sigma_local;
-        o.ack_changes = 2 + 2 * options_.observation_delay;
-        o.bound = options_.async2_banded ? proto::BoundKind::banded
-                                         : proto::BoundKind::unbounded;
-        robot = std::make_unique<proto::Async2Robot>(o);
-        break;
-      }
-      case ProtocolKind::asyncn: {
-        proto::AsyncNOptions o;
-        o.naming = naming;
-        o.sigma_local = sigma_local;
-        o.ack_changes = 2 + 2 * options_.observation_delay;
-        o.shared_naming = shared_naming(i);
-        robot = std::make_unique<proto::AsyncNRobot>(std::move(o));
-        break;
-      }
-      case ProtocolKind::automatic:
-        throw std::logic_error("unresolved protocol kind");
+  {
+    const obs::prof::Scope cores(prof, ph_cores);
+    std::vector<std::unique_ptr<sim::Robot>> programs;
+    programs.reserve(n);
+    chat_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::unique_ptr<proto::ChatRobot> robot = make_robot(
+          kind_, options_, naming, engine.spec(i), shared_naming(i));
+      chat_.push_back(robot.get());
+      programs.push_back(std::move(robot));
     }
-    chat_.push_back(robot.get());
-    programs.push_back(std::move(robot));
+    engine_->wake(std::move(programs));
   }
-  engine_->wake(std::move(programs));
 
   // slot -> simulator index, per robot (the listings are still t0's).
   slot_to_engine_.resize(n * n);
@@ -277,6 +302,7 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
   }
   received_.assign(n, {});
   overheard_.assign(n, {});
+  if (prof != nullptr) attach_profiler(prof);
 }
 
 void ChatNetwork::attach_event_sink(obs::EventSink* sink) {

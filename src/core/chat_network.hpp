@@ -93,6 +93,10 @@ struct ChatNetworkOptions {
 
   // Fuzz/replay hooks (not owned; must outlive the network).
   sim::ScheduleLog* record_schedule = nullptr;  ///< Capture activations.
+  /// Profiles construction (`net.build` with `sim.t0_listing`,
+  /// `naming.ranks` and `proto.cores`), then stays attached as by
+  /// `ChatNetwork::attach_profiler`.
+  obs::prof::Profiler* profiler = nullptr;
   const sim::ScheduleLog* replay_schedule = nullptr;  ///< Play back a
                                                       ///< recorded schedule
                                                       ///< instead of

@@ -113,9 +113,18 @@ ScenarioResult run_scenario(const Scenario& s) {
   r.scenario = s;
   obs::prof::Profiler prof;
   obs::CountingSink counter;
-  core::ChatNetwork net(scatter(s.robots, s.seed), options_for(s));
+  std::vector<geom::Vec2> positions = scatter(s.robots, s.seed);
+  core::ChatNetworkOptions options = options_for(s);
+  options.profiler = &prof;
+  const obs::alloc::Counters b0 = obs::alloc::snapshot();
+  const auto c0 = std::chrono::steady_clock::now();
+  core::ChatNetwork net(std::move(positions), options);
+  const auto c1 = std::chrono::steady_clock::now();
+  const obs::alloc::Counters b1 = obs::alloc::snapshot();
+  r.build_allocs = b1.allocs - b0.allocs;
+  r.build_bytes = b1.bytes - b0.bytes;
+  r.build_ns = std::chrono::duration<double, std::nano>(c1 - c0).count();
   r.protocol = core::protocol_kind_name(net.protocol_kind());
-  net.attach_profiler(&prof);
   net.attach_event_sink(&counter);
   queue_messages(net, s);
 
@@ -172,6 +181,8 @@ std::string render_perf_json(const ScenarioResult& r, bool include_timing) {
   emit_value(out, first, "bytes_per_instant",
              obs::json_number(static_cast<double>(r.bytes) / inst));
   emit_value(out, first, "peak_bytes", std::to_string(r.peak_bytes));
+  emit_value(out, first, "build_allocs", u64(r.build_allocs));
+  emit_value(out, first, "build_bytes", u64(r.build_bytes));
   for (const obs::prof::PhaseStats& p : r.phases) {
     const std::string base = std::string("prof.") + p.name + ".";
     emit_value(out, first, base + "calls", u64(p.calls));
@@ -185,6 +196,7 @@ std::string render_perf_json(const ScenarioResult& r, bool include_timing) {
     }
   }
   if (include_timing) {
+    emit_value(out, first, "build_ns", obs::json_number(r.build_ns));
     emit_value(out, first, "run_ns", obs::json_number(r.run_ns));
   }
   out << (first ? "" : "\n  ") << "}\n}\n";

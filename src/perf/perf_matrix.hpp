@@ -4,16 +4,18 @@
 // under which seed); `run_scenario` executes it once on the calling
 // thread and returns the deterministic cost counters of its step loop:
 // allocations, bytes, relative peak live bytes, emitted events, plus the
-// per-phase profiler rollup (obs/prof.hpp).
+// per-phase profiler rollup (obs/prof.hpp), which covers construction too
+// (`net.build`), beside the construction's own allocations and bytes.
 //
 // Determinism contract: every number in `ScenarioResult` except the
-// timing fields (`run_ns`, cycle counts) is a pure function of (code,
-// scenario), at any par::BatchRunner job count: a run leaves nothing on
-// its thread for the next run to reuse, so a fresh worker thread and a
-// reused one see the same allocation trace. `render_perf_json` with
-// `include_timing = false` therefore emits byte-identical artifacts at
-// jobs 1 and jobs 8 (tested in tests/test_obs_prof.cpp); the stigperf
-// regression gate relies on exactly this.
+// timing fields (`run_ns`, `build_ns`, cycle counts) is a pure function
+// of (code, scenario), at any par::BatchRunner job count: a run leaves
+// nothing on its thread for the next run to reuse, so a fresh worker
+// thread and a reused one see the same allocation trace.
+// `render_perf_json` with `include_timing = false` therefore emits
+// byte-identical artifacts at jobs 1 and jobs 8 (tested in
+// tests/test_obs_prof.cpp); the stigperf regression gate relies on
+// exactly this.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,8 @@ struct Scenario {
 };
 
 /// Measured costs of one scenario's step loop (sends queued beforehand;
-/// construction excluded).
+/// construction excluded), and of its construction (`build_*`, with the
+/// profiler's `net.build` phases).
 struct ScenarioResult {
   Scenario scenario;
   std::string protocol;  ///< Resolved protocol name.
@@ -56,6 +59,10 @@ struct ScenarioResult {
   /// Listing rows the engine's looks visited (sim::Engine::row_visits).
   std::uint64_t observe_rows = 0;
   double run_ns = 0.0;            ///< Wall time of the measured loop.
+  std::uint64_t build_allocs = 0;  ///< operator-new calls constructing the
+                                   ///< ChatNetwork.
+  std::uint64_t build_bytes = 0;   ///< Bytes they requested.
+  double build_ns = 0.0;           ///< Wall time of the construction.
   std::vector<obs::prof::PhaseStats> phases;
 };
 

@@ -96,13 +96,27 @@ struct RelativeNaming {
 /// order reads them through its own permutation (see SlicedCore).
 ///
 /// by_ids and lexicographic give every observer the same labeling, so
-/// they store one row of n entries; relative stores n rows of n.
+/// they store one row of n entries; relative stores n rows of n, filled
+/// from one clockwise sweep around the SEC center (DESIGN.md §9): cell for
+/// cell what `relative_naming` gives each robot.
 class NamingTables {
  public:
-  /// Builds the `mode` labelings of `points` (and `ids`, by_ids only).
-  /// Throws std::invalid_argument for by_ids without one id per point.
+  /// What a relative build did besides walking its sweep.
+  struct SweepStats {
+    std::size_t libm_keys = 0;    ///< Keys near a rounding boundary, whose
+                                  ///< angle came from clockwise_angle.
+    std::size_t center_rows = 0;  ///< Rows of a robot at O, built by
+                                  ///< relative_naming.
+    std::size_t sorted_rows = 0;  ///< Rows past their insertion budget,
+                                  ///< sorted from scratch.
+  };
+
+  /// Builds the `mode` labelings of `points` (and `ids`, by_ids only),
+  /// adding to `*stats` when given (relative only). Throws
+  /// std::invalid_argument for by_ids without one id per point.
   NamingTables(std::span<const geom::Vec2> points,
-               std::span<const sim::VisibleId> ids, NamingMode mode);
+               std::span<const sim::VisibleId> ids, NamingMode mode,
+               SweepStats* stats = nullptr);
 
   [[nodiscard]] std::size_t robot_count() const noexcept { return n_; }
   [[nodiscard]] NamingMode mode() const noexcept { return mode_; }

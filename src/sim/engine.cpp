@@ -8,6 +8,8 @@
 #include <numeric>
 #include <string>
 
+#include "sim/listing.hpp"
+
 namespace stig::sim {
 namespace {
 
@@ -122,11 +124,11 @@ inline void sight(Sighting& s, const Frame& f, const geom::Vec2& self,
               : g);
 }
 
-/// The legacy listing from scratch: the visible robots in index order,
-/// std::sort-ed by local position, then the hidden ones in index order.
+/// Puts the visible robots first in `order`, in index order, then the
+/// hidden ones in index order; returns how many are visible.
 template <typename Sighting>
-void sort_from_index_order(std::span<std::uint32_t> order,
-                           const std::vector<Sighting>& seen) {
+std::size_t visible_first(std::span<std::uint32_t> order,
+                          const std::vector<Sighting>& seen) {
   std::size_t shown = 0;
   for (std::size_t j = 0; j < seen.size(); ++j) {
     if (seen[j].visible) order[shown++] = static_cast<std::uint32_t>(j);
@@ -135,10 +137,32 @@ void sort_from_index_order(std::span<std::uint32_t> order,
   for (std::size_t j = 0; j < seen.size(); ++j) {
     if (!seen[j].visible) order[hidden++] = static_cast<std::uint32_t>(j);
   }
-  std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(shown),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return seen[a].obs.position < seen[b].obs.position;
-            });
+  return shown;
+}
+
+template <typename Sighting>
+auto position_in(const std::vector<Sighting>& seen) {
+  return [&seen](std::uint32_t j) -> const geom::Vec2& {
+    return seen[j].obs.position;
+  };
+}
+
+/// The legacy listing from scratch: the visible robots in index order,
+/// std::sort-ed by local position, then the hidden ones in index order.
+template <typename Sighting>
+void legacy_from_index_order(std::span<std::uint32_t> order,
+                             const std::vector<Sighting>& seen) {
+  legacy_listing(order.first(visible_first(order, seen)), position_in(seen));
+}
+
+/// The same listing by `sort_listing`: a bucket pass where the view is
+/// spread out, the legacy sort otherwise (sim/listing.hpp).
+template <typename Sighting>
+void sort_from_index_order(std::span<std::uint32_t> order,
+                           const std::vector<Sighting>& seen,
+                           std::vector<std::uint32_t>& scratch) {
+  sort_listing(order.first(visible_first(order, seen)), position_in(seen),
+               scratch);
 }
 
 /// Insertion-sorts `order` by local position: O(n + inversions), so O(n)
@@ -195,7 +219,7 @@ std::vector<RobotIndex> initial_observation_order(
     sight(seen[j], f, self, specs[j].position, j == observer, options);
   }
   std::vector<std::uint32_t> listing(specs.size());
-  sort_from_index_order(std::span<std::uint32_t>(listing), seen);
+  legacy_from_index_order(std::span<std::uint32_t>(listing), seen);
   std::copy(listing.begin(), listing.end(), order.begin());
   return order;
 }
@@ -269,12 +293,14 @@ Engine::Engine(std::vector<RobotSpec> specs,
   // Paper Section 4.2: every robot knows P(t0). Each observer's t0
   // listing is sorted here, once; `wake` hands the robots their t0
   // snapshots in these orders.
+  if (hinted_ && !identified_) look_scratch_.listing.reserve(2 * n + 1);
   for (std::size_t i = 0; i < n; ++i) {
     if (hinted_) {
-      relist(i, p0, p0, rows(i), looks_[i], seen_scratch_);
+      relist(i, p0, p0, rows(i), looks_[i], seen_scratch_,
+             look_scratch_.listing);
     } else if (!identified_) {
       sight_all(i, p0, p0, seen_scratch_);
-      sort_from_index_order(listing(i), seen_scratch_);
+      sort_from_index_order(listing(i), seen_scratch_, look_scratch_.listing);
     }
   }
 }
@@ -439,7 +465,7 @@ std::uint64_t Engine::observe_all(RobotIndex i,
   // instant's geometry — repaired from the previous listing; distinct
   // positions have exactly one such order.
   if (!identified_ && repair && !insertion_sort(order, seen, visits)) {
-    sort_from_index_order(order, seen);
+    legacy_from_index_order(order, seen);
     visits += n;
   }
   out.t = t;
@@ -459,12 +485,13 @@ std::uint64_t Engine::observe_all(RobotIndex i,
 
 void Engine::relist(RobotIndex i, std::span<const geom::Vec2> config,
                     std::span<const geom::Vec2> stale_config, Rows rows,
-                    Look& look, std::vector<Sighting>& seen) const {
+                    Look& look, std::vector<Sighting>& seen,
+                    std::vector<std::uint32_t>& sort_scratch) const {
   const std::size_t n = config.size();
   sight_all(i, config, stale_config, seen);
   std::uint32_t* const order = rows.order.data();
   if (!identified_) {
-    sort_from_index_order(rows.order, seen);
+    sort_from_index_order(rows.order, seen, sort_scratch);
   } else if (options_.visibility_radius > 0.0) {
     // The visible robots in id order, then the hidden ones.
     std::size_t shown = 0;
@@ -586,7 +613,8 @@ std::uint64_t Engine::observe_in_place(
     // Which of two equal entries comes first is the legacy std::sort's
     // call, and a robot appearing or vanishing shifts every later slot:
     // list from scratch, every slot hinted.
-    relist(i, config, stale_config, rows, look, scratch.seen);
+    relist(i, config, stale_config, rows, look, scratch.seen,
+           scratch.listing);
     visits += n;
     slots.resize(look.shown);
     std::iota(slots.begin(), slots.end(), std::uint32_t{0});

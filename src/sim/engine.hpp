@@ -23,7 +23,8 @@
 //
 // Construction lists every observer's t0 snapshot once: an identified
 // swarm in its fixed id order, an anonymous observer's lexicographic by
-// local position (std::sort from index order). `listing(i)` exposes that
+// local position as std::sort from index order lists it (sim/listing.hpp
+// gets there by a bucket pass). `listing(i)` exposes that
 // order until the first step, so core::ChatNetwork builds its slot and
 // naming tables from it before `wake` hands each robot its t0 snapshot.
 // The engine keeps the order each observer listed last (4n^2 bytes per
@@ -367,6 +368,9 @@ class Engine {
   /// Scratch a hinted look needs beyond the rows.
   struct LookScratch {
     std::vector<Sighting> seen;  ///< From-scratch listings.
+    /// Bucket starts and output of `sort_listing` (sim/listing.hpp),
+    /// reserved by the constructor of a hinted anonymous swarm.
+    std::vector<std::uint32_t> listing;
     /// Row ranges a look changed, [first, last], before merging.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
   };
@@ -402,13 +406,15 @@ class Engine {
                             std::vector<Sighting>& seen, Snapshot& out) const;
 
   /// Lists a hinted swarm's robot i from scratch into `rows`: sights every
-  /// robot, puts the visible ones first in snapshot order (by id, or
-  /// std::sort-ed by local position from index order), then the hidden
-  /// ones in index order, and records in `look` how many are visible and
-  /// whether two visible rows tie. The t0 listing, and a look's fallback.
+  /// robot, puts the visible ones first in snapshot order (by id, or by
+  /// local position as the legacy std::sort from index order lists them;
+  /// sim/listing.hpp), then the hidden ones in index order, and records in
+  /// `look` how many are visible and whether two visible rows tie. The t0
+  /// listing, and a look's fallback.
   void relist(RobotIndex i, std::span<const geom::Vec2> config,
               std::span<const geom::Vec2> stale_config, Rows rows,
-              Look& look, std::vector<Sighting>& seen) const;
+              Look& look, std::vector<Sighting>& seen,
+              std::vector<std::uint32_t>& sort_scratch) const;
 
   /// Robot i's look at instant `t` in a hinted swarm, in place: re-sights
   /// the robots written since `look` (everyone when the write log no

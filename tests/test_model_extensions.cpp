@@ -3,9 +3,12 @@
 // visibility, and stabilization under transient faults (teleport injection).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/chat_network.hpp"
 #include "encode/bits.hpp"
 #include "encode/framing.hpp"
+#include "geom/angle.hpp"
 #include "geom/voronoi.hpp"
 #include "sim/engine.hpp"
 #include "sim/placement.hpp"
@@ -310,6 +313,44 @@ TEST(Visibility, NonVisibleConfigurationRejected) {
   opt.visibility_radius = 3.0;
   EXPECT_THROW(ChatNetwork({geom::Vec2{0, 0}, geom::Vec2{10, 0}}, opt),
                std::invalid_argument);
+}
+
+TEST(Visibility, MutualVisibilityAnswersAsHypotDoes) {
+  // (0, 0) and (3, 4) are exactly 5 apart: visible at radius 5. Moving
+  // (3, 4) up by one ulp of 4 puts them an ulp of 5 apart: refused.
+  const geom::Vec2 o{0, 0};
+  const geom::Vec2 at{3, 4};
+  const geom::Vec2 beyond{3, std::nextafter(4.0, 5.0)};
+  ASSERT_EQ(geom::dist(o, at), 5.0);
+  ASSERT_GT(geom::dist(o, beyond), 5.0);
+  ChatNetworkOptions opt;
+  opt.visibility_radius = 5.0;
+  EXPECT_NO_THROW(ChatNetwork({o, at}, opt));
+  EXPECT_THROW(ChatNetwork({o, beyond}, opt), std::invalid_argument);
+  // Pairs within a few ulps of the radius: accepted exactly when hypot
+  // puts them within it.
+  sim::Rng rng(77);
+  int accepted = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const double r = rng.uniform(1.0, 100.0);
+    const double a = rng.uniform(0.0, geom::kTwoPi);
+    geom::Vec2 p{r * std::cos(a), r * std::sin(a)};
+    for (int k = static_cast<int>(rng.uniform_int(0, 6)); k > 0; --k) {
+      p.x = std::nextafter(p.x, trial % 2 == 0 ? 1e9 : -1e9);
+    }
+    opt.visibility_radius = r;
+    const bool visible = !(geom::dist(o, p) > r);
+    bool built = true;
+    try {
+      ChatNetwork net({o, p}, opt);
+    } catch (const std::invalid_argument&) {
+      built = false;
+    }
+    EXPECT_EQ(built, visible) << "trial " << trial;
+    accepted += built ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 200);
 }
 
 // ---------------------------------------------------------------------------

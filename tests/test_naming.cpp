@@ -3,10 +3,14 @@
 // rotation, positive uniform scale) as long as handedness is shared.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "geom/angle.hpp"
 #include "geom/sec.hpp"
+#include "obs/alloc_track.hpp"
 #include "proto/naming.hpp"
 #include "sim/frame.hpp"
 #include "sim/placement.hpp"
@@ -189,6 +193,240 @@ TEST(RelativeNaming, SymmetricConfigurationStillRelativelyConsistent) {
   for (std::size_t self = 0; self < 6; ++self) {
     EXPECT_EQ(relative_naming(local, self).ranks,
               relative_naming(pts, self).ranks);
+  }
+}
+
+// ---- NamingTables(relative) pins: an FNV-1a digest of every rank and
+// inverse cell for five fixed swarms. The digests were taken from the
+// per-row build (one relative_naming per robot); the one-sweep build must
+// reproduce every cell.
+
+/// FNV-1a, 64-bit, over every rank then every inverse cell, each as four
+/// little-endian bytes.
+std::uint64_t table_digest(const NamingTables& t) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const std::size_t n = t.robot_count();
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) mix(t.rank(a, b));
+  }
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t r = 0; r < n; ++r) mix(t.robot_with_rank(a, r));
+  }
+  return h;
+}
+
+std::uint64_t relative_digest(const std::vector<Vec2>& pts) {
+  return table_digest(NamingTables(pts, {}, NamingMode::relative));
+}
+
+TEST(NamingTablesPin, JitteredGridN128) {
+  sim::Rng rng(23);
+  EXPECT_EQ(relative_digest(sim::jittered_grid(rng, 128)),
+            0xeff8ceafd77d4a25ull);
+}
+
+TEST(NamingTablesPin, ExactGridN64) {
+  std::vector<Vec2> pts;
+  for (int k = 0; k < 64; ++k) {
+    pts.push_back(Vec2{3.0 * (k % 8), 3.0 * (k / 8)});
+  }
+  EXPECT_EQ(relative_digest(pts), 0xb0d8833c8006d925ull);
+}
+
+TEST(NamingTablesPin, Figure3HexagonWithItsCenterRobot) {
+  std::vector<Vec2> pts;
+  for (int k = 0; k < 6; ++k) {
+    const double a = geom::kTwoPi * k / 6.0;
+    pts.push_back(Vec2{8 * std::cos(a), 8 * std::sin(a)});
+  }
+  pts.push_back(Vec2{0, 0});
+  EXPECT_EQ(relative_digest(pts), 0x900c2202f2b99455ull);
+}
+
+TEST(NamingTablesPin, FiveCollinearRobots) {
+  const std::vector<Vec2> pts{Vec2{0, 0}, Vec2{1, 0.5}, Vec2{2, 1},
+                              Vec2{3.5, 1.75}, Vec2{5, 2.5}};
+  EXPECT_EQ(relative_digest(pts), 0xe4e847f106f29005ull);
+}
+
+TEST(NamingTablesPin, TwoRobots) {
+  EXPECT_EQ(relative_digest({Vec2{0, 0}, Vec2{3, 1}}), 0x061ff87a8de3f485ull);
+}
+
+// ---- The one-sweep build against the per-row oracle: every cell of
+// NamingTables(relative) equals relative_naming's, robot by robot.
+
+/// Checks every rank and inverse cell of the relative tables of `pts`
+/// against relative_naming, and returns what the build did.
+NamingTables::SweepStats expect_sweep_matches_rows(const std::vector<Vec2>& pts,
+                                                   const std::string& what) {
+  NamingTables::SweepStats stats;
+  const NamingTables tables(pts, {}, NamingMode::relative, &stats);
+  const geom::Circle sec = geom::smallest_enclosing_circle(pts);
+  const std::size_t n = pts.size();
+  EXPECT_EQ(tables.entries(), n * n) << what;
+  for (std::size_t i = 0; i < n; ++i) {
+    const RelativeNaming row = relative_naming(pts, i, sec);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (tables.rank(i, j) != row.ranks[j] ||
+          tables.robot_with_rank(i, row.ranks[j]) != j) {
+        ADD_FAILURE() << what << ": row " << i << " robot " << j << " rank "
+                      << tables.rank(i, j) << ", relative_naming "
+                      << row.ranks[j];
+        return stats;
+      }
+    }
+  }
+  return stats;
+}
+
+/// `pts` seen through a random frame: rotation, unit, origin and, when
+/// `mirrored`, the other handedness.
+std::vector<Vec2> random_view(const std::vector<Vec2>& pts, sim::Rng& rng,
+                              bool mirrored) {
+  const sim::Frame f(Vec2{rng.uniform(-50, 50), rng.uniform(-50, 50)},
+                     rng.uniform(0.0, geom::kTwoPi), rng.uniform(0.01, 100.0),
+                     mirrored);
+  return transform_all(pts, f);
+}
+
+/// `count` robots on a regular polygon of radius `radius`, turned by
+/// `phase`.
+std::vector<Vec2> polygon(std::size_t count, double radius, double phase) {
+  std::vector<Vec2> pts;
+  for (std::size_t k = 0; k < count; ++k) {
+    const double a = phase + geom::kTwoPi * static_cast<double>(k) /
+                                 static_cast<double>(count);
+    pts.push_back(Vec2{radius * std::cos(a), radius * std::sin(a)});
+  }
+  return pts;
+}
+
+TEST(NamingTablesSweep, MatchesRelativeNamingOnAThousandSwarms) {
+  sim::Rng rng(2009);
+  std::size_t swarms = 0;
+  std::size_t center_rows = 0;
+  const auto check = [&](const std::vector<Vec2>& base,
+                         const std::string& what) {
+    for (const bool mirrored : {false, true}) {
+      const NamingTables::SweepStats st = expect_sweep_matches_rows(
+          random_view(base, rng, mirrored),
+          what + (mirrored ? " mirrored" : ""));
+      center_rows += st.center_rows;
+      ++swarms;
+    }
+  };
+  for (std::size_t trial = 0; trial < 160; ++trial) {
+    // Mostly small swarms, every size from 2 up, a few up to 300.
+    const std::size_t n = trial < 100 ? 2 + trial % 40
+                                      : static_cast<std::size_t>(
+                                            rng.uniform_int(41, 300));
+    const std::string tag = " n=" + std::to_string(n) + " trial=" +
+                            std::to_string(trial);
+    check(sim::scatter(rng, n, 20.0, 0.5), "random" + tag);
+    check(sim::jittered_grid(rng, n), "jittered grid" + tag);
+  }
+  for (std::size_t cols = 1; cols <= 17; ++cols) {
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{2}, cols,
+                                   cols + 3}) {
+      if (cols * rows < 2) continue;
+      std::vector<Vec2> grid;
+      for (std::size_t k = 0; k < cols * rows; ++k) {
+        grid.push_back(Vec2{3.0 * static_cast<double>(k % cols),
+                            3.0 * static_cast<double>(k / cols)});
+      }
+      check(grid, "exact grid " + std::to_string(cols) + "x" +
+                      std::to_string(rows));
+    }
+  }
+  for (std::size_t count = 2; count <= 40; ++count) {
+    for (const bool center : {false, true}) {
+      std::vector<Vec2> pts = polygon(count, 8.0, 0.0);
+      if (center) pts.push_back(Vec2{0, 0});
+      const std::string tag = " " + std::to_string(count) +
+                              (center ? " with center" : "");
+      check(pts, "polygon" + tag);
+      // Two aligned rings: every radius holds two robots, tied in angle.
+      std::vector<Vec2> rings = polygon(count, 4.0, 0.3);
+      for (const Vec2& p : polygon(count, 8.0, 0.3)) rings.push_back(p);
+      if (center) rings.push_back(Vec2{0, 0});
+      check(rings, "aligned rings" + tag);
+    }
+  }
+  for (std::size_t n = 2; n <= 40; ++n) {
+    // Collinear: two opposite rays from O, uneven spacing.
+    std::vector<Vec2> line;
+    double at = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      line.push_back(Vec2{at, 0.5 * at});
+      at += rng.uniform(0.5, 3.0);
+    }
+    check(line, "collinear n=" + std::to_string(n));
+  }
+  EXPECT_GE(swarms, 1000u);
+  EXPECT_GT(center_rows, 0u);
+}
+
+TEST(NamingTablesSweep, KeysAtARoundingBoundaryTakeClockwiseAngle) {
+  // (-10, 0) and (10, 0) span the SEC, centered exactly at the origin.
+  // Each pair (P, Q) puts Q (k + 1/2) quanta clockwise of P's radius, so
+  // the angle of Q in P's labeling lies within about 1e-15 rad of a
+  // rounding boundary (and P's in Q's labeling does, once mirrored).
+  sim::Rng rng(100000);
+  for (std::size_t trial = 0; trial < 40; ++trial) {
+    std::vector<Vec2> pts{Vec2{-10, 0}, Vec2{10, 0}};
+    const std::size_t pairs = 1 + trial % 6;
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const double alpha = rng.uniform(0.0, geom::kTwoPi);
+      const double k = static_cast<double>(rng.uniform_int(0, 30));
+      const double beta = alpha - (k + 0.5) * 1e-7;
+      const double r1 = rng.uniform(1.0, 9.0);
+      const double r2 = rng.uniform(1.0, 9.0);
+      pts.push_back(Vec2{r1 * std::cos(alpha), r1 * std::sin(alpha)});
+      pts.push_back(Vec2{r2 * std::cos(beta), r2 * std::sin(beta)});
+    }
+    for (const Vec2& p : random_points(trial % 5, trial + 77)) {
+      pts.push_back(p * 0.25);
+    }
+    const std::string tag = "trial " + std::to_string(trial);
+    EXPECT_GE(expect_sweep_matches_rows(pts, tag).libm_keys, pairs) << tag;
+    for (const bool mirrored : {false, true}) {
+      const auto st = expect_sweep_matches_rows(
+          random_view(pts, rng, mirrored), tag + " view");
+      EXPECT_GE(st.libm_keys, pairs) << tag << " mirrored=" << mirrored;
+    }
+  }
+}
+
+TEST(NamingTablesSweep, CrowdedRadiusFallsBackToASort) {
+  // Sixty robots on one radius (and one opposite, to fix O), listed from
+  // the rim inward: the sweep meets the tie group in index order, the
+  // reverse of its (radial, index) order, far past the insertion budget.
+  std::vector<Vec2> pts{Vec2{-10, 0}, Vec2{10, 0}};
+  for (int k = 0; k < 60; ++k) pts.push_back(Vec2{9.9 - 0.15 * k, 0.0});
+  const auto st = expect_sweep_matches_rows(pts, "crowded radius");
+  EXPECT_GT(st.sorted_rows, 0u);
+}
+
+TEST(NamingTablesSweep, AllocatesFourVectorsBesideTheSec) {
+  // The sweep's own scratch is two vectors beside the two tables (the SEC
+  // allocates on its own); the per-row build took two per robot.
+  if (!obs::alloc::active()) GTEST_SKIP() << "allocation tracking off";
+  for (const std::size_t n : {2u, 3u, 5u, 8u, 64u}) {
+    const auto pts = random_points(n, 31 + n);
+    const obs::alloc::Counters a0 = obs::alloc::snapshot();
+    const geom::Circle sec = geom::smallest_enclosing_circle(pts);
+    const obs::alloc::Counters a1 = obs::alloc::snapshot();
+    const NamingTables tables(pts, {}, NamingMode::relative);
+    const obs::alloc::Counters a2 = obs::alloc::snapshot();
+    EXPECT_LE(a2.allocs - a1.allocs, 4 + (a1.allocs - a0.allocs))
+        << "n=" << n << " sec radius " << sec.radius;
   }
 }
 

@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Appends one line of performance numbers to the perf trajectory.
+
+    python3 tools/perf_trajectory.py --label "sweep naming" --seeds 3
+
+Runs perfbench's gated workloads (the ones BENCHMARK.json lists, for
+its run_seconds) on k fresh seeds, and E13 Table C (relative-naming
+construction at n = 128..1024), in the checkout given by --root
+(default: this one). Then appends one JSON object to the trajectory
+file (default:
+bench/perf_trajectory.jsonl of this checkout): the commit measured, each
+workload's end-to-end metrics as median and quartiles over the seeds with
+its attempted and failed operation counts, and the Table C build times in
+ms. Nothing is gated on it; it is the record later changes compare with.
+
+Measuring another checkout (say a parent commit unpacked with
+`git archive`) writes into this checkout's trajectory: pass --root, and
+--commit when that checkout is not a git work tree. E13 is built in
+--build-dir (default <root>/build, configured on first use).
+"""
+
+import argparse
+import datetime
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+TABLE_C_SIZES = (128, 256, 512, 1024)
+
+
+def die(msg):
+    print("perf_trajectory: " + msg, file=sys.stderr)
+    sys.exit(1)
+
+
+def git(root, *args):
+    proc = subprocess.run(["git", "-C", root] + list(args), text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def spread(values):
+    """Median and quartiles (inclusive method; equal to the median below
+    two values)."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def run_workload(root, workload, seed, seconds):
+    cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, text=True, stdout=subprocess.PIPE)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        die("%s seed %d printed no result (exit %d)"
+            % (workload, seed, proc.returncode))
+    return json.loads(lines[-1])
+
+
+def table_c(root, build_dir):
+    """E13 Table C build times in ms, by robot count."""
+    if not os.path.isfile(os.path.join(build_dir, "CMakeCache.txt")):
+        subprocess.run(["cmake", "-S", root, "-B", build_dir], check=True,
+                       stdout=sys.stderr)
+    subprocess.run(["cmake", "--build", build_dir, "-j", "4", "--target",
+                    "bench_e13_scale"], check=True, stdout=sys.stderr)
+    work = tempfile.mkdtemp(prefix="perf_trajectory_")
+    try:
+        subprocess.run([os.path.join(build_dir, "bench", "bench_e13_scale")],
+                       cwd=work, check=True, stdout=subprocess.DEVNULL)
+        with open(os.path.join(work, "BENCH_e13_scale.json")) as f:
+            values = json.load(f)["values"]
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return {str(n): values["relative_build_ns_n%d" % n] / 1e6
+            for n in TABLE_C_SIZES}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", default=REPO,
+                    help="checkout to measure (default: this one)")
+    ap.add_argument("--label", required=True,
+                    help="what the line measures, e.g. 'sweep naming, parent'")
+    ap.add_argument("--commit", help="commit measured (default: git HEAD "
+                    "of --root)")
+    ap.add_argument("--seeds", type=int, default=3,
+                    help="fresh seeds per workload (default 3)")
+    ap.add_argument("--first-seed", type=int,
+                    help="first seed (default: drawn from the clock)")
+    ap.add_argument("--build-dir", help="build tree for E13 (default "
+                    "<root>/build)")
+    ap.add_argument("--out", default=os.path.join(REPO, "bench",
+                                                  "perf_trajectory.jsonl"),
+                    help="trajectory file to append to")
+    args = ap.parse_args()
+    root = os.path.abspath(args.root)
+    if args.seeds < 1:
+        die("--seeds must be at least 1")
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    seconds = float(spec["run_seconds"])
+    commit = args.commit or git(root, "rev-parse", "HEAD")
+    if commit is None:
+        die("--root is not a git work tree: pass --commit")
+    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
+    first = args.first_seed
+    if first is None:
+        first = int(datetime.datetime.now().timestamp()) % 1000000 * 100
+    seeds = list(range(first, first + args.seeds))
+
+    workloads = {}
+    for w in spec["workloads"]:
+        name = w["name"]
+        runs = [run_workload(root, name, s, seconds) for s in seeds]
+        metrics = {}
+        for m in spec["end_to_end"]:
+            values = [r["metrics"][m["name"]]["value"] for r in runs]
+            metrics[m["name"]] = dict(spread(values), unit=m["unit"])
+        workloads[name] = {
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "metrics": metrics,
+        }
+        print("%s: %s" % (name, json.dumps(metrics)), file=sys.stderr)
+
+    line = {
+        "commit": commit,
+        "dirty": dirty,
+        "label": args.label,
+        "date": datetime.date.today().isoformat(),
+        "seeds": seeds,
+        "seconds": seconds,
+        "workloads": workloads,
+        "e13_table_c_build_ms": table_c(
+            root, os.path.abspath(args.build_dir or
+                                  os.path.join(root, "build"))),
+    }
+    with open(args.out, "a") as f:
+        f.write(json.dumps(line, sort_keys=True) + "\n")
+    print(json.dumps(line, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
