@@ -10,15 +10,22 @@
 // n=4096 / n=32 per-instant ratio exceeds a quarter of the quadratic
 // prediction (4096/32)^2 — so CI fails if the wall ever comes back.
 //
-// Table B measures end-to-end chat throughput (sliced synchronous
-// protocol, one 1-byte broadcast): by_ids naming at n in
-// {32, 128, 512, 1024} and relative naming (anonymous, chirality only) at
-// n in {128, 256, 512}. Instants to quiescence and bits delivered are
-// gated; construction and run times and bits/sec are machine-dependent.
-// n = 4096 is omitted: a chat swarm holds O(n) state per robot (t0
-// centers, the decode memo, listing orders, naming views and slot
-// tables: about 70 bytes per pair of robots), over 1 GB at 4096 before
-// the first instant runs — see EXPERIMENTS.md E13.
+// Table B measures end-to-end chat throughput (one 1-byte broadcast):
+// the sliced synchronous protocol with by_ids naming at n in
+// {32, 128, 512, 1024} and with relative naming (anonymous, chirality
+// only) at n in {128, 256, 512}, and the asynchronous AsyncN protocol with
+// relative naming at n in {32, 64, 128}. Instants to quiescence and bits
+// delivered are gated, and so is the heap each run adds above
+// construction (obs::alloc, so deterministic); construction and run times
+// and bits/sec are machine-dependent. The binary exits non-zero when the
+// relative n = 512 run adds more than 8 bytes per pair of robots: a run
+// keeps no per-robot structure over the swarm (EXPERIMENTS.md E13).
+//
+// `--large` also runs relative and by_ids chats at n = 2048 and 4096, each
+// in a child process of its own, and reports their peak resident set
+// (VmHWM) beside build and run times: a chat swarm holds O(n) state per
+// robot (t0 centers, the decode memo, listing orders, naming views and
+// slot tables), over 1 GB at 4096 — see ROADMAP item 3.
 //
 // Table C measures construction alone for the relative (chirality-only)
 // naming at n in {128, 256, 512, 1024}: build time, live heap after
@@ -33,10 +40,14 @@
 // allocations) are baseline-gated by `stigreport diff`; per-instant,
 // per-second and `_ns` keys carry the skip suffixes of the
 // obs/metric_keys.hpp convention.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -77,11 +88,164 @@ class Oscillator final : public sim::Robot {
   bool flip_ = false;
 };
 
+/// The chats of Tables B and D: which protocol, which naming.
+struct Chat {
+  const char* name;  ///< Table column.
+  const char* key;   ///< Report key prefix.
+  bool asyncn;       ///< AsyncN, asynchronous; else sliced synchronous.
+  /// Identified robots with sense of direction; else anonymous robots
+  /// with chirality only (relative naming), so every observer sorts.
+  bool by_ids;
+};
+constexpr Chat kByIds{"by_ids", "chat_", false, true};
+constexpr Chat kRelative{"relative", "relative_chat_", false, false};
+constexpr Chat kAsyncN{"asyncn", "asyncn_chat_", true, false};
+
+/// One chat, construction to quiescence: robot 0 broadcasts one byte.
+struct ChatRun {
+  bool done = false;
+  std::uint64_t instants = 0;
+  std::uint64_t bits = 0;
+  double build_s = 0.0;
+  double run_s = 0.0;
+  /// Peak live heap during the run above the level after construction.
+  std::int64_t run_heap = 0;
+  /// Peak resident set of the process, in kB (Table D's children only).
+  std::int64_t peak_rss_kb = 0;
+};
+
+ChatRun run_chat(const Chat& kind, std::size_t n, std::uint64_t seed,
+                 std::uint64_t place_seed) {
+  core::ChatNetworkOptions opt;
+  opt.synchrony = kind.asyncn ? core::Synchrony::asynchronous
+                              : core::Synchrony::synchronous;
+  opt.protocol =
+      kind.asyncn ? core::ProtocolKind::asyncn : core::ProtocolKind::sliced;
+  opt.caps.visible_ids = kind.by_ids;
+  opt.caps.sense_of_direction = kind.by_ids;
+  opt.seed = seed;
+  std::vector<geom::Vec2> start = grid_scatter(n, place_seed);
+  ChatRun r;
+  const Clock::time_point t0 = Clock::now();
+  core::ChatNetwork net(std::move(start), opt);
+  const Clock::time_point t1 = Clock::now();
+  net.broadcast(0, std::vector<std::uint8_t>{0xA5});
+  obs::alloc::reset_peak();
+  const obs::alloc::Counters a0 = obs::alloc::snapshot();
+  r.done = net.run_until_quiescent(1'000'000);
+  const obs::alloc::Counters a1 = obs::alloc::snapshot();
+  const Clock::time_point t2 = Clock::now();
+  r.build_s = std::chrono::duration<double>(t1 - t0).count();
+  r.run_s = std::chrono::duration<double>(t2 - t1).count();
+  r.run_heap = a1.peak_live_bytes - a0.live_bytes;
+  r.instants = net.engine().now();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const core::Delivery& d : net.received(i)) {
+      r.bits += 8 * d.payload.size();
+    }
+  }
+  return r;
+}
+
+/// This process's peak resident set (VmHWM) in kB, or -1.
+std::int64_t peak_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return -1;
+}
+
+/// `run_chat` in a child process, so VmHWM is that chat's own peak (plus
+/// what this process held when it forked). done is false when the child
+/// fails.
+ChatRun run_chat_apart(const Chat& kind, std::size_t n, std::uint64_t seed,
+                       std::uint64_t place_seed) {
+  int fd[2];
+  if (pipe(fd) != 0) return {};
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fd[0]);
+    close(fd[1]);
+    return {};
+  }
+  if (pid == 0) {
+    close(fd[0]);
+    ChatRun r = run_chat(kind, n, seed, place_seed);
+    r.peak_rss_kb = peak_rss_kb();
+    const bool sent = write(fd[1], &r, sizeof r) == sizeof r;
+    _exit(sent ? 0 : 1);
+  }
+  close(fd[1]);
+  ChatRun r;
+  const bool got = read(fd[0], &r, sizeof r) == sizeof r;
+  close(fd[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) return {};
+  return r;
+}
+
+/// Records one chat's values under its key prefix and robot count.
+void record(bench::Report& report, const Chat& kind, std::size_t n,
+            const ChatRun& r) {
+  const std::string key = kind.key;
+  const std::string suffix = "_n" + std::to_string(n);
+  report.value(key + "instants" + suffix, r.instants);
+  report.value(key + "bits_delivered" + suffix, r.bits);
+  report.value(key + "build_ns" + suffix, r.build_s * 1e9);
+  report.value(key + "run_ns" + suffix, r.run_s * 1e9);
+  report.value(key + "bits_per_sec" + suffix,
+               static_cast<double>(r.bits) / r.run_s);
+  report.value(
+      key + "run_heap_bytes" + suffix,
+      static_cast<std::uint64_t>(std::max<std::int64_t>(r.run_heap, 0)));
+  if (r.peak_rss_kb > 0) {
+    report.value(key + "peak_rss_kb" + suffix,
+                 static_cast<std::uint64_t>(r.peak_rss_kb));
+  }
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bool large = argc == 2 && std::string(argv[1]) == "--large";
+  if (argc > 1 && !large) {
+    std::cerr << "usage: bench_e13_scale [--large]\n";
+    return 2;
+  }
   std::cout << "== E13: large-n throughput (epoch ring + grid scans) ==\n\n";
   bench::Report report("e13_scale");
+
+  // ---- Table D (--large): chats at n = 2048 and 4096, each in a child
+  // process, run first so the parent's resident set stays small.
+  bool large_ok = true;
+  if (large) {
+    std::cout << "large chats: 1-byte broadcast, sliced synchronous "
+                 "protocol, one child process each:\n";
+    bench::Table td({"naming", "n", "instants", "bits", "build ms", "run ms",
+                     "run heap MB", "peak RSS MB"},
+                    report, "large chats");
+    for (const Chat& kind : {kRelative, kByIds}) {
+      for (std::size_t idx = 0; idx < 2; ++idx) {
+        const std::size_t n = idx == 0 ? 2048 : 4096;
+        const ChatRun r =
+            run_chat_apart(kind, n, bench::case_seed(1310, idx),
+                           bench::case_seed(1311, idx));
+        td.row(kind.name, n, r.instants, r.bits, r.build_s * 1e3,
+               r.run_s * 1e3, static_cast<double>(r.run_heap) / 1e6,
+               static_cast<double>(r.peak_rss_kb) / 1e3);
+        record(report, kind, n, r);
+        if (!r.done) {
+          std::cout << "large chat failed or did not quiesce at n = " << n
+                    << "\n";
+          large_ok = false;
+        }
+      }
+    }
+    std::cout << "\n";
+  }
 
   // ---- Table A: engine scaling, k-subset activation (k = 8).
   const sim::Time kInstants = 2000;
@@ -146,70 +310,58 @@ int main() {
             << "% of quadratic) -> " << (scaling_ok ? "ok" : "REGRESSION")
             << "\n\n";
 
-  // ---- Table B: end-to-end chat throughput (sliced sync), construction
-  // to quiescence.
-  std::cout << "chat throughput: 1-byte broadcast, sliced synchronous "
-               "protocol:\n";
+  // ---- Table B: end-to-end chat throughput, construction to quiescence.
+  std::cout << "chat throughput: 1-byte broadcast, sliced synchronous and "
+               "AsyncN protocols:\n";
   bench::Table tb({"naming", "n", "instants", "bits", "bits/instant",
-                   "build ms", "run ms", "bits/s"},
+                   "build ms", "run ms", "bits/s", "run heap KB"},
                   report, "chat throughput");
-  const std::vector<std::uint8_t> one_byte{0xA5};
-  // by_ids: identified robots with sense of direction. relative:
-  // anonymous robots with chirality only, so every observer sorts.
-  const auto chat = [&](bool by_ids, std::size_t n, std::uint64_t seed,
+  const bool tracking = obs::alloc::active();
+  bool run_heap_ok = true;
+  const auto chat = [&](const Chat& kind, std::size_t n, std::uint64_t seed,
                         std::uint64_t place_seed) {
-    core::ChatNetworkOptions opt;
-    opt.synchrony = core::Synchrony::synchronous;
-    opt.protocol = core::ProtocolKind::sliced;
-    opt.caps.visible_ids = by_ids;
-    opt.caps.sense_of_direction = by_ids;
-    opt.seed = seed;
-    std::vector<geom::Vec2> start = grid_scatter(n, place_seed);
-    const Clock::time_point t0 = Clock::now();
-    core::ChatNetwork net(std::move(start), opt);
-    const Clock::time_point t1 = Clock::now();
-    net.broadcast(0, one_byte);
-    const bool done = net.run_until_quiescent(1'000'000);
-    const Clock::time_point t2 = Clock::now();
-    const double build = std::chrono::duration<double>(t1 - t0).count();
-    const double run = std::chrono::duration<double>(t2 - t1).count();
-    const std::uint64_t instants = net.engine().now();
-    std::uint64_t bits = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const core::Delivery& d : net.received(i)) {
-        bits += 8 * d.payload.size();
-      }
+    const ChatRun r = run_chat(kind, n, seed, place_seed);
+    tb.row(kind.name, n, r.instants, r.bits,
+           static_cast<double>(r.bits) / static_cast<double>(r.instants),
+           r.build_s * 1e3, r.run_s * 1e3,
+           static_cast<double>(r.bits) / r.run_s,
+           static_cast<double>(r.run_heap) / 1e3);
+    record(report, kind, n, r);
+    // No per-robot structure over the swarm may outlive the call that
+    // needs it: 8 bytes per pair of robots is the bound.
+    if (!kind.asyncn && !kind.by_ids && n == 512 && tracking &&
+        r.run_heap > static_cast<std::int64_t>(8 * n * n)) {
+      run_heap_ok = false;
     }
-    tb.row(by_ids ? "by_ids" : "relative", n, instants, bits,
-           static_cast<double>(bits) / static_cast<double>(instants),
-           build * 1e3, run * 1e3, static_cast<double>(bits) / run);
-    const std::string key = by_ids ? "chat_" : "relative_chat_";
-    const std::string suffix = "_n" + std::to_string(n);
-    report.value(key + "instants" + suffix, instants);
-    report.value(key + "bits_delivered" + suffix, bits);
-    report.value(key + "build_ns" + suffix, build * 1e9);
-    report.value(key + "run_ns" + suffix, run * 1e9);
-    report.value(key + "bits_per_sec" + suffix,
-                 static_cast<double>(bits) / run);
-    if (!done) {
+    if (!r.done) {
       std::cout << "broadcast did not quiesce at n = " << n << "\n";
     }
-    return done;
+    return r.done;
   };
   for (std::size_t idx = 0; idx < 4; ++idx) {
     const std::size_t n = std::vector<std::size_t>{32, 128, 512, 1024}[idx];
-    if (!chat(true, n, bench::case_seed(1302, idx),
+    if (!chat(kByIds, n, bench::case_seed(1302, idx),
               bench::case_seed(1303, idx))) {
       return 1;
     }
   }
   for (std::size_t idx = 0; idx < 3; ++idx) {
     const std::size_t n = std::vector<std::size_t>{128, 256, 512}[idx];
-    if (!chat(false, n, bench::case_seed(1306, idx),
+    if (!chat(kRelative, n, bench::case_seed(1306, idx),
               bench::case_seed(1307, idx))) {
       return 1;
     }
   }
+  for (std::size_t idx = 0; idx < 3; ++idx) {
+    const std::size_t n = std::vector<std::size_t>{32, 64, 128}[idx];
+    if (!chat(kAsyncN, n, bench::case_seed(1308, idx),
+              bench::case_seed(1309, idx))) {
+      return 1;
+    }
+  }
+  std::cout << "relative n=512 run heap "
+            << (run_heap_ok ? "within" : "OVER")
+            << " 8 bytes per pair of robots\n";
 
   // ---- Table C: relative-naming construction (one shared naming
   // substrate per swarm).
@@ -217,7 +369,6 @@ int main() {
                "protocol, anonymous, chirality only:\n";
   bench::Table tc({"n", "build ms", "live MB", "peak MB", "allocs"}, report,
                   "relative-naming construction");
-  const bool tracking = obs::alloc::active();
   report.value("alloc_tracking", tracking);
   bool memory_ok = true;
   for (std::size_t idx = 0; idx < 4; ++idx) {
@@ -252,10 +403,13 @@ int main() {
             << (memory_ok ? "within" : "OVER") << " the 64 MB bound\n";
 
   std::cout << "\nexpected shape: bits scale with n (every robot receives "
-               "the byte), instants grow slowly, and Table A stays ~linear "
-               "in n per instant — the wall is gone end to end. Table C "
-               "grows ~n^2: one shared set of rank tables plus each "
-               "robot's t0 centers and decode memo; no robot builds a "
-               "granular before it needs one.\n";
-  return scaling_ok && memory_ok ? 0 : 1;
+               "the byte), instants grow slowly (AsyncN's acknowledgments "
+               "take about 1000), a run adds about 4 bytes of heap per "
+               "pair of robots (each robot's built-granular index; no robot "
+               "keeps a structure over the swarm past the call that needs "
+               "it), and Table A stays ~linear in n per instant — the wall "
+               "is gone end to end. Table C grows ~n^2: one shared set of rank "
+               "tables plus each robot's t0 centers and decode memo; no "
+               "robot builds a granular before it needs one.\n";
+  return scaling_ok && run_heap_ok && memory_ok && large_ok ? 0 : 1;
 }

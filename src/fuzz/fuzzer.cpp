@@ -171,10 +171,11 @@ CaseResult run_case_masked(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
                             cfg.protocol == core::ProtocolKind::asyncn;
       const fault::FaultPlan& slice = net.injector(l).plan();
       // A burst corrupts decoded bits by design: the framing replay would
-      // flag exactly the corruption the CRC is there to absorb. A jitter
-      // shove may legitimately collide robots; the engine's own exception
-      // settles the lane as a failed member.
-      wopt.check_framing = slice.bursts.empty();
+      // flag exactly the corruption the CRC is there to absorb. So does a
+      // jitter shove, which observers read as a movement signal
+      // (docs/FAULTS.md). A shove may also legitimately collide robots;
+      // the engine's own exception settles the lane as a failed member.
+      wopt.check_framing = slice.bursts.empty() && slice.jitters.empty();
       wopt.check_separation = slice.jitters.empty();
       lane_dogs.push_back(std::make_unique<obs::Watchdog>(wopt, positions));
       net.attach_lane_sink(l, lane_dogs.back().get());

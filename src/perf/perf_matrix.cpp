@@ -84,8 +84,7 @@ std::vector<Scenario> fast_matrix() {
            2, 15),
       cell("asyncn_n8", ProtocolKind::asyncn, Synchrony::asynchronous, 8, 4,
            1, 16),
-      // n >= 64 is where SlicedCore association switches to the center
-      // grid; with linear-time observation both cells take milliseconds.
+      // With linear-time observation both cells take milliseconds.
       cell("sliced_n64", ProtocolKind::sliced, Synchrony::synchronous, 64, 2,
            1, 17),
       cell("asyncn_n16", ProtocolKind::asyncn, Synchrony::asynchronous, 16,

@@ -4,10 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
+#include "geom/point_grid.hpp"
 #include "geom/sec.hpp"
 #include "geom/voronoi.hpp"
 
@@ -22,9 +22,9 @@ using geom::same_bits;
 /// both sides. Being radius-relative makes the threshold frame-invariant.
 constexpr double kCenterFraction = 1e-7;
 
-/// Swarm size at which radius queries and association misses switch from
-/// brute scans to the t0-center PointGrid (same doubles and the same
-/// nearest index — see geom/point_grid.hpp's exactness contract).
+/// Swarm size from which `min_radius` finds the closest pair over a
+/// PointGrid rather than a scan of every pair (the same squared distance:
+/// see geom/point_grid.hpp's exactness contract).
 constexpr std::size_t kGridThreshold = 64;
 
 /// How far from its own slot `observe` looks for an unmoved robot's entry
@@ -90,12 +90,16 @@ SlicedCore::SlicedCore(const sim::Snapshot& t0, NamingMode naming,
   observed_ = centers_;
   code_.assign(n_, 0);
   marks_.assign(n_, 0);
-  // The engine hints no smaller swarm (sim::kUnhintedSwarmMax): no slot
-  // map to keep, and no changes to record.
+  // The engine hints no smaller swarm (sim::kUnhintedSwarmMax): no token
+  // map to keep, and no changes to record. Entry k of t0 is robot k.
   if (n_ > sim::kUnhintedSwarmMax) {
-    slot_granular_.resize(n_);
-    std::iota(slot_granular_.begin(), slot_granular_.end(),
-              std::uint32_t{0});
+    std::uint32_t tokens = 0;
+    for (std::size_t k = 0; k < n_; ++k) {
+      tokens = std::max(tokens, t0.robots.token(k) + 1);
+    }
+    token_granular_.assign(tokens, kNoGranular);
+    for (std::size_t k = 0; k < n_; ++k) note_token(t0.robots, k, k);
+    robot_tokens_ = t0.robots.robot_tokens();
     changed_.reserve(std::min(n_, kChangedCapacity));
   }
   base_t_ = t0.t;
@@ -127,26 +131,23 @@ bool SlicedCore::audit_naming() {
   return repaired;
 }
 
-const geom::PointGrid& SlicedCore::center_grid() const {
-  if (!center_grid_) {
-    center_grid_ = std::make_unique<geom::PointGrid>(centers_);
-  }
-  return *center_grid_;
-}
-
-double SlicedCore::radius_of(std::size_t i) const {
-  // Half the distance to the nearest other center: geom::granular_radius,
-  // or the grid's nearest_other_dist2 — the same squared distance, hence
-  // the same double.
-  if (n_ >= kGridThreshold) {
-    return std::sqrt(center_grid().nearest_other_dist2(i)) / 2.0;
-  }
-  return geom::granular_radius(centers_, i);
-}
-
 double SlicedCore::min_radius() const {
+  // Each radius is half the root of a robot's nearest squared distance,
+  // and halving a root is monotone, so the smallest radius is half the
+  // root of the smallest of them: the same double.
   double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n_; ++i) best = std::min(best, radius_of(i));
+  if (n_ < kGridThreshold) {
+    for (std::size_t i = 0; i < n_; ++i) {
+      best = std::min(best, geom::granular_radius(centers_, i));
+    }
+  } else {
+    const geom::PointGrid grid(centers_);
+    double best_d2 = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n_; ++i) {
+      best_d2 = std::min(best_d2, grid.nearest_other_dist2(i));
+    }
+    best = std::sqrt(best_d2) / 2.0;
+  }
   if (!(best > 0.0)) {
     throw std::invalid_argument("granular radius must be positive");
   }
@@ -155,7 +156,7 @@ double SlicedCore::min_radius() const {
 
 const geom::Granular& SlicedCore::build_geometry(std::size_t i) const {
   if (i >= n_) throw std::out_of_range("SlicedCore: robot index");
-  const double r = radius_of(i);
+  const double r = geom::granular_radius(centers_, i);
   if (r <= 0.0) {
     throw std::invalid_argument("granular radius must be positive");
   }
@@ -172,7 +173,6 @@ const geom::Granular& SlicedCore::build_geometry(std::size_t i) const {
 }
 
 std::size_t SlicedCore::nearest_center(const geom::Vec2& p) const {
-  if (n_ >= kGridThreshold) return center_grid().nearest(p);
   std::size_t best = 0;
   double best_d2 = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n_; ++i) {
@@ -188,14 +188,16 @@ std::size_t SlicedCore::nearest_center(const geom::Vec2& p) const {
 void SlicedCore::observe(const sim::Snapshot& snap) {
   changed_.clear();
   tidy_ = true;
-  const bool hint_usable = tracks_changes() && based_ && snap.hint.known &&
-                           snap.hint.since == base_t_ &&
-                           snap.robots.size() == n_ &&
-                           2 * snap.hint.slots.size() <= n_;
+  const bool hint_usable =
+      tracks_changes() && based_ && snap.hint.known &&
+      snap.hint.since == base_t_ && snap.robots.size() == n_ &&
+      2 * snap.hint.slots.size() <= n_ &&
+      snap.robots.robot_tokens() == robot_tokens_;
   const bool one_to_one =
       (hint_usable && observe_hinted(snap)) || observe_all(snap);
   based_ = one_to_one && snap.hint.known;
   base_t_ = snap.t;
+  robot_tokens_ = snap.robots.robot_tokens();
   // Pushed in listing order, then by granular for vacancies: ascending
   // unless a robot passed another or a vacancy changed.
   if (!tidy_) {
@@ -206,39 +208,44 @@ void SlicedCore::observe(const sim::Snapshot& snap) {
 }
 
 bool SlicedCore::observe_hinted(const sim::Snapshot& snap) {
-  // Entries outside the hint are the previous snapshot's, so they go to
-  // the granulars they went to, which hold their bits: nothing to do. The
-  // granulars the hinted entries filled last time are then the only ones
-  // free, and the association stays one-to-one exactly when the hinted
-  // entries fill each of them once. A long hint (more than half the
-  // slots) is left to the full pass, whose quick prefix is cheaper per
-  // entry.
+  // Entries outside the hint are the previous snapshot's, tokens
+  // included, so they go to the granulars they went to, which hold their
+  // bits: nothing to do. The hinted slots hold the tokens they held (the
+  // hint's promise, sim::ChangeHint), so the granulars those tokens went
+  // to last time are the only ones free, and the association stays
+  // one-to-one exactly when the hinted entries fill each of them once. A
+  // long hint (more than half the slots) is left to the full pass, whose
+  // quick prefix is cheaper per entry.
+  const sim::ObservedList& robots = snap.robots;
   const std::vector<std::uint32_t>& hinted = snap.hint.slots;
   bool one_to_one = true;
   for (const std::uint32_t k : hinted) {
-    if (k >= n_) {
+    const std::uint32_t token = k < n_ ? robots.token(k) : kNoGranular;
+    const std::uint32_t g = token < token_granular_.size()
+                                ? token_granular_[token]
+                                : kNoGranular;
+    if (g >= n_ || marks_[g] == kFree) {
       one_to_one = false;
       break;
     }
-    marks_[slot_granular_[k]] = kFree;
+    marks_[g] = kFree;
   }
   for (std::size_t h = 0; one_to_one && h < hinted.size(); ++h) {
     const std::uint32_t k = hinted[h];
-    const std::size_t g = granular_of(k, snap.robots.position(k));
+    const std::size_t g = granular_of(robots, k);
     one_to_one = marks_[g] == kFree;
     marks_[g] = kFilled;
-    slot_granular_[k] = static_cast<std::uint32_t>(g);
-    slots_in_place_ = slots_in_place_ && g == k;
+    note_token(robots, k, g);
   }
   if (!one_to_one) {
-    // slot_granular_ is rewritten by the full pass that follows.
+    // The full pass that follows records every entry's token.
     std::fill(marks_.begin(), marks_.end(), std::uint8_t{0});
     return false;
   }
   for (const std::uint32_t k : hinted) {
-    const std::uint32_t g = slot_granular_[k];
+    const std::uint32_t g = token_granular_[robots.token(k)];
     marks_[g] = 0;
-    const geom::Vec2& p = snap.robots.position(k);
+    const geom::Vec2& p = robots.position(k);
     if (!same_bits(p, observed_[g])) {
       observed_[g] = p;
       note_change(g);
@@ -259,7 +266,8 @@ bool SlicedCore::observe_all(const sim::Snapshot& snap) {
   // Snapshots list the swarm in t0 order unless two robots passed each
   // other, so entry k is usually robot k: at the bits granular k holds
   // (unchanged: one comparison) or moved within its own slot. While that
-  // holds, each entry fills its own granular and needs no bookkeeping.
+  // holds, each entry fills its own granular and needs no bookkeeping
+  // beyond its token.
   const sim::ObservedList& robots = snap.robots;
   std::size_t k = 0;
   if (robots.size() == n_ && !vacancies_) {
@@ -270,33 +278,25 @@ bool SlicedCore::observe_all(const sim::Snapshot& snap) {
       observed_[k] = p;
       note_change(k);
     }
-    if (!slots_in_place_ && tracks_changes()) {
-      std::iota(slot_granular_.begin(),
-                slot_granular_.begin() + static_cast<std::ptrdiff_t>(k),
-                std::uint32_t{0});
+    if (tracks_changes()) {
+      for (std::size_t j = 0; j < k; ++j) note_token(robots, j, j);
     }
-    if (k == n_) {
-      slots_in_place_ = true;
-      return true;
-    }
+    if (k == n_) return true;
   }
   // From the first entry that is not (or the top, for a listing of another
   // length or after a vacancy), every entry is placed by `granular_of`.
   // Entries fill granulars in listing order, a later one overwriting an
   // earlier one, as a full association pass would.
   std::fill_n(marks_.begin(), k, kFilled);
-  slots_in_place_ = false;
   std::size_t filled = k;
   for (; k < robots.size(); ++k) {
     const geom::Vec2& p = robots.position(k);
-    const std::size_t best = granular_of(k, p);
+    const std::size_t best = granular_of(robots, k);
     assert((marks_[best] & kFilled) == 0 &&
            "two robots associated to one granular");
     filled += (marks_[best] & kFilled) == 0 ? 1 : 0;
     marks_[best] |= kFilled;
-    if (k < slot_granular_.size()) {
-      slot_granular_[k] = static_cast<std::uint32_t>(best);
-    }
+    note_token(robots, k, best);
     if (!same_bits(p, observed_[best])) {
       observed_[best] = p;
       note_change(best);
@@ -318,20 +318,31 @@ bool SlicedCore::observe_all(const sim::Snapshot& snap) {
   return !vacancies_ && robots.size() == n_;
 }
 
-std::size_t SlicedCore::granular_of(std::size_t k,
-                                    const geom::Vec2& p) const {
+std::size_t SlicedCore::granular_of(const sim::ObservedList& robots,
+                                    std::size_t k) {
   // Entry k is first compared with granular k: the same bits as granular
   // k holds, or within its own slot (`in_own_slot`, exact), is robot k.
   // An entry at the bits a granular up to two slots away holds is that
   // robot, shifted in the listing by one that passed it (exact: every held
-  // position is one that associates to its granular). The rest go to the
-  // t0-center grid (large swarms) or a scan, both returning the lowest
-  // index on exact ties.
+  // position is one that associates to its granular). A core that tracks
+  // changes then proves the granular the entry's token went to last time
+  // the same two ways: a robot that moved and was shifted. Only the rest
+  // scan the t0 centers, the lowest index winning an exact tie.
+  const geom::Vec2& p = robots.position(k);
   if (k < n_ && (same_bits(p, observed_[k]) || in_own_slot(k, p))) return k;
   for (std::size_t d = 1; d <= kShiftWindow; ++d) {
     if (k >= d && k - d < n_ && same_bits(p, observed_[k - d])) return k - d;
     if (k + d < n_ && same_bits(p, observed_[k + d])) return k + d;
   }
+  const std::uint32_t token = robots.token(k);
+  if (token < token_granular_.size()) {
+    const std::uint32_t c = token_granular_[token];
+    if (c < n_ && c != k &&
+        (same_bits(p, observed_[c]) || in_own_slot(c, p))) {
+      return c;
+    }
+  }
+  ++searches_;
   return nearest_center(p);
 }
 

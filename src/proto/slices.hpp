@@ -17,11 +17,17 @@
 //     side), memoized per robot: an entry at exactly the bits its granular
 //     last held costs one comparison (DESIGN.md §13).
 //
+// Association proves candidates instead of searching: its own slot's
+// granular, then the granular its token went to last time (DESIGN.md §14),
+// each accepted only at that granular's memo bits or within 0.9 of its
+// radius; only an entry that fails every proof scans the t0 centers (§10).
+//
 // Construction stores the t0 centers and the naming view only. A robot's
-// radius, reference direction and slicing are built the first time
-// anything needs them and kept; one center grid, built on first need,
-// answers radius queries and association misses alike. A silent swarm
-// builds the geometry of its senders, not of every robot.
+// radius (one scan of the centers), reference direction and slicing are
+// built the first time anything needs them and kept. No other per-robot
+// structure over the swarm outlives the call that needs it: `min_radius`
+// builds its grid and frees it. A silent swarm builds the geometry of its
+// senders, not of every robot.
 #pragma once
 
 #include <cassert>
@@ -36,7 +42,6 @@
 
 #include "geom/circle.hpp"
 #include "geom/granular.hpp"
-#include "geom/point_grid.hpp"
 #include "geom/vec.hpp"
 #include "proto/naming.hpp"
 #include "sim/robot.hpp"
@@ -107,8 +112,10 @@ class SlicedCore {
   }
 
   /// Smallest granular radius of the swarm — the same double as the
-  /// minimum of `radius(i)` — without building any granular. Throws
-  /// std::invalid_argument when it is not positive.
+  /// minimum of `radius(i)` — without building any granular: half the
+  /// closest pair's distance, found over a grid that is freed on return
+  /// (scans below 64 robots). Throws std::invalid_argument when it is not
+  /// positive.
   [[nodiscard]] double min_radius() const;
 
   /// Rank of robot `j` in robot `i`'s labeling.
@@ -139,9 +146,12 @@ class SlicedCore {
   /// re-classified. Otherwise it is accepted for granular k when within
   /// 0.9 of that granular's radius of its center (where no other center
   /// can be nearer), or for a granular up to two slots away at the bits
-  /// that one holds (the same robot, shifted in the listing); the rest are
-  /// placed by the center grid (n >= 64) or a scan (DESIGN.md §10, §13).
-  /// A granular that no entry fills reads as the zero vector.
+  /// that one holds (the same robot, shifted in the listing). A core that
+  /// tracks changes then proves, the same two ways, the granular the
+  /// entry's token went to at the last observe (a robot that moved and
+  /// was shifted). Only an entry that fails every proof scans the t0
+  /// centers, counted in `searches()` (DESIGN.md §10, §13, §14). A
+  /// granular that no entry fills reads as the zero vector.
   ///
   /// When the previous observe associated every entry to its own granular
   /// (one-to-one) and `snap`'s change hint is relative to that snapshot,
@@ -150,14 +160,19 @@ class SlicedCore {
   /// the result is the full pass's, bit for bit.
   void observe(const sim::Snapshot& snap);
 
-  /// Whether `observe` uses change hints and reports `changed()`: in a
-  /// swarm the engine hints, one of more than sim::kUnhintedSwarmMax
-  /// robots. In a smaller one nothing reads the changes, and recording
-  /// them cost asynchronous four-robot chats (AsyncN) about 4% of their
-  /// CPU.
+  /// Whether `observe` uses change hints and tokens and reports
+  /// `changed()`: in a swarm the engine hints, one of more than
+  /// sim::kUnhintedSwarmMax robots. In a smaller one nothing reads the
+  /// changes, and recording them cost asynchronous four-robot chats
+  /// (AsyncN) about 4% of their CPU.
   [[nodiscard]] bool tracks_changes() const noexcept {
-    return !slot_granular_.empty();
+    return !token_granular_.empty();
   }
+
+  /// Entries `observe` placed by scanning the t0 centers, over the core's
+  /// life: the ones whose candidate failed its proof and that no nearby
+  /// granular held at their bits. Zero in a fault-free hinted chat.
+  [[nodiscard]] std::uint64_t searches() const noexcept { return searches_; }
 
   /// With `tracks_changes()`: the granulars whose memo changed at the last
   /// `observe`, ascending. Their position changed, or they went vacant or
@@ -233,6 +248,9 @@ class SlicedCore {
   /// `built_slot_` value of a granular not built yet.
   static constexpr std::uint32_t kUnbuilt =
       std::numeric_limits<std::uint32_t>::max();
+  /// `token_granular_` value of a token no observe has listed.
+  static constexpr std::uint32_t kNoGranular =
+      std::numeric_limits<std::uint32_t>::max();
   /// `marks_` bits: an entry of the snapshot in `observe`'s general pass
   /// filled this granular; no entry filled it at the last `observe`; a
   /// hinted entry may fill it (`observe_hinted`).
@@ -272,12 +290,6 @@ class SlicedCore {
     changed_.push_back(static_cast<std::uint32_t>(g));
   }
 
-  /// Robot `i`'s granular radius, from the center grid (n >= 64) or a scan.
-  [[nodiscard]] double radius_of(std::size_t i) const;
-
-  /// The t0-center grid, built on first use (n >= 64 only).
-  [[nodiscard]] const geom::PointGrid& center_grid() const;
-
   /// True when `p` lies within 0.9 of granular k's radius of its center.
   /// That radius is half the distance to the nearest other center, so such
   /// a point is at least 1.1 r_k from every other center: robot k, with no
@@ -288,12 +300,21 @@ class SlicedCore {
     return geom::dist2(p, centers_[k]) <= own * own;
   }
 
-  /// The granular snapshot entry `k`, observed at `p`, belongs to.
-  [[nodiscard]] std::size_t granular_of(std::size_t k,
-                                        const geom::Vec2& p) const;
+  /// The granular snapshot entry `k` of `robots` belongs to.
+  [[nodiscard]] std::size_t granular_of(const sim::ObservedList& robots,
+                                        std::size_t k);
 
   /// Index of the t0 center nearest to `p`; lowest index on exact ties.
   [[nodiscard]] std::size_t nearest_center(const geom::Vec2& p) const;
+
+  /// Records that snapshot entry `k` of `robots` went to granular `g`.
+  void note_token(const sim::ObservedList& robots, std::size_t k,
+                  std::size_t g) {
+    const std::uint32_t token = robots.token(k);
+    if (token < token_granular_.size()) {
+      token_granular_[token] = static_cast<std::uint32_t>(g);
+    }
+  }
 
   /// Canonical index of this robot's t0 index `i` (bounds-checked).
   [[nodiscard]] std::size_t canonical(std::size_t i) const {
@@ -329,18 +350,23 @@ class SlicedCore {
   /// Per granular `kFilled | kVacant | kFree` bits; between observes only
   /// kVacant is ever set.
   std::vector<std::uint8_t> marks_;
-  /// Per snapshot entry: the granular it went to at the last observe.
-  /// Meaningful while `based_`; empty in a swarm the engine does not hint.
-  std::vector<std::uint32_t> slot_granular_;
+  /// Per token: the granular the entry with that token went to at the
+  /// last observe that listed it, or kNoGranular. Sized by the t0
+  /// snapshot's largest token; empty in a swarm the engine does not hint.
+  /// Every entry of a one-to-one observe is recorded, so while `based_`
+  /// it holds that snapshot's association, entry by entry.
+  std::vector<std::uint32_t> token_granular_;
+  /// The tokens `token_granular_` was last written with name robots (an
+  /// engine view), not slots (an owning list).
+  bool robot_tokens_ = false;
+  /// See `searches()`.
+  std::uint64_t searches_ = 0;
   /// The memo is the one-to-one association of the snapshot observed at
   /// `base_t_` (t0's at construction), which is what an engine snapshot's
   /// hint with that `since` is relative to. A hand-built snapshot (no
   /// hint) clears it: its `t` names no engine snapshot.
   bool based_ = true;
   sim::Time base_t_ = 0;
-  /// Entry k went to granular k at the last observe, as `slot_granular_`
-  /// then says.
-  bool slots_in_place_ = true;
   /// See `changed()`; `tidy_` while it is ascending without repeats.
   std::vector<std::uint32_t> changed_;
   bool tidy_ = true;
@@ -355,9 +381,6 @@ class SlicedCore {
   mutable std::vector<geom::Granular> built_;
   /// SEC of the centers (relative naming's horizons), on first use.
   mutable std::optional<geom::Circle> sec_;
-  /// Nearest-center index over the t0 centers: radius queries and
-  /// association misses (n >= 64; below, scans win). Null until needed.
-  mutable std::unique_ptr<geom::PointGrid> center_grid_;
 };
 
 }  // namespace stig::proto

@@ -93,6 +93,17 @@ class ObservedList {
   [[nodiscard]] ObservedRobot operator[](std::size_t k) const noexcept {
     return ObservedRobot{positions_[k], id(k)};
   }
+  /// Entry k's provenance token (k < size()): in a view, the engine index
+  /// of the robot at that row; in an owning list, k itself. A reader may
+  /// use a token only to choose which candidate to prove, never to decide
+  /// anything (DESIGN.md §14).
+  [[nodiscard]] std::uint32_t token(std::size_t k) const noexcept {
+    return order_ == nullptr ? static_cast<std::uint32_t>(k) : order_[k];
+  }
+  /// Whether the tokens name robots (a view's rows) rather than slots.
+  [[nodiscard]] bool robot_tokens() const noexcept {
+    return order_ != nullptr;
+  }
   [[nodiscard]] const_iterator begin() const noexcept { return {this, 0}; }
   [[nodiscard]] const_iterator end() const noexcept { return {this, size_}; }
 
@@ -127,9 +138,9 @@ class ObservedList {
   }
 
   /// Makes the list a view of `size` entries owned elsewhere: entry k is
-  /// at `positions[k]`, and its id, when `ids` is not null, is
-  /// `ids[order[k]]`. Entries the list owned keep their capacity for
-  /// later appends.
+  /// at `positions[k]`, its token is `order[k]`, and its id, when `ids` is
+  /// not null, is `ids[order[k]]`. Entries the list owned keep their
+  /// capacity for later appends.
   void view(const geom::Vec2* positions, const std::uint32_t* order,
             const std::optional<VisibleId>* ids, std::size_t size) noexcept {
     positions_ = positions;
@@ -180,14 +191,18 @@ class ObservedList {
 /// more: the extra, unchanged slots come from engine state (two robots
 /// that swapped exact positions, say). Protocol code may use a hint only
 /// to skip work whose result the snapshots alone decide, never to decide
-/// anything.
+/// anything. Tokens (`ObservedList::token`) ride on the same promise: an
+/// unhinted slot keeps its token, and the hinted slots hold the tokens
+/// they held, in some order, unless the robots in view changed, which
+/// hints every slot.
 struct ChangeHint {
   bool known = false;
   /// `t` of the previous snapshot the slots are relative to.
   Time since = 0;
-  /// Ascending indices into `Snapshot::robots`: every entry whose position
-  /// or id may differ from the previous snapshot's entry at that index, or
-  /// that the previous snapshot did not have. May list unchanged entries.
+  /// Ascending indices into `Snapshot::robots`: every entry whose
+  /// position, id or token may differ from the previous snapshot's entry
+  /// at that index, or that the previous snapshot did not have. May list
+  /// unchanged entries.
   std::vector<std::uint32_t> slots;
 };
 

@@ -13,13 +13,14 @@
 // quantized and limited-visibility views included.
 //
 // SlicedCore: `observe` matches an unchanged entry by its bits and tries a
-// mover against its own slot before the center grid, skips the entries a
-// change hint leaves out, and `signal` classifies only what moved;
-// granular geometry is built on first use. Every activation must give the
-// positions and signals of the full path it replaced — association of
-// every entry, then classification of every robot against eagerly built
-// granulars — which lives here as the oracle; a hinted observe must also
-// report the changed granulars an unhinted one reports.
+// mover against its own slot before a scan of the centers, skips the
+// entries a change hint leaves out, and `signal` classifies only what
+// moved; granular geometry is built on first use. Every activation must
+// give the positions and signals of the full path it replaced —
+// association of every entry, then classification of every robot against
+// eagerly built granulars — which lives here as the oracle; a hinted
+// observe must also report the changed granulars an unhinted one
+// reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1343,7 +1344,7 @@ void expect_matches_brute(proto::SlicedCore& core,
 }
 
 TEST(AssociateDiff, MatchesBruteNearestCenter) {
-  // n = 5 takes the scan fallback, n >= 64 the center grid.
+  // Small and large swarms alike: whatever no proof places is scanned.
   for (const std::size_t n : {5u, 64u, 200u}) {
     const std::vector<Vec2> centers = t0_centers(n, 900 + n);
     proto::SlicedCore core(snapshot_of(centers),

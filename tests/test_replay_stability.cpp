@@ -299,7 +299,7 @@ TEST(ReplayStability, PinnedDecodeDigests) {
 }
 
 /// A chat in a swarm large enough that the sliced drivers' per-peer paths
-/// (the center grid, listing shifts, lazily built geometry) all run.
+/// (proved candidates, listing shifts, lazily built geometry) all run.
 /// Synchronous chats run to quiescence; asyncn needs thousands of instants
 /// for one frame at these sizes, so it runs a fixed window, in which every
 /// sender gets several bits across.

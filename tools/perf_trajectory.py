@@ -17,6 +17,16 @@ Measuring another checkout (say a parent commit unpacked with
 `git archive`) writes into this checkout's trajectory: pass --root, and
 --commit when that checkout is not a git work tree. E13 is built in
 --build-dir (default <root>/build, configured on first use).
+
+To compare two checkouts, pass --parent DIR (with --parent-label, and
+--parent-commit when DIR is not a git work tree): each workload then runs
+seed by seed on DIR and on --root in turn, so drift of the host between
+runs lands on both sides alike, and both lines are appended, DIR's first.
+Lines measured one checkout at a time put all seeds of a side in one block
+and cannot resolve a 20% change at a few seeds.
+
+    python3 tools/perf_trajectory.py --label "change" --seeds 5 \
+        --parent ../parent --parent-label "parent" --parent-commit <sha>
 """
 
 import argparse
@@ -85,6 +95,40 @@ def table_c(root, build_dir):
             for n in TABLE_C_SIZES}
 
 
+def measure(roots, spec, seeds, seconds):
+    """Per root, each workload's summary: every seed runs on every root in
+    turn before the next seed."""
+    runs = [{w["name"]: [] for w in spec["workloads"]} for _ in roots]
+    for w in spec["workloads"]:
+        for s in seeds:
+            for side, root in zip(runs, roots):
+                side[w["name"]].append(run_workload(root, w["name"], s,
+                                                    seconds))
+    summaries = []
+    for side in runs:
+        workloads = {}
+        for name, done in side.items():
+            metrics = {}
+            for m in spec["end_to_end"]:
+                values = [r["metrics"][m["name"]]["value"] for r in done]
+                metrics[m["name"]] = dict(spread(values), unit=m["unit"])
+            workloads[name] = {
+                "attempted": sum(r["attempted"] for r in done),
+                "failed": sum(r["failed"] for r in done),
+                "metrics": metrics,
+            }
+            print("%s: %s" % (name, json.dumps(metrics)), file=sys.stderr)
+        summaries.append(workloads)
+    return summaries
+
+
+def commit_of(root, given, flag):
+    commit = given or git(root, "rev-parse", "HEAD")
+    if commit is None:
+        die("%s is not a git work tree: pass %s" % (root, flag))
+    return commit
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=REPO,
@@ -102,52 +146,55 @@ def main():
     ap.add_argument("--out", default=os.path.join(REPO, "bench",
                                                   "perf_trajectory.jsonl"),
                     help="trajectory file to append to")
+    ap.add_argument("--parent", help="second checkout, run seed by seed "
+                    "in turn with --root; its line is appended first")
+    ap.add_argument("--parent-label", help="label of --parent's line")
+    ap.add_argument("--parent-commit", help="commit of --parent (default: "
+                    "git HEAD of --parent)")
     args = ap.parse_args()
     root = os.path.abspath(args.root)
     if args.seeds < 1:
         die("--seeds must be at least 1")
+    if args.parent and not args.parent_label:
+        die("--parent needs --parent-label")
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         spec = json.load(f)
     seconds = float(spec["run_seconds"])
-    commit = args.commit or git(root, "rev-parse", "HEAD")
-    if commit is None:
-        die("--root is not a git work tree: pass --commit")
-    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
+    sides = [(root, args.label, commit_of(root, args.commit, "--commit"),
+              args.build_dir)]
+    if args.parent:
+        parent = os.path.abspath(args.parent)
+        sides.insert(0, (parent, args.parent_label,
+                         commit_of(parent, args.parent_commit,
+                                   "--parent-commit"), None))
     first = args.first_seed
     if first is None:
         first = int(datetime.datetime.now().timestamp()) % 1000000 * 100
     seeds = list(range(first, first + args.seeds))
 
-    workloads = {}
-    for w in spec["workloads"]:
-        name = w["name"]
-        runs = [run_workload(root, name, s, seconds) for s in seeds]
-        metrics = {}
-        for m in spec["end_to_end"]:
-            values = [r["metrics"][m["name"]]["value"] for r in runs]
-            metrics[m["name"]] = dict(spread(values), unit=m["unit"])
-        workloads[name] = {
-            "attempted": sum(r["attempted"] for r in runs),
-            "failed": sum(r["failed"] for r in runs),
-            "metrics": metrics,
-        }
-        print("%s: %s" % (name, json.dumps(metrics)), file=sys.stderr)
-
-    line = {
-        "commit": commit,
-        "dirty": dirty,
-        "label": args.label,
-        "date": datetime.date.today().isoformat(),
-        "seeds": seeds,
-        "seconds": seconds,
-        "workloads": workloads,
-        "e13_table_c_build_ms": table_c(
-            root, os.path.abspath(args.build_dir or
-                                  os.path.join(root, "build"))),
-    }
+    summaries = measure([side[0] for side in sides], spec, seeds, seconds)
+    lines = []
+    for (where, label, commit, build_dir), workloads in zip(sides,
+                                                            summaries):
+        lines.append({
+            "commit": commit,
+            "dirty": bool(git(where, "status", "--porcelain",
+                              "--untracked-files=no")),
+            "label": label,
+            "date": datetime.date.today().isoformat(),
+            "seeds": seeds,
+            "seconds": seconds,
+            "alternated": len(sides) > 1,
+            "workloads": workloads,
+            "e13_table_c_build_ms": table_c(
+                where, os.path.abspath(build_dir or
+                                       os.path.join(where, "build"))),
+        })
     with open(args.out, "a") as f:
-        f.write(json.dumps(line, sort_keys=True) + "\n")
-    print(json.dumps(line, sort_keys=True))
+        for line in lines:
+            f.write(json.dumps(line, sort_keys=True) + "\n")
+    for line in lines:
+        print(json.dumps(line, sort_keys=True))
 
 
 if __name__ == "__main__":
