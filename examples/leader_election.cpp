@@ -25,10 +25,10 @@
 #include <iostream>
 #include <vector>
 
+#include "analyze/span.hpp"
+#include "analyze/watchdog.hpp"
 #include "core/chat_network.hpp"
 #include "obs/sink.hpp"
-#include "obs/span.hpp"
-#include "obs/watchdog.hpp"
 #include "sim/placement.hpp"
 #include "sim/rng.hpp"
 

@@ -1,4 +1,4 @@
-#include "obs/flight_recorder.hpp"
+#include "analyze/flight_recorder.hpp"
 
 #include <algorithm>
 #include <csignal>

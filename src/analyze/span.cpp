@@ -1,4 +1,4 @@
-#include "obs/span.hpp"
+#include "analyze/span.hpp"
 
 #include <algorithm>
 

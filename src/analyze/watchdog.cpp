@@ -1,4 +1,4 @@
-#include "obs/watchdog.hpp"
+#include "analyze/watchdog.hpp"
 
 #include <cstring>
 #include <iostream>
@@ -8,6 +8,12 @@
 #include "obs/json.hpp"
 
 namespace stig::obs {
+
+namespace {
+/// Granular containment's slack: absorbs observation roundoff at the disc
+/// edge.
+constexpr double kGranularSlack = 1e-9;
+}  // namespace
 
 Watchdog::Watchdog(WatchdogOptions options,
                    std::vector<geom::Vec2> t0_positions)
@@ -54,7 +60,7 @@ void Watchdog::check_granular(const Event& e) {
   }
   const auto i = static_cast<std::size_t>(e.robot);
   const geom::Vec2 p{e.x, e.y};
-  const double limit = radii_[i] + options_.granular_slack;
+  const double limit = radii_[i] + kGranularSlack;
   if (std::is_lt(geom::dist_cmp(p, anchors_[i], limit))) return;
   const double d = geom::dist(p, anchors_[i]);
   WatchdogViolation v;
@@ -69,7 +75,7 @@ void Watchdog::check_granular(const Event& e) {
 }
 
 void Watchdog::check_crash_silence(const Event& e, const char* activity) {
-  if (!options_.check_crash_silence || crash_t_.empty()) return;
+  if (crash_t_.empty()) return;
   const auto it = crash_t_.find(e.robot);
   if (it == crash_t_.end() || e.t < it->second) return;
   WatchdogViolation v;
@@ -158,7 +164,6 @@ void Watchdog::on_event(const Event& e) {
       return;
     }
     case EventType::MaskedDelivery: {
-      if (!options_.check_mask_agreement) return;
       const bool broadcast =
           e.label != nullptr && std::strcmp(e.label, "broadcast") == 0;
       if (e.value < 1.0) {
@@ -202,7 +207,6 @@ void Watchdog::on_event(const Event& e) {
     }
     case EventType::BitEmitted: {
       check_crash_silence(e, "emitted a bit");
-      if (!options_.check_bit_order) return;
       const auto it = last_emit_t_.find(e.robot);
       if (it != last_emit_t_.end() && e.t < it->second) {
         WatchdogViolation v;
@@ -221,25 +225,23 @@ void Watchdog::on_event(const Event& e) {
     }
     case EventType::BitDecoded: {
       check_crash_silence(e, "decoded a bit");
-      if (options_.check_bit_order) {
-        const std::pair<std::int64_t, std::int64_t> key{e.robot, e.peer};
-        const auto it = last_decode_t_.find(key);
-        if (it != last_decode_t_.end() && e.t < it->second) {
-          WatchdogViolation v;
-          v.invariant = "bit_order";
-          v.t = e.t;
-          v.robot = e.robot;
-          v.peer = e.peer;
-          v.value = static_cast<double>(it->second);
-          v.detail = "receiver " + std::to_string(e.robot) +
-                     " decoded a bit from " + std::to_string(e.peer) +
-                     " at t=" + std::to_string(e.t) + " after one at t=" +
-                     std::to_string(it->second);
-          violate(std::move(v));
-        }
-        last_decode_t_[key] = std::max(
-            e.t, it == last_decode_t_.end() ? std::uint64_t{0} : it->second);
+      const std::pair<std::int64_t, std::int64_t> key{e.robot, e.peer};
+      const auto it = last_decode_t_.find(key);
+      if (it != last_decode_t_.end() && e.t < it->second) {
+        WatchdogViolation v;
+        v.invariant = "bit_order";
+        v.t = e.t;
+        v.robot = e.robot;
+        v.peer = e.peer;
+        v.value = static_cast<double>(it->second);
+        v.detail = "receiver " + std::to_string(e.robot) +
+                   " decoded a bit from " + std::to_string(e.peer) +
+                   " at t=" + std::to_string(e.t) + " after one at t=" +
+                   std::to_string(it->second);
+        violate(std::move(v));
       }
+      last_decode_t_[key] = std::max(
+          e.t, it == last_decode_t_.end() ? std::uint64_t{0} : it->second);
       if (options_.check_framing) {
         encode::FrameParser& parser = streams_[{e.robot, e.peer, e.aux}];
         const std::uint64_t corrupt_before = parser.corrupt_frames();

@@ -49,9 +49,9 @@
 #include <string>
 #include <vector>
 
+#include "analyze/flight_recorder.hpp"
 #include "encode/framing.hpp"
 #include "geom/vec.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/sink.hpp"
 
 namespace stig::obs {
@@ -68,17 +68,9 @@ struct WatchdogOptions {
   double min_separation = 0.0;
   bool check_separation = true;
   /// Granular containment. Requires t0 positions at construction; armed
-  /// only then. Slack absorbs observation roundoff at the disc edge.
+  /// only then.
   bool check_granular = false;
-  double granular_slack = 1e-9;
-  bool check_bit_order = true;
   bool check_framing = true;
-  /// Crash-stopped robots stay silent. Harmless without fault injection
-  /// (no FaultInjected event ever arms it), so on by default.
-  bool check_crash_silence = true;
-  /// Voted deliveries agree per stream ordinal. Harmless without the
-  /// redundancy layer (no MaskedDelivery events), so on by default.
-  bool check_mask_agreement = true;
   /// AckObserved latency above this is a violation; 0 disables.
   double max_ack_window = 0.0;
   /// Reconvergence budget (instants) after a transient corruption: each

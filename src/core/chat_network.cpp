@@ -162,6 +162,29 @@ const char* scheduler_kind_name(SchedulerKind kind) {
   return "unknown";
 }
 
+std::optional<ProtocolKind> protocol_kind_from_name(std::string_view name) {
+  using PK = ProtocolKind;
+  for (const PK k : {PK::automatic, PK::sync2, PK::sliced, PK::ksegment,
+                     PK::async2, PK::asyncn}) {
+    if (name == protocol_kind_name(k)) return k;
+  }
+  return std::nullopt;
+}
+
+std::optional<SchedulerKind> scheduler_kind_from_name(std::string_view name) {
+  using SK = SchedulerKind;
+  for (const SK k :
+       {SK::bernoulli, SK::centralized, SK::ksubset, SK::adversarial}) {
+    if (name == scheduler_kind_name(k)) return k;
+  }
+  return std::nullopt;
+}
+
+bool is_granular(ProtocolKind kind) {
+  return kind == ProtocolKind::sliced || kind == ProtocolKind::ksegment ||
+         kind == ProtocolKind::asyncn;
+}
+
 ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
                          ChatNetworkOptions options)
     : options_(options) {
@@ -257,9 +280,7 @@ ChatNetwork::ChatNetwork(std::vector<geom::Vec2> positions,
   std::shared_ptr<const proto::NamingTables> tables;
   std::vector<std::uint32_t> canonical(n);  // Simulator index -> index in
                                             // robot 0's t0 order.
-  if ((kind_ == ProtocolKind::sliced || kind_ == ProtocolKind::ksegment ||
-       kind_ == ProtocolKind::asyncn) &&
-      options_.observation_quantum <= 0.0) {
+  if (is_granular(kind_) && options_.observation_quantum <= 0.0) {
     const obs::prof::Scope ranks(prof, ph_naming);
     tables = tables_in_view_of(engine, 0, naming);
     const std::span<const std::uint32_t> order0 = engine.listing(0);

@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/capabilities.hpp"
@@ -57,6 +58,18 @@ enum class SchedulerKind : unsigned char {
 [[nodiscard]] const char* protocol_kind_name(ProtocolKind kind);
 /// Stable lower-case name for a scheduler kind ("bernoulli", ...).
 [[nodiscard]] const char* scheduler_kind_name(SchedulerKind kind);
+/// The kind `name` names, if any: protocol_kind_name's inverse.
+[[nodiscard]] std::optional<ProtocolKind> protocol_kind_from_name(
+    std::string_view name);
+/// The kind `name` names, if any: scheduler_kind_name's inverse.
+[[nodiscard]] std::optional<SchedulerKind> scheduler_kind_from_name(
+    std::string_view name);
+
+/// True for the granular protocols (sliced, ksegment, asyncn): each robot
+/// signals inside its t0 granular and names its peers by rank. Sync2 and
+/// Async2 signal on the segment joining the two robots instead, and the
+/// unbounded Async2 drifts apart by design (experiment E8).
+[[nodiscard]] bool is_granular(ProtocolKind kind);
 
 /// Configuration for ChatNetwork.
 struct ChatNetworkOptions {
@@ -238,11 +251,6 @@ class ChatNetwork {
   /// Corruptions whose instant has passed (drivers were scrambled).
   [[nodiscard]] std::size_t corruptions_applied() const noexcept {
     return corrupt_next_;
-  }
-  /// Instant of the first applied corruption, if any was applied yet.
-  [[nodiscard]] std::optional<sim::Time> first_corruption_instant()
-      const noexcept {
-    return first_corrupt_t_;
   }
 
   /// Attaches a fault-injection interceptor to the engine (not owned; null

@@ -51,7 +51,7 @@ class FrameParser {
   /// by transient faults — the stabilization mechanism of Section 5.
   void reset();
 
-  /// Transient-corruption hook (fault::CorruptTarget::parser): overwrites
+  /// Transient-corruption hook (proto::CorruptKind::parser): overwrites
   /// the assembly state with arbitrary seed-derived bytes — a fake partial
   /// buffer and possibly resync mode — as if the parser had been struck
   /// mid-frame. The mid-byte bit count is deliberately preserved: frames

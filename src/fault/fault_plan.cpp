@@ -98,20 +98,19 @@ bool parse_one(std::string_view item, FaultPlan& plan) {
 
 }  // namespace
 
-const char* corrupt_target_name(CorruptTarget target) noexcept {
+const char* corrupt_target_name(proto::CorruptKind target) noexcept {
   switch (target) {
-    case CorruptTarget::phase: return "phase";
-    case CorruptTarget::cursor: return "cursor";
-    case CorruptTarget::parser: return "parser";
-    case CorruptTarget::naming: return "naming";
+    case proto::CorruptKind::phase: return "phase";
+    case proto::CorruptKind::cursor: return "cursor";
+    case proto::CorruptKind::parser: return "parser";
+    case proto::CorruptKind::naming: return "naming";
   }
   return "unknown";
 }
 
-std::optional<CorruptTarget> corrupt_target_from_name(
+std::optional<proto::CorruptKind> corrupt_target_from_name(
     std::string_view name) noexcept {
-  for (std::size_t i = 0; i < kCorruptTargetCount; ++i) {
-    const auto t = static_cast<CorruptTarget>(i);
+  for (const proto::CorruptKind t : proto::kCorruptKinds) {
     if (name == corrupt_target_name(t)) return t;
   }
   return std::nullopt;
@@ -203,8 +202,8 @@ FaultPlan sample_fault_plan(std::uint64_t seed,
     CorruptFault f;
     f.robot = robot();
     f.at = instant();
-    f.target = static_cast<CorruptTarget>(
-        rng.uniform_int(0, kCorruptTargetCount - 1));
+    f.target = proto::kCorruptKinds[rng.uniform_int(
+        0, proto::kCorruptKinds.size() - 1)];
     plan.corrupts.push_back(f);
   }
   normalize(plan);

@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "proto/common.hpp"
 #include "sim/types.hpp"
 
 namespace stig::fault {
@@ -64,32 +65,24 @@ struct BurstFault {
   friend bool operator==(const BurstFault&, const BurstFault&) = default;
 };
 
-/// Which mutable state machine a transient corruption scrambles. The
-/// targets are the *real* per-robot state machines, not abstractions:
-/// protocol phase bookkeeping, the outbox bit cursor, the frame-parser
-/// assembly state, and the geometry-derived naming tables.
-enum class CorruptTarget : std::uint8_t {
-  phase = 0,   ///< Protocol phase counters / per-peer bookkeeping.
-  cursor = 1,  ///< Outbox bit cursor of the sending side.
-  parser = 2,  ///< FrameParser assembly state of the receiving side.
-  naming = 3,  ///< Rank/naming tables derived from the t0 geometry.
-};
-
-inline constexpr std::size_t kCorruptTargetCount = 4;
-
-[[nodiscard]] const char* corrupt_target_name(CorruptTarget target) noexcept;
-[[nodiscard]] std::optional<CorruptTarget> corrupt_target_from_name(
+/// A corruption target's name in plan text, events and coverage edges.
+[[nodiscard]] const char* corrupt_target_name(
+    proto::CorruptKind target) noexcept;
+[[nodiscard]] std::optional<proto::CorruptKind> corrupt_target_from_name(
     std::string_view name) noexcept;
 
 /// Robot `robot`'s state machine `target` is overwritten with arbitrary
 /// seed-derived values after the moves of instant `at` — the transient
-/// fault class of the self-stabilization companions. The plan only
-/// schedules the damage; recovering is the protocol's job (see
-/// docs/STABILIZATION.md for the per-target resync semantics).
+/// fault class of the self-stabilization companions. The targets are the
+/// *real* per-robot state machines, not abstractions: protocol phase
+/// bookkeeping, the outbox bit cursor, the frame-parser assembly state,
+/// and the geometry-derived naming tables. The plan only schedules the
+/// damage; recovering is the protocol's job (see docs/STABILIZATION.md for
+/// the per-target resync semantics).
 struct CorruptFault {
   sim::RobotIndex robot = 0;
   sim::Time at = 0;
-  CorruptTarget target = CorruptTarget::phase;
+  proto::CorruptKind target = proto::CorruptKind::phase;
   friend bool operator==(const CorruptFault&, const CorruptFault&) = default;
 };
 

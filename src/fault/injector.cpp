@@ -77,13 +77,6 @@ bool FaultInjector::crashed(sim::RobotIndex i, sim::Time t) const {
   return false;
 }
 
-std::optional<sim::Time> FaultInjector::crash_time(sim::RobotIndex i) const {
-  for (const CrashFault& f : plan_.crashes) {
-    if (f.robot == i) return f.at;
-  }
-  return std::nullopt;
-}
-
 std::size_t arm_bursts(core::ChatNetwork& net, const FaultPlan& plan,
                        obs::EventSink* sink, obs::cov::CovMap* cov) {
   std::size_t armed = 0;
@@ -118,8 +111,7 @@ std::size_t arm_corruptions(core::ChatNetwork& net, const FaultPlan& plan) {
   std::size_t armed = 0;
   for (const CorruptFault& f : plan.corrupts) {
     if (f.robot >= net.robot_count()) continue;
-    net.schedule_corruption(f.robot, f.at,
-                            static_cast<proto::CorruptKind>(f.target));
+    net.schedule_corruption(f.robot, f.at, f.target);
     ++armed;
   }
   return armed;

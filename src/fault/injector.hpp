@@ -12,7 +12,6 @@
 // engine — `arm_bursts` plants them on a ChatNetwork up front.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -53,10 +52,6 @@ class FaultInjector final : public sim::StepInterceptor {
                     std::span<geom::Vec2> positions) override;
   [[nodiscard]] bool crashed(sim::RobotIndex i, sim::Time t) const override;
 
-  /// The instant robot `i` crash-stops, if the plan crashes it at all.
-  [[nodiscard]] std::optional<sim::Time> crash_time(
-      sim::RobotIndex i) const;
-
  private:
   void emit(sim::Time t, sim::RobotIndex robot, const char* kind,
             double value);
@@ -81,12 +76,13 @@ std::size_t arm_bursts(core::ChatNetwork& net, const FaultPlan& plan,
                        obs::cov::CovMap* cov = nullptr);
 
 /// Schedules the plan's transient-corruption faults on `net` via
-/// schedule_corruption, which also arms every robot's stabilization
-/// machinery (naming audits run only on armed robots, so fault-free runs
-/// stay allocation-free). Unlike arm_bursts this emits nothing here: the
-/// network itself emits the FaultInjected "corrupt_<target>" event and the
-/// fault.plan -> fault.corrupt_<target> coverage edge at the instant each
-/// corruption is actually applied. Out-of-range robots are skipped.
+/// schedule_corruption; nothing else needs arming, since every activation
+/// audits its naming tables, in O(1) and without allocating while no
+/// corruption has copied them (DESIGN.md §9). Unlike arm_bursts this
+/// emits nothing here: the network itself emits the FaultInjected
+/// "corrupt_<target>" event and the fault.plan -> fault.corrupt_<target>
+/// coverage edge at the instant each corruption is actually applied.
+/// Out-of-range robots are skipped.
 std::size_t arm_corruptions(core::ChatNetwork& net, const FaultPlan& plan);
 
 }  // namespace stig::fault

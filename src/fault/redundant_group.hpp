@@ -76,7 +76,6 @@ class RedundantChatNetwork {
   RedundantChatNetwork(std::vector<geom::Vec2> positions,
                        RedundantOptions options);
 
-  [[nodiscard]] std::size_t logical_count() const noexcept { return n_; }
   [[nodiscard]] std::size_t group_size() const noexcept {
     return lanes_.size();
   }

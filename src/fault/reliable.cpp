@@ -9,6 +9,12 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 8;
 
+/// Instants before the first retransmit.
+constexpr sim::Time kAckTimeout = 8;
+
+/// Instants a successful ack takes back.
+constexpr sim::Time kAckDelay = 1;
+
 /// Strips the id header; nullopt when the blob is too short to carry one
 /// (never produced by this messenger, but received() stays total).
 std::optional<std::uint64_t> peel_id(
@@ -93,12 +99,11 @@ void ReliableMessenger::tick() {
     const bool ack_lost = options_.ack_loss_probability > 0.0 &&
                           ack_rng_.flip(options_.ack_loss_probability);
     m.ack_at = r.delivered && !ack_lost
-                   ? std::optional<sim::Time>(now + options_.ack_delay)
+                   ? std::optional<sim::Time>(now + kAckDelay)
                    : std::nullopt;
     // Exponential backoff: timeout doubles with every attempt.
     m.timeout_at =
-        now + (options_.ack_timeout << std::min<std::size_t>(
-                                          m.attempts - 1, 32));
+        now + (kAckTimeout << std::min<std::size_t>(m.attempts - 1, 32));
   }
 }
 

@@ -33,8 +33,6 @@
 namespace stig::fault {
 
 struct ReliableOptions {
-  sim::Time ack_timeout = 8;   ///< Instants before the first retransmit.
-  sim::Time ack_delay = 1;     ///< Instants a successful ack takes back.
   std::size_t max_retries = 3; ///< Retransmissions before degradation.
   double ack_loss_probability = 0.0;  ///< Lost-ack chance (delivered, but
                                       ///< the sender never learns).

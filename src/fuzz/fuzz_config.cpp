@@ -53,8 +53,8 @@ fault::CorruptFault sample_corruption(sim::Rng& rng, const FuzzConfig& cfg) {
   const sim::Time horizon = std::min<sim::Time>(
       32, std::max<sim::Time>(2, instant_budget(cfg) / 4));
   c.at = 1 + rng.uniform_int(0, horizon - 2);
-  c.target = static_cast<fault::CorruptTarget>(
-      rng.uniform_int(0, fault::kCorruptTargetCount - 1));
+  c.target = proto::kCorruptKinds[rng.uniform_int(
+      0, proto::kCorruptKinds.size() - 1)];
   return c;
 }
 
@@ -64,6 +64,10 @@ bool is_synchronous(core::ProtocolKind kind) {
   return kind == core::ProtocolKind::sync2 ||
          kind == core::ProtocolKind::sliced ||
          kind == core::ProtocolKind::ksegment;
+}
+
+sim::Time settle_instants(core::ProtocolKind kind) {
+  return is_synchronous(kind) ? 4 : 512;
 }
 
 std::vector<core::ProtocolKind> equivalence_class(core::ProtocolKind kind,

@@ -60,6 +60,11 @@ struct FuzzConfig {
 /// True for the synchronous-side protocols (sync2/sliced/ksegment).
 [[nodiscard]] bool is_synchronous(core::ProtocolKind kind);
 
+/// Instants a run keeps stepping after quiescence, so every receiver's
+/// decode catches up with the sender: 4 synchronous, 512 asynchronous.
+/// The fuzz oracles and stigsim run the same tail.
+[[nodiscard]] sim::Time settle_instants(core::ProtocolKind kind);
+
 /// The protocols that must behave identically to `kind` at swarm size `n`
 /// (including `kind` itself, first). Singleton when nothing else applies.
 [[nodiscard]] std::vector<core::ProtocolKind> equivalence_class(

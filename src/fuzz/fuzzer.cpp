@@ -5,9 +5,9 @@
 #include <sstream>
 #include <tuple>
 
+#include "analyze/watchdog.hpp"
 #include "fault/injector.hpp"
 #include "fault/redundant_group.hpp"
-#include "obs/watchdog.hpp"
 
 namespace stig::fuzz {
 namespace {
@@ -35,12 +35,7 @@ RunOutcome run_one(const FuzzConfig& cfg, core::ProtocolKind kind,
 
   obs::WatchdogOptions wopt;
   wopt.abort_on_violation = true;
-  // Granular containment holds for the granular protocols only: Sync2 and
-  // Async2 signal on the segment joining the two robots (same convention
-  // as stigsim).
-  wopt.check_granular = kind == core::ProtocolKind::sliced ||
-                        kind == core::ProtocolKind::ksegment ||
-                        kind == core::ProtocolKind::asyncn;
+  wopt.check_granular = core::is_granular(kind);
   std::vector<geom::Vec2> positions = scatter(cfg.seed, cfg.n);
   obs::Watchdog watchdog(wopt, positions);
 
@@ -57,11 +52,10 @@ RunOutcome run_one(const FuzzConfig& cfg, core::ProtocolKind kind,
       net.send(0, 1, cfg.payload);
     }
     out.quiescent = net.run_until_quiescent(instant_budget(cfg));
-    // Settle: quiescence means the sender finished; a few more instants
-    // let every receiver's decode catch up (same tail stigsim runs). A
-    // timed-out run skips it — it is already a failure, and running on
-    // would let a shrunk budget "pass" on work done past the budget.
-    if (out.quiescent) net.run(is_synchronous(kind) ? 4 : 512);
+    // Settle: quiescence means the sender finished. A timed-out run skips
+    // the tail — it is already a failure, and running on would let a
+    // shrunk budget "pass" on work done past the budget.
+    if (out.quiescent) net.run(settle_instants(kind));
     out.instants = net.engine().now();
     for (std::size_t i = 0; i < cfg.n; ++i) {
       for (const core::Delivery& d : net.received(i)) {
@@ -166,9 +160,7 @@ CaseResult run_case_masked(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
     net.attach_coverage(cov);
     for (std::size_t l = 0; l < g; ++l) {
       obs::WatchdogOptions wopt;
-      wopt.check_granular = cfg.protocol == core::ProtocolKind::sliced ||
-                            cfg.protocol == core::ProtocolKind::ksegment ||
-                            cfg.protocol == core::ProtocolKind::asyncn;
+      wopt.check_granular = core::is_granular(cfg.protocol);
       const fault::FaultPlan& slice = net.injector(l).plan();
       // A burst corrupts decoded bits by design: the framing replay would
       // flag exactly the corruption the CRC is there to absorb. So does a
@@ -186,8 +178,8 @@ CaseResult run_case_masked(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
     } else {
       net.send(0, 1, cfg.payload);
     }
-    const auto res = net.run_until_settled(
-        budget, stall_window, is_synchronous(cfg.protocol) ? 4 : 512);
+    const auto res = net.run_until_settled(budget, stall_window,
+                                           settle_instants(cfg.protocol));
 
     std::uint64_t digest = 0xcbf29ce484222325ULL;
     for (std::size_t l = 0; l < g; ++l) {
@@ -285,9 +277,7 @@ CaseResult run_case_corrupted(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
     core::ChatNetworkOptions opt = to_options(cfg, cfg.protocol);
     opt.record_schedule = &out.log;
     obs::WatchdogOptions wopt;
-    wopt.check_granular = cfg.protocol == core::ProtocolKind::sliced ||
-                          cfg.protocol == core::ProtocolKind::ksegment ||
-                          cfg.protocol == core::ProtocolKind::asyncn;
+    wopt.check_granular = core::is_granular(cfg.protocol);
     // A scrambled parser or cursor legitimately yields CRC-corrupt frames
     // while converging; the replayed-stream framing check would flag
     // exactly the damage the corruption planted.

@@ -32,12 +32,6 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
   return a;
 }
 
-/// Counterclockwise angle of vector `v` measured from the +x axis of the
-/// global frame, normalized to [0, 2*pi). Precondition: `v` is non-zero.
-[[nodiscard]] inline double polar_angle(const Vec2& v) noexcept {
-  return normalize_angle(std::atan2(v.y, v.x));
-}
-
 /// Clockwise angle from direction `from` to direction `to`, in [0, 2*pi).
 ///
 /// "Clockwise" is the direction a right-handed observer of the standard

@@ -8,6 +8,14 @@
 
 namespace stig::proto {
 
+namespace {
+/// March/excursion step as a fraction of the t0 separation.
+constexpr double kStepFraction = 1.0 / 64.0;
+
+/// Banded only: half-extent of the march band, fraction of separation.
+constexpr double kBandFraction = 1.0 / 4.0;
+}  // namespace
+
 void Async2Robot::initialize(const sim::Snapshot& snap) {
   if (snap.robots.size() != 2) {
     throw std::invalid_argument("Async2Robot requires exactly two robots");
@@ -28,10 +36,10 @@ void Async2Robot::initialize(const sim::Snapshot& snap) {
 }
 
 double Async2Robot::step_size() const {
-  double step = options_.step_fraction * sep_;
+  double step = kStepFraction * sep_;
   step = std::min(step, 0.9 * options_.sigma_local);
   if (options_.bound == BoundKind::banded) {
-    step = std::min(step, options_.band_fraction * sep_ / 4.0);
+    step = std::min(step, kBandFraction * sep_ / 4.0);
   }
   return step;
 }
@@ -51,7 +59,7 @@ geom::Vec2 Async2Robot::march_move(const geom::Vec2& cur) {
     return cur + north_ * step;
   }
   // Banded: bounce along H inside [0, band] North of the start position.
-  const double band = options_.band_fraction * sep_;
+  const double band = kBandFraction * sep_;
   const double offset = geom::dot(cur - base_, north_);
   if (march_sign_ > 0 && offset + step > band) march_sign_ = -1;
   if (march_sign_ < 0 && offset - step < 0.0) march_sign_ = 1;

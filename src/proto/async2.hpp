@@ -45,10 +45,6 @@ struct Async2Options {
   /// The robot's own maximum per-activation travel, in local units.
   double sigma_local = 1.0;
   BoundKind bound = BoundKind::unbounded;
-  /// March/excursion step as a fraction of the t0 separation.
-  double step_fraction = 1.0 / 64.0;
-  /// banded only: half-extent of the march band, fraction of separation.
-  double band_fraction = 1.0 / 4.0;
   /// Observed position changes required per acknowledgment window. The
   /// paper's Lemma 4.1 needs 2 under atomic observation; with observations
   /// `d` instants stale the bound becomes 2d + 2 (the first d-ish changes

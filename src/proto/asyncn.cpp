@@ -16,6 +16,16 @@ constexpr double kOutHigh = 0.85;
 /// Arrival threshold at the center, as a fraction of the radius; strictly
 /// below SlicedCore's at-center classification band.
 constexpr double kArrive = 1e-9;
+/// Movement step as a fraction of the own granular radius. Chosen
+/// irrational-ish so bounce orbits never become exactly periodic.
+constexpr double kStepFraction = 0.113371;
+/// Best-effort stabilization: after this many consecutive *neutral*
+/// observations of a sender, its streams are reset to a frame boundary.
+/// Must exceed the longest bit separator the scheduler can produce (a few
+/// fairness bounds). Unlike the synchronous protocols' 3-instant rule this
+/// is a heuristic — asynchronous senders legitimately sit on kappa between
+/// bits — so the threshold is large.
+constexpr std::uint32_t kIdleResyncThreshold = 4096;
 
 }  // namespace
 
@@ -34,7 +44,7 @@ void AsyncNRobot::initialize(const sim::Snapshot& snap) {
 
 double AsyncNRobot::step_size() const {
   return std::min(0.9 * options_.sigma_local,
-                  options_.step_fraction * core_.radius(core_.self_index()));
+                  kStepFraction * core_.radius(core_.self_index()));
 }
 
 geom::Vec2 AsyncNRobot::kappa_move(const geom::Vec2& cur) {
@@ -83,13 +93,11 @@ void AsyncNRobot::decode() {
                      sig->side == geom::DiameterSide::positive ? 0 : 1);
     }
     peer_state_[j] = code;
-    if (options_.idle_resync_threshold != 0) {
-      if (code != 0) {
-        peer_idle_[j] = 0;
-      } else if (peer_idle_[j] < options_.idle_resync_threshold &&
-                 ++peer_idle_[j] == options_.idle_resync_threshold) {
-        reset_streams_from(core_.rank(self, j));
-      }
+    if (code != 0) {
+      peer_idle_[j] = 0;
+    } else if (peer_idle_[j] < kIdleResyncThreshold &&
+               ++peer_idle_[j] == kIdleResyncThreshold) {
+      reset_streams_from(core_.rank(self, j));
     }
   }
 }

@@ -40,16 +40,6 @@ struct AsyncNOptions {
   NamingMode naming = NamingMode::relative;
   /// The robot's own maximum per-activation travel, in local units.
   double sigma_local = 1.0;
-  /// Movement step as a fraction of the own granular radius. Chosen
-  /// irrational-ish so bounce orbits never become exactly periodic.
-  double step_fraction = 0.113371;
-  /// Best-effort stabilization: after this many consecutive *neutral*
-  /// observations of a sender, its streams are reset to a frame boundary.
-  /// Must exceed the longest bit separator the scheduler can produce
-  /// (a few fairness bounds); 0 disables. Unlike the synchronous
-  /// protocols' 3-instant rule this is a heuristic — asynchronous senders
-  /// legitimately sit on kappa between bits — so the threshold is large.
-  std::uint32_t idle_resync_threshold = 4096;
   /// Observed changes required per acknowledgment window: 2 under atomic
   /// observation (Lemma 4.1), 2d + 2 with d-stale observations.
   std::uint64_t ack_changes = 2;

@@ -43,15 +43,19 @@ struct ChatStats {
   std::uint64_t messages_overheard = 0;///< Frames addressed to others.
 };
 
-/// Which mutable state machine ChatRobot::corrupt_state scrambles. Kept at
-/// the proto layer (mirrored by fault::CorruptTarget) so protocols never
-/// depend on the fault library.
+/// Which mutable state machine ChatRobot::corrupt_state scrambles: the
+/// target of a transient corruption (fault::CorruptFault).
 enum class CorruptKind : std::uint8_t {
   phase,   ///< Driver phase counters / per-peer bookkeeping.
   cursor,  ///< Bit cursor of the frame in flight.
   parser,  ///< FrameParser assembly state of one stream.
   naming,  ///< Geometry-derived naming tables (granular protocols).
 };
+
+/// Every CorruptKind, in declaration order.
+inline constexpr std::array<CorruptKind, 4> kCorruptKinds = {
+    CorruptKind::phase, CorruptKind::cursor, CorruptKind::parser,
+    CorruptKind::naming};
 
 /// A decoded message as seen by one robot. All fields are in the *receiving
 /// robot's* slot space.
@@ -134,7 +138,7 @@ class ChatRobot : public sim::Robot {
     fault_bits_left_ = burst;
   }
 
-  /// Transient-corruption hook (fault::CorruptTarget, via
+  /// Transient-corruption hook (fault::CorruptFault, via
   /// core::ChatNetwork): overwrites the targeted state machine with
   /// arbitrary `garbage`-derived values. `cursor` jumps the in-flight
   /// frame's bit cursor anywhere that preserves its phase modulo 8 (frames

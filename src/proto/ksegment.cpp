@@ -7,6 +7,11 @@
 
 namespace stig::proto {
 
+namespace {
+/// Fraction of the granular radius used as signal amplitude.
+constexpr double kAmplitudeFraction = 0.45;
+}  // namespace
+
 KSegmentRobot::KSegmentRobot(KSegmentOptions options)
     : options_(std::move(options)) {
   if (options_.k < 2) {
@@ -131,8 +136,7 @@ geom::Vec2 KSegmentRobot::on_activate(const sim::Snapshot& snap) {
   }
 
   const double amp = std::min(0.8 * options_.sigma_local,
-                              options_.amplitude_fraction *
-                                  core_.radius(self));
+                              kAmplitudeFraction * core_.radius(self));
   Signal s;
   if (!pending_digits_.empty()) {
     note_phase("address");

@@ -34,8 +34,6 @@ struct KSegmentOptions {
   std::size_t k = 4;
   /// The robot's own maximum per-activation travel, in local units.
   double sigma_local = 1.0;
-  /// Fraction of the granular radius used as signal amplitude.
-  double amplitude_fraction = 0.45;
   /// The swarm's naming tables and this robot's permutation into them
   /// (core::ChatNetwork fills it); empty = build own tables at t0.
   SharedNaming shared_naming;

@@ -217,7 +217,7 @@ class SlicedCore {
     return geometry(self_).point_on(s.diameter, s.side, distance);
   }
 
-  /// Transient-corruption hook (fault::CorruptTarget::naming): overwrites
+  /// Transient-corruption hook (CorruptKind::naming): overwrites
   /// one entry of each rank table with an in-domain garbage value. The
   /// envelope is type-preserving on purpose: a rank slot holds *some*
   /// rank, so the corruption silently misroutes signals — the interesting

@@ -8,6 +8,11 @@
 
 namespace stig::proto {
 
+namespace {
+/// Maximum excursion as a fraction of the t0 separation.
+constexpr double kAmplitudeFraction = 1.0 / 8.0;
+}  // namespace
+
 Sync2Robot::Sync2Robot(Sync2Options options)
     : options_(options),
       codec_(options.bits_per_symbol, /*max_amplitude=*/1.0) {
@@ -30,7 +35,7 @@ void Sync2Robot::initialize(const sim::Snapshot& snap) {
   right_peer_ = geom::rotate_clockwise(-facing, geom::kPi / 2.0);
   const double sep = geom::dist(base_self_, base_peer_);
   const double max_amp =
-      std::min(options_.amplitude_fraction * sep, 0.8 * options_.sigma_local);
+      std::min(kAmplitudeFraction * sep, 0.8 * options_.sigma_local);
   assert(max_amp > 0.0);
   codec_ = encode::AmplitudeCodec(options_.bits_per_symbol, max_amp);
   tolerance_ = 1e-9 * sep;

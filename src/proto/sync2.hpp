@@ -27,8 +27,6 @@ struct Sync2Options {
   /// Bits carried per movement; must divide 8. 1 reproduces the paper's
   /// basic protocol, >1 the byte-coding remark.
   unsigned bits_per_symbol = 1;
-  /// Maximum excursion as a fraction of the t0 separation.
-  double amplitude_fraction = 1.0 / 8.0;
 };
 
 /// Slot convention (both directions of a 2-robot chat): slot 0 is the robot

@@ -17,6 +17,9 @@ constexpr std::uint8_t kResyncGap = 3;
 
 /// Capacity the live-peer lists start with (see SlicedCore::changed).
 constexpr std::size_t kLiveCapacity = 8;
+
+/// Fraction of the granular radius used as signal amplitude.
+constexpr double kAmplitudeFraction = 0.45;
 }  // namespace
 
 void SyncSlicedRobot::initialize(const sim::Snapshot& snap) {
@@ -128,7 +131,7 @@ geom::Vec2 SyncSlicedRobot::on_activate(const sim::Snapshot& snap) {
         std::max(0.0, options_.sigma_local - drift_speed());
     const double amp =
         std::min(0.8 * headroom,
-                 options_.amplitude_fraction * core_.radius(self));
+                 kAmplitudeFraction * core_.radius(self));
     assert(amp > 0.0 && "sigma too small to signal");
     const Signal s{bit->first, bit->second == 0
                                    ? geom::DiameterSide::positive

@@ -29,8 +29,6 @@ struct SyncSlicedOptions {
   NamingMode naming = NamingMode::lexicographic;
   /// The robot's own maximum per-activation travel, in its local units.
   double sigma_local = 1.0;
-  /// Fraction of the granular radius used as signal amplitude.
-  double amplitude_fraction = 0.45;
   /// Common flocking velocity (local units per instant). Must be the same
   /// global vector for every robot (the "agreed upon global flocking
   /// movement"); zero disables flocking. With flocking enabled the protocol

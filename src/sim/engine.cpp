@@ -189,41 +189,6 @@ bool insertion_sort(std::span<std::uint32_t> order,
 
 }  // namespace
 
-std::vector<RobotIndex> initial_observation_order(
-    std::span<const RobotSpec> specs, RobotIndex observer,
-    const EngineOptions& options) {
-  if (observer >= specs.size()) {
-    throw std::out_of_range("initial_observation_order: robot index");
-  }
-  const bool identified = std::all_of(
-      specs.begin(), specs.end(),
-      [](const RobotSpec& s) { return s.id.has_value(); });
-  std::vector<RobotIndex> order(specs.size());
-  if (identified) {
-    for (std::size_t j = 0; j < specs.size(); ++j) order[j] = j;
-    std::sort(order.begin(), order.end(), [&](RobotIndex a, RobotIndex b) {
-      return *specs[a].id < *specs[b].id;
-    });
-    return order;
-  }
-  // The sightings of the engine's t0 observation (build_observation at
-  // t0: no delay, so current and stale coincide), sorted the same way.
-  struct Sighting {
-    ObservedRobot obs;
-    bool visible = true;
-  };
-  const Frame f = frame_of(specs[observer]);
-  const geom::Vec2& self = specs[observer].position;
-  std::vector<Sighting> seen(specs.size());
-  for (std::size_t j = 0; j < specs.size(); ++j) {
-    sight(seen[j], f, self, specs[j].position, j == observer, options);
-  }
-  std::vector<std::uint32_t> listing(specs.size());
-  legacy_from_index_order(std::span<std::uint32_t>(listing), seen);
-  std::copy(listing.begin(), listing.end(), order.begin());
-  return order;
-}
-
 Engine::Engine(std::vector<RobotSpec> specs,
                std::unique_ptr<Scheduler> scheduler, EngineOptions options)
     : specs_(std::move(specs)),

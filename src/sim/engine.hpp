@@ -116,18 +116,6 @@ struct EngineOptions {
   double visibility_radius = 0.0;
 };
 
-/// Indices into `specs` in the order robot `observer` lists the swarm at
-/// t0 — the engine's own rule: by visible id in identified systems (every
-/// spec has an id); else the robots within `options.visibility_radius`,
-/// std::sort-ed from index order by the position the observer sees (its
-/// own exact, the others snapped to `options.observation_quantum`, all in
-/// its frame), then the hidden ones in index order. The robots it sees,
-/// in this order, are the t0 snapshot `Robot::initialize` receives.
-/// core::ChatNetwork builds its slot and naming tables from these.
-[[nodiscard]] std::vector<RobotIndex> initial_observation_order(
-    std::span<const RobotSpec> specs, RobotIndex observer,
-    const EngineOptions& options = {});
-
 /// Thrown when the collision-avoidance invariant is violated.
 class CollisionError : public std::runtime_error {
  public:
@@ -283,20 +271,12 @@ class Engine {
   /// entries.
   [[nodiscard]] Snapshot make_snapshot(RobotIndex i) const;
 
-  /// Engine indices in the order robot `i` observed them at t0 (the order
-  /// of `Snapshot::robots` passed to `Robot::initialize`), recomputed by
-  /// `sim::initial_observation_order`. Lets tests translate between
-  /// simulator indices and each robot's local peer numbering.
-  [[nodiscard]] std::vector<RobotIndex> initial_observation_order(
-      RobotIndex i) const {
-    return sim::initial_observation_order(specs_, i, options_);
-  }
-
   /// Robot `i`'s stored listing: the engine index of each of its rows.
   /// Until the first step it is the t0 listing the constructor sorted —
-  /// the robots it sees in the order of its t0 snapshot, then the hidden
-  /// ones in index order — which core::ChatNetwork reads between
-  /// construction and `wake`. Later looks reorder it.
+  /// the robots it sees in the order of its t0 snapshot (by id, or by the
+  /// local position it sees, the others' snapped to the sensor quantum),
+  /// then the hidden ones in index order — which core::ChatNetwork reads
+  /// between construction and `wake`. Later looks reorder it.
   [[nodiscard]] std::span<const std::uint32_t> listing(
       RobotIndex i) const noexcept {
     const std::size_t n = specs_.size();

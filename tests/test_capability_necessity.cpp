@@ -11,6 +11,8 @@
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
+#include "listing_reference.hpp"
+
 namespace stig {
 namespace {
 
@@ -89,7 +91,7 @@ TEST(Necessity, ChiralityRequiredForRelativeNaming) {
                                 {false, false, false, false, false});
     // Address "the robot at pts[3]": its t0 index in the sender's snapshot
     // -> its slot in the sender's labeling.
-    const auto order = w.engine->initial_observation_order(0);
+    const auto order = oracle::t0_listing(*w.engine, 0);
     const auto t0_index = static_cast<std::size_t>(
         std::find(order.begin(), order.end(), 3u) - order.begin());
     const std::size_t slot = w.robots[0]->slot_of_t0_index(t0_index);
@@ -103,7 +105,7 @@ TEST(Necessity, ChiralityRequiredForRelativeNaming) {
   {
     SlicedWorld w = make_sliced(pts, proto::NamingMode::relative, rot,
                                 {false, false, false, true, false});
-    const auto order = w.engine->initial_observation_order(0);
+    const auto order = oracle::t0_listing(*w.engine, 0);
     const auto t0_index = static_cast<std::size_t>(
         std::find(order.begin(), order.end(), 3u) - order.begin());
     const std::size_t slot = w.robots[0]->slot_of_t0_index(t0_index);
@@ -123,7 +125,7 @@ TEST(Necessity, SenseOfDirectionRequiredForLexicographicNaming) {
         make_sliced(pts, proto::NamingMode::lexicographic,
                     {0.7, 0.7, 0.7, 0.7, 0.7},
                     {false, false, false, false, false});
-    const auto order = w.engine->initial_observation_order(1);
+    const auto order = oracle::t0_listing(*w.engine, 1);
     const auto t0_index = static_cast<std::size_t>(
         std::find(order.begin(), order.end(), 4u) - order.begin());
     const std::size_t slot = w.robots[1]->slot_of_t0_index(t0_index);
@@ -138,7 +140,7 @@ TEST(Necessity, SenseOfDirectionRequiredForLexicographicNaming) {
         make_sliced(pts, proto::NamingMode::lexicographic,
                     {0.7, 0.7, 0.7, 0.7, 0.7 + geom::kPi / 2},
                     {false, false, false, false, false});
-    const auto order = w.engine->initial_observation_order(1);
+    const auto order = oracle::t0_listing(*w.engine, 1);
     const auto t0_index = static_cast<std::size_t>(
         std::find(order.begin(), order.end(), 4u) - order.begin());
     const std::size_t slot = w.robots[1]->slot_of_t0_index(t0_index);

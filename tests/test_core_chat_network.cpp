@@ -11,6 +11,8 @@
 #include "encode/bits.hpp"
 #include "sim/rng.hpp"
 
+#include "listing_reference.hpp"
+
 namespace stig {
 namespace {
 
@@ -190,8 +192,8 @@ TEST(ChatNetwork, QuantizedListingNamesTheRightRobot) {
                    geom::Vec2{15, 25}},
                   opt);
   for (sim::RobotIndex i = 0; i < net.robot_count(); ++i) {
-    const std::vector<sim::RobotIndex> order =
-        net.engine().initial_observation_order(i);
+    const std::vector<sim::RobotIndex> order = oracle::t0_listing(
+        net.engine(), i, {.observation_quantum = opt.observation_quantum});
     const sim::Snapshot t0 = net.engine().make_snapshot(i);
     ASSERT_EQ(order.size(), t0.robots.size());
     EXPECT_EQ(order[t0.self], i) << "observer " << i;
@@ -235,6 +237,23 @@ TEST(ChatNetwork, RejectsSelfSend) {
 TEST(ChatNetwork, RejectsTooFewRobots) {
   ChatNetworkOptions opt;
   EXPECT_THROW(ChatNetwork({geom::Vec2{0, 0}}, opt), std::invalid_argument);
+}
+
+TEST(ChatNetwork, KindNamesParseBack) {
+  // stigsim's flags and repro files name kinds; core owns both directions.
+  for (const ProtocolKind k :
+       {ProtocolKind::automatic, ProtocolKind::sync2, ProtocolKind::sliced,
+        ProtocolKind::ksegment, ProtocolKind::async2, ProtocolKind::asyncn}) {
+    EXPECT_EQ(core::protocol_kind_from_name(core::protocol_kind_name(k)), k);
+  }
+  for (const SchedulerKind k :
+       {SchedulerKind::bernoulli, SchedulerKind::centralized,
+        SchedulerKind::ksubset, SchedulerKind::adversarial}) {
+    EXPECT_EQ(core::scheduler_kind_from_name(core::scheduler_kind_name(k)),
+              k);
+  }
+  EXPECT_FALSE(core::protocol_kind_from_name("unknown").has_value());
+  EXPECT_FALSE(core::scheduler_kind_from_name("").has_value());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "analyze/watchdog.hpp"
 #include "core/chat_network.hpp"
 #include "core/wireless.hpp"
 #include "fault/fault_plan.hpp"
@@ -22,7 +23,6 @@
 #include "fuzz/repro.hpp"
 #include "fuzz/shrink.hpp"
 #include "obs/sink.hpp"
-#include "obs/watchdog.hpp"
 
 namespace {
 

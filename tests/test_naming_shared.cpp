@@ -25,6 +25,8 @@
 #include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
+#include "listing_reference.hpp"
+
 namespace stig {
 namespace {
 
@@ -246,13 +248,13 @@ SlicedCore core_sharing(const ChatNetwork& net, std::size_t i,
                         NamingMode mode,
                         std::shared_ptr<const proto::NamingTables> tables) {
   const std::vector<sim::RobotIndex> canon =
-      net.engine().initial_observation_order(0);
+      oracle::t0_listing(net.engine(), 0);
   std::vector<std::uint32_t> canonical_of(canon.size());
   for (std::size_t k = 0; k < canon.size(); ++k) {
     canonical_of[canon[k]] = static_cast<std::uint32_t>(k);
   }
   proto::SharedNaming view{std::move(tables), {}};
-  for (const sim::RobotIndex j : net.engine().initial_observation_order(i)) {
+  for (const sim::RobotIndex j : oracle::t0_listing(net.engine(), i)) {
     view.to_canonical.push_back(canonical_of[j]);
   }
   return SlicedCore(net.engine().make_snapshot(i), mode, net.robot_count(),

@@ -11,12 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "analyze/span.hpp"
 #include "core/chat_network.hpp"
 #include "encode/bits.hpp"
 #include "obs/jsonl_parse.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/sink.hpp"
-#include "obs/span.hpp"
 
 namespace stig {
 namespace {

@@ -11,12 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "analyze/flight_recorder.hpp"
+#include "analyze/watchdog.hpp"
 #include "core/chat_network.hpp"
 #include "encode/bits.hpp"
 #include "encode/framing.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/sink.hpp"
-#include "obs/watchdog.hpp"
 
 namespace stig {
 namespace {

@@ -8,9 +8,9 @@
 // for field, `self` included; and its change hint must name every slot
 // whose entry differs from the observer's previous snapshot.
 //
-// `sim::initial_observation_order`, which core::ChatNetwork builds its
-// tables from, must list every t0 snapshot in the engine's order,
-// quantized and limited-visibility views included.
+// The from-scratch t0 listing (listing_reference.hpp), the rule
+// core::ChatNetwork's tables follow, must list every t0 snapshot in the
+// engine's order, quantized and limited-visibility views included.
 //
 // SlicedCore: `observe` matches an unchanged entry by its bits and tries a
 // mover against its own slot before a scan of the centers, skips the
@@ -46,6 +46,8 @@
 #include "sim/engine.hpp"
 #include "sim/placement.hpp"
 #include "sim/rng.hpp"
+
+#include "listing_reference.hpp"
 
 namespace stig {
 namespace {
@@ -323,7 +325,7 @@ Tally run_swarm(const Swarm& s, sim::Time instants,
     // its tables from): the robots it sees, in this order, are the t0
     // snapshot.
     const std::vector<RobotIndex> order =
-        sim::initial_observation_order(specs, i, s.options);
+        oracle::t0_listing(specs, i, s.options);
     std::vector<bool> seen(s.n, false);
     for (const RobotIndex j : listed) seen[j] = true;
     std::vector<RobotIndex> visible;
@@ -738,8 +740,10 @@ TEST(ObservationDiff, ChatNetworkSlotsFollowTheEngineT0Listings) {
       }
       core::ChatNetwork net(sim::jittered_grid(rng, n), opt);
       for (RobotIndex i = 0; i < n; ++i) {
-        const std::vector<RobotIndex> order =
-            net.engine().initial_observation_order(i);
+        const std::vector<RobotIndex> order = oracle::t0_listing(
+            net.engine(), i,
+            {.observation_quantum = opt.observation_quantum,
+             .visibility_radius = opt.visibility_radius});
         const std::span<const std::uint32_t> slots = net.slots(i);
         for (std::size_t k = 0; k < n; ++k) {
           EXPECT_EQ(slots[net.chat_robot(i).slot_of_t0_index(k)], order[k])

@@ -9,7 +9,8 @@
 // copies (slot tokens), one views whose tokens a fixed permutation
 // scrambles — and each must match the reference in memo positions,
 // signals and changed granulars after every observe, through listing
-// shifts, limited visibility, teleports and jitter shoves.
+// shifts, limited visibility, teleports, jitter shoves and robots put
+// into a neighbour's cell.
 //
 // Also pinned: a fault-free hinted chat never searches, `min_radius` is
 // the minimum radius bit for bit, and a chat's run keeps no per-robot
@@ -243,8 +244,7 @@ class Tap {
   std::string first_;
 };
 
-/// The t0 swarm in global coordinates, to place faults: no fault here puts
-/// two robots nearest one t0 center (SlicedCore asserts against that).
+/// The t0 swarm in global coordinates, to place faults.
 struct Cells {
   std::vector<Vec2> home;
   std::vector<double> gap;  ///< Distance to the nearest other robot.
@@ -262,12 +262,6 @@ struct Cells {
       }
       gap[i] = best;
     }
-  }
-
-  /// Inside robot i's Voronoi cell with a 2% margin: nearer its t0 point
-  /// than any other in every frame.
-  [[nodiscard]] bool own_cell(std::size_t i, const Vec2& p) const {
-    return geom::dist(p, home[i]) < 0.49 * gap[i];
   }
 };
 
@@ -311,25 +305,18 @@ class Mover final : public sim::Robot {
 };
 
 /// Shoves one random robot by 0.2 to 1.4 global units after every
-/// `period`-th instant's moves, within its own cell: inside its granular
-/// or out of it.
+/// `period`-th instant's moves: inside its granular, out of it, or into a
+/// neighbour's cell.
 class Shover final : public sim::StepInterceptor {
  public:
-  Shover(std::uint64_t seed, sim::Time period, const Cells& cells)
-      : rng_(seed), period_(period), cells_(cells) {}
+  Shover(std::uint64_t seed, sim::Time period)
+      : rng_(seed), period_(period) {}
   void on_activation(sim::Time, sim::ActivationSet&) override {}
   void on_positions(sim::Time t, std::span<Vec2> positions) override {
     if (t % period_ != period_ - 1) return;
     const auto j = static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(positions.size()) - 1));
-    for (int attempt = 0; attempt < 16; ++attempt) {
-      const Vec2 p = positions[j] +
-                     unit(rng_.uniform(0.0, 6.3)) * rng_.uniform(0.2, 1.4);
-      if (cells_.own_cell(j, p)) {
-        positions[j] = p;
-        return;
-      }
-    }
+    positions[j] += unit(rng_.uniform(0.0, 6.3)) * rng_.uniform(0.2, 1.4);
   }
   [[nodiscard]] bool crashed(sim::RobotIndex, sim::Time) const override {
     return false;
@@ -338,10 +325,9 @@ class Shover final : public sim::StepInterceptor {
  private:
   sim::Rng rng_;
   sim::Time period_;
-  const Cells& cells_;
 };
 
-enum class Fault { none, visibility, teleport, jitter };
+enum class Fault { none, visibility, teleport, jitter, crowd };
 
 const char* fault_name(Fault f) {
   switch (f) {
@@ -349,6 +335,7 @@ const char* fault_name(Fault f) {
     case Fault::visibility: return "visibility";
     case Fault::teleport: return "teleport";
     case Fault::jitter: return "jitter";
+    case Fault::crowd: return "crowd";
   }
   return "?";
 }
@@ -415,7 +402,8 @@ ChatOutcome run_chat(const ChatCase& c) {
       tap = taps.back().get();
     }
     programs.push_back(std::make_unique<Mover>(
-        c.seed * 1000 + i, tap, c.fault == Fault::teleport));
+        c.seed * 1000 + i, tap,
+        c.fault == Fault::teleport || c.fault == Fault::crowd));
   }
   std::unique_ptr<sim::Scheduler> scheduler;
   if (c.synchronous) {
@@ -425,7 +413,7 @@ ChatOutcome run_chat(const ChatCase& c) {
   }
   sim::Engine engine(specs, std::move(programs), std::move(scheduler),
                      options);
-  Shover shover(c.seed + 1, 3, cells);
+  Shover shover(c.seed + 1, 3);
   if (c.fault == Fault::jitter) engine.set_step_interceptor(&shover);
   const sim::Time instants = c.synchronous ? 40 : 120;
   std::vector<std::size_t> displaced;
@@ -450,7 +438,19 @@ ChatOutcome run_chat(const ChatCase& c) {
         displaced.push_back(b);
       }
     }
-    if (c.fault == Fault::teleport && t % 8 == 5) {
+    if (c.fault == Fault::crowd && t % 8 == 1) {
+      // A robot a quarter of the way from its nearest neighbour toward
+      // its own t0 point: inside the neighbour's cell, so two entries are
+      // nearest one t0 center until it is put back.
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(c.n) - 1));
+      const std::size_t b = cells.neighbour[j];
+      engine.teleport(
+          j, cells.home[b] + (cells.home[j] - cells.home[b]) * 0.25);
+      displaced = {j};
+    }
+    if ((c.fault == Fault::teleport || c.fault == Fault::crowd) &&
+        t % 8 == 5) {
       for (const std::size_t i : displaced) engine.teleport(i, cells.home[i]);
       displaced.clear();
     }
@@ -501,6 +501,19 @@ TEST(Association, EveryCoreMatchesTheBruteForceReference) {
   EXPECT_GT(observes, 1000u);
   EXPECT_GT(hinted, observes / 2) << "the hinted pass hardly ran";
   EXPECT_GT(faulted_searches, 0u) << "no fault ever needed a search";
+}
+
+TEST(Association, ARobotInANeighboursCellMatchesTheReference) {
+  // Put into its nearest neighbour's cell, a robot is the second entry
+  // nearest one t0 center: whichever comes later in the listing fills
+  // that granular, in every core as in the reference.
+  for (const NamingMode naming : {NamingMode::relative, NamingMode::by_ids}) {
+    for (const bool synchronous : {true, false}) {
+      for (const std::size_t n : {17u, 64u}) {
+        (void)run_chat({n, naming, synchronous, Fault::crowd, 9100 + n});
+      }
+    }
+  }
 }
 
 const SlicedCore& core_of(const core::ChatNetwork& net, std::size_t i) {

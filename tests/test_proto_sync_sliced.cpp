@@ -19,6 +19,8 @@
 #include "sim/placement.hpp"
 #include "sim/rng.hpp"
 
+#include "listing_reference.hpp"
+
 namespace stig {
 namespace {
 
@@ -361,8 +363,7 @@ std::vector<std::string> corrupted_chat(std::size_t n, std::uint64_t seed,
   };
   if (seed == 0) {
     // Robot 0 is out at odd epochs; robot 1 last saw it at the center.
-    const std::vector<sim::RobotIndex> seen =
-        engine.initial_observation_order(1);
+    const std::vector<sim::RobotIndex> seen = oracle::t0_listing(engine, 1);
     const auto slot_of = [&](sim::RobotIndex r) {
       return static_cast<std::uint64_t>(
           std::find(seen.begin(), seen.end(), r) - seen.begin());

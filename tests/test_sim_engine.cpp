@@ -14,6 +14,8 @@
 #include "sim/engine.hpp"
 #include "sim/observation.hpp"
 
+#include "listing_reference.hpp"
+
 namespace stig::sim {
 namespace {
 
@@ -169,7 +171,7 @@ TEST(Engine, InitialObservationOrderMatchesSnapshot) {
   Engine e(specs, walkers({Vec2{0, 0}, Vec2{0, 0}, Vec2{0, 0}}),
            std::make_unique<SynchronousScheduler>());
   for (RobotIndex i = 0; i < 3; ++i) {
-    const auto order = e.initial_observation_order(i);
+    const auto order = oracle::t0_listing(specs, i);
     const Snapshot s = e.make_snapshot(i);  // Still at t0 positions.
     for (std::size_t k = 0; k < order.size(); ++k) {
       EXPECT_TRUE(nearly_equal(

@@ -5,7 +5,8 @@
 // finite, and by the legacy sort itself on small views, exact ties,
 // non-finite coordinates and views too skewed for its budget — each path
 // asserted here. The engine's t0 listings, which go through it, must
-// equal `sim::initial_observation_order`, which keeps std::sort.
+// equal the from-scratch reference (listing_reference.hpp), which keeps
+// std::sort.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,6 +25,8 @@
 #include "sim/listing.hpp"
 #include "sim/placement.hpp"
 #include "sim/rng.hpp"
+
+#include "listing_reference.hpp"
 
 namespace stig::sim {
 namespace {
@@ -167,7 +170,7 @@ TEST(SortListing, EngineT0ListingsMatchInitialObservationOrder) {
                           options);
       for (RobotIndex i = 0; i < n; ++i) {
         const std::vector<RobotIndex> order =
-            initial_observation_order(specs, i, options);
+            oracle::t0_listing(specs, i, options);
         const std::span<const std::uint32_t> listing = engine.listing(i);
         ASSERT_EQ(listing.size(), order.size());
         for (std::size_t k = 0; k < n; ++k) {

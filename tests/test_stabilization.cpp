@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "analyze/watchdog.hpp"
 #include "core/chat_network.hpp"
 #include "fault/fault_plan.hpp"
 #include "fuzz/fuzz_config.hpp"
@@ -22,14 +23,13 @@
 #include "fuzz/repro.hpp"
 #include "fuzz/shrink.hpp"
 #include "obs/event.hpp"
-#include "obs/watchdog.hpp"
 
 namespace stig {
 namespace {
 
 using fault::CorruptFault;
-using fault::CorruptTarget;
 using fault::FaultPlan;
+using proto::CorruptKind;
 
 fuzz::FuzzConfig corrupted_config(core::ProtocolKind protocol, std::size_t n,
                                   const CorruptFault& corrupt,
@@ -59,12 +59,12 @@ TEST(Stabilization, EveryProtocolEveryTargetReconverges) {
       {core::ProtocolKind::asyncn, 3},
   };
   for (const Cell& cell : cells) {
-    for (std::size_t target = 0; target < fault::kCorruptTargetCount;
+    for (std::size_t target = 0; target < proto::kCorruptKinds.size();
          ++target) {
       CorruptFault c;
       c.robot = static_cast<sim::RobotIndex>(target % cell.n);
       c.at = 3 + static_cast<sim::Time>(2 * target);
-      c.target = static_cast<CorruptTarget>(target);
+      c.target = proto::kCorruptKinds[target];
       const fuzz::FuzzConfig cfg = corrupted_config(
           cell.kind, cell.n, c, 100 + target);
       const fuzz::CaseResult r = fuzz::run_case(cfg);
@@ -83,7 +83,7 @@ TEST(Stabilization, CorruptionAtAnyInstantIsSurvived) {
     CorruptFault c;
     c.robot = static_cast<sim::RobotIndex>(at % 2);
     c.at = at;
-    c.target = static_cast<CorruptTarget>(at % fault::kCorruptTargetCount);
+    c.target = proto::kCorruptKinds[at % proto::kCorruptKinds.size()];
     const fuzz::FuzzConfig cfg =
         corrupted_config(core::ProtocolKind::sync2, 2, c, 500 + at);
     const fuzz::CaseResult r = fuzz::run_case(cfg);
@@ -95,7 +95,7 @@ TEST(Stabilization, CorruptionAtAnyInstantIsSurvived) {
 // Corrupted cases replay bit-for-bit: same config, same schedule digest —
 // the contract `stigsim --replay` relies on.
 TEST(Stabilization, CorruptedCaseReplaysBitForBit) {
-  CorruptFault c{1, 5, CorruptTarget::cursor};
+  CorruptFault c{1, 5, CorruptKind::cursor};
   const fuzz::FuzzConfig cfg =
       corrupted_config(core::ProtocolKind::sliced, 4, c, 77);
   const fuzz::CaseResult a = fuzz::run_case(cfg);
@@ -251,8 +251,8 @@ TEST(WatchdogReconverged, NonCorruptFaultLabelsDoNotArm) {
 
 TEST(FaultPlanCorrupt, FormatParseRoundTrip) {
   FaultPlan plan;
-  plan.corrupts = {{0, 9, CorruptTarget::phase},
-                   {2, 40, CorruptTarget::naming}};
+  plan.corrupts = {{0, 9, CorruptKind::phase},
+                   {2, 40, CorruptKind::naming}};
   fault::normalize(plan);
   const std::string text = fault::format_fault_plan(plan);
   EXPECT_NE(text.find("corrupt:0@9:phase"), std::string::npos);
@@ -266,8 +266,8 @@ TEST(FaultPlanCorrupt, MixedPlanRoundTripsThroughNormalize) {
   FaultPlan plan;
   plan.crashes = {{1, 120}};
   plan.bursts = {{1, 10, 4}};
-  plan.corrupts = {{3, 7, CorruptTarget::parser},
-                   {0, 3, CorruptTarget::cursor}};
+  plan.corrupts = {{3, 7, CorruptKind::parser},
+                   {0, 3, CorruptKind::cursor}};
   fault::normalize(plan);
   const auto back = fault::parse_fault_plan(fault::format_fault_plan(plan));
   ASSERT_TRUE(back.has_value());
@@ -337,7 +337,7 @@ TEST(StabilizationRepro, LegacyReproWithoutCorruptSpecsLoadsAndReplays) {
 TEST(StabilizationRepro, CorruptedReproRoundTripsTheCorruptSpec) {
   fuzz::Repro repro;
   repro.config = corrupted_config(core::ProtocolKind::async2, 2,
-                                  {1, 9, CorruptTarget::parser}, 11);
+                                  {1, 9, CorruptKind::parser}, 11);
   repro.kind = fuzz::FailureKind::stabilization_mismatch;
   repro.detail = "probe transcript diverged";
   std::ostringstream out;
@@ -361,7 +361,7 @@ TEST(StabilizationRepro, CorruptedReproRoundTripsTheCorruptSpec) {
 // config (and the corrupt-at halving keeps shrunk corruptions early).
 TEST(StabilizationRepro, ShrinkDropsIrrelevantCorruption) {
   fuzz::FuzzConfig cfg = corrupted_config(core::ProtocolKind::sync2, 2,
-                                          {0, 4, CorruptTarget::cursor}, 21);
+                                          {0, 4, CorruptKind::cursor}, 21);
   // Sabotage the budget so the case times out regardless of corruption.
   cfg.max_instants = 2;
   const fuzz::CaseResult original = fuzz::run_case(cfg);

@@ -53,9 +53,9 @@
 #include <string>
 #include <vector>
 
+#include "analyze/span.hpp"
 #include "obs/jsonl_parse.hpp"
 #include "obs/metric_keys.hpp"
-#include "obs/span.hpp"
 
 namespace {
 

@@ -26,11 +26,13 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 
+#include "analyze/flight_recorder.hpp"
+#include "analyze/span.hpp"
+#include "analyze/watchdog.hpp"
 #include "core/chat_network.hpp"
 #include "core/exit_codes.hpp"
 #include "encode/bits.hpp"
@@ -38,13 +40,10 @@
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/repro.hpp"
 #include "obs/chrome_trace.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_sink.hpp"
 #include "obs/sink.hpp"
-#include "obs/span.hpp"
-#include "obs/watchdog.hpp"
 #include "viz/figures.hpp"
 
 namespace {
@@ -318,20 +317,9 @@ int main(int argc, char** argv) {
     return kExitRuntime;
   }
 
-  static const std::map<std::string, core::ProtocolKind> kProtocols{
-      {"auto", core::ProtocolKind::automatic},
-      {"sync2", core::ProtocolKind::sync2},
-      {"sliced", core::ProtocolKind::sliced},
-      {"ksegment", core::ProtocolKind::ksegment},
-      {"async2", core::ProtocolKind::async2},
-      {"asyncn", core::ProtocolKind::asyncn}};
-  static const std::map<std::string, core::SchedulerKind> kSchedulers{
-      {"bernoulli", core::SchedulerKind::bernoulli},
-      {"centralized", core::SchedulerKind::centralized},
-      {"ksubset", core::SchedulerKind::ksubset},
-      {"adversarial", core::SchedulerKind::adversarial}};
-  if (!kProtocols.contains(args.protocol) ||
-      !kSchedulers.contains(args.scheduler)) {
+  const auto protocol = core::protocol_kind_from_name(args.protocol);
+  const auto scheduler = core::scheduler_kind_from_name(args.scheduler);
+  if (!protocol || !scheduler) {
     std::cerr << "unknown protocol or scheduler (see --help)\n";
     return kExitUsage;
   }
@@ -388,8 +376,8 @@ int main(int argc, char** argv) {
   opt.caps.visible_ids = args.ids;
   opt.caps.sense_of_direction = args.sod || args.ids;
   opt.mirrored_frames = args.mirrored;
-  opt.protocol = kProtocols.at(args.protocol);
-  opt.scheduler = kSchedulers.at(args.scheduler);
+  opt.protocol = *protocol;
+  opt.scheduler = *scheduler;
   opt.activation_probability = args.p;
   opt.sigma = args.sigma;
   opt.seed = args.seed;
@@ -406,13 +394,7 @@ int main(int argc, char** argv) {
       obs::WatchdogOptions wopt;
       wopt.min_separation = args.min_separation;
       wopt.abort_on_violation = args.watchdog == "abort";
-      // Granular containment is an invariant of the granular protocols
-      // only: Sync2/Async2 signal on the segment joining the two robots
-      // (the unbounded Async2 drifts apart by design — experiment E8).
-      const core::ProtocolKind kind = net.protocol_kind();
-      wopt.check_granular = kind == core::ProtocolKind::sliced ||
-                            kind == core::ProtocolKind::ksegment ||
-                            kind == core::ProtocolKind::asyncn;
+      wopt.check_granular = core::is_granular(net.protocol_kind());
       watchdog = std::make_unique<obs::Watchdog>(wopt, pts);
       if (recorder != nullptr) {
         watchdog->set_flight_recorder(recorder.get(), args.flight_dump);
@@ -437,7 +419,7 @@ int main(int argc, char** argv) {
     using Clock = std::chrono::steady_clock;
     const Clock::time_point wall_start = Clock::now();
     const bool done = net.run_until_quiescent(args.max_instants);
-    net.run(args.async_mode ? 512 : 4);
+    net.run(fuzz::settle_instants(net.protocol_kind()));
     const double wall_seconds =
         std::chrono::duration<double>(Clock::now() - wall_start).count();
     sinks.flush();
