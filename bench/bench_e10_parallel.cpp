@@ -8,7 +8,9 @@
 // the honest number — the correctness claim (identical digests) is the
 // part that must hold everywhere.
 #include <chrono>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
 #include <vector>
 
@@ -76,7 +78,11 @@ int main() {
   }
   report.value("batch_identical_across_jobs",
                std::uint64_t{all_identical ? 1u : 0u});
-  report.value("batch_checksum", base_checksum);
+  // As a hex string, so the gate compares it exactly: a double holds no
+  // 64-bit value, and 5% of one would pass nearly any other checksum.
+  char hex[19];
+  std::snprintf(hex, sizeof(hex), "0x%" PRIx64, base_checksum);
+  report.value("batch_checksum", std::string(hex));
   report.value("batch_jobs1_wall_seconds", base_wall);
   std::cout << "\nexpected shape: \"checksum ok\" on every row — the batch "
                "is bit-identical at any width. Speedup approaches the "

@@ -1,61 +1,74 @@
 #include "encode/framing.hpp"
 
+#include <algorithm>
+
 #include "encode/crc.hpp"
 #include "encode/varint.hpp"
 
 namespace stig::encode {
-namespace {
 
-/// Upper bound on accepted payload sizes; anything larger on the wire is
-/// treated as corruption rather than waited for indefinitely.
-constexpr std::uint64_t kMaxPayload = 1 << 20;
-
-}  // namespace
-
-BitString encode_frame(std::span<const std::uint8_t> payload) {
+std::vector<std::uint8_t> frame_bytes(std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> wire;
   wire.reserve(payload.size() + 4);
   append_varint(wire, payload.size());
   wire.insert(wire.end(), payload.begin(), payload.end());
   wire.push_back(crc8(payload));
-  return to_bits(wire);
+  return wire;
 }
 
-void FrameParser::push_bit(std::uint8_t bit) {
-  ++bits_;
-  partial_ = static_cast<std::uint8_t>((partial_ << 1) | (bit & 1U));
-  if (++partial_count_ == 8) {
-    buffer_.push_back(partial_);
-    partial_ = 0;
-    partial_count_ = 0;
-    try_parse();
+BitString encode_frame(std::span<const std::uint8_t> payload) {
+  return to_bits(frame_bytes(payload));
+}
+
+void Deframer::set_coverage(obs::cov::CovMap* map) noexcept {
+  cov_.map = map;
+  if (map == nullptr) return;
+  static constexpr const char* kNames[kOutcomes] = {
+      "frame.accept",      "frame.corrupt_varint", "frame.corrupt_len",
+      "frame.corrupt_crc", "frame.recovered",      "frame.reset"};
+  for (std::size_t o = 0; o < kOutcomes; ++o) {
+    cov_.states[o] = map->state(kNames[o]);
   }
+  // The first outcome's edge starts from an explicit start state.
+  cov_.prev = map->state("frame.start");
 }
 
-void FrameParser::try_parse() {
+void Deframer::feed(std::span<const std::uint8_t> bytes) {
+  // `seen`: how many buffered bytes a parser fed one byte at a time would
+  // have read when the next decision falls due (the first new byte's
+  // arrival, or later). Every decision is taken as of that byte, which is
+  // what makes the cut of the stream into calls invisible.
+  std::size_t seen = buffer_.size() + 1;
+  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+  // A corrupt frame is known at byte `at`. Its length field may be what
+  // was damaged, so `total` may lie about its extent, and dropping that
+  // many bytes could eat the valid frame that follows: drop one byte and
+  // hunt instead.
+  const auto corrupt = [&](Outcome o, std::size_t at) {
+    ++corrupt_;
+    note(o);
+    buffer_.erase(buffer_.begin());
+    seen = std::max(seen, at) - 1;
+    resync_ = true;
+  };
   for (;;) {
     if (resync_) {
-      if (!try_resync()) return;  // Still hunting; wait for more bytes.
+      const std::size_t end = hunt(seen);
+      if (end == 0) return;  // Still hunting; wait for more bytes.
+      seen = std::max(seen, end) - end;
+      resync_ = false;
       continue;  // A frame was recovered; resume normal parsing.
     }
     if (buffer_.empty()) return;
     const auto header = decode_varint(buffer_);
     if (!header) {
-      if (buffer_.size() >= 10) {
-        // Overlong varint can never complete: the stream is corrupted.
-        ++corrupt_;
-        cov_note(cov_corrupt_varint_);
-        buffer_.erase(buffer_.begin());
-        resync_ = true;
-        continue;
-      }
-      return;  // Truncated varint: wait for more bits.
+      if (buffer_.size() < 10) return;  // Truncated varint: wait.
+      // An overlong varint can never complete: the stream is corrupted.
+      corrupt(corrupt_varint, 10);
+      continue;
     }
     if (header->value > kMaxPayload) {
-      ++corrupt_;
-      cov_note(cov_corrupt_len_);
-      buffer_.erase(buffer_.begin());
-      resync_ = true;
+      corrupt(corrupt_len, header->consumed);
       continue;
     }
     const std::size_t len = static_cast<std::size_t>(header->value);
@@ -63,91 +76,83 @@ void FrameParser::try_parse() {
     if (buffer_.size() < total) return;  // Wait for the full frame.
     const std::span<const std::uint8_t> payload(
         buffer_.data() + header->consumed, len);
-    const std::uint8_t expected = buffer_[header->consumed + len];
-    if (crc8(payload) == expected) {
-      messages_.emplace_back(payload.begin(), payload.end());
-      cov_note(cov_accept_);
-      buffer_.erase(buffer_.begin(),
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(total));
-    } else {
-      ++corrupt_;
-      cov_note(cov_corrupt_crc_);
-      // The mismatch may be the length field's fault: if the length byte
-      // itself was corrupted, `total` lies about the frame's extent, and
-      // dropping that many bytes could eat the valid frame that follows.
-      // Drop a single byte and switch to resynchronization instead.
-      buffer_.erase(buffer_.begin());
-      resync_ = true;
+    if (crc8(payload) != buffer_[header->consumed + len]) {
+      corrupt(corrupt_crc, total);
+      continue;
     }
+    frames_.emplace_back(payload.begin(), payload.end());
+    note(accept);
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(total));
+    seen = std::max(seen, total) - total;
   }
 }
 
-bool FrameParser::try_resync() {
+std::size_t Deframer::hunt(std::size_t seen) {
   // The corrupt prefix poisons the framing: a garbage byte read as a
   // length would make the normal parser wait (possibly forever) for a
-  // frame that is not there. Hunt instead: accept the first *complete*,
-  // CRC-valid frame starting at any offset, dropping whatever garbage
-  // precedes it. Incomplete candidates are not waited for — if one is
-  // genuine it completes on a later byte and the scan finds it then.
-  //
-  // Bytes deeper than the maximal frame extent can never begin a frame
-  // this scan would accept (complete candidates there were already
-  // rejected, longer declared lengths are over kMaxPayload), so trimming
-  // them bounds memory without losing recoverable frames.
-  constexpr std::size_t kWindow = kMaxPayload + 11;
-  if (buffer_.size() > kWindow) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.end() - static_cast<std::ptrdiff_t>(kWindow));
-  }
+  // frame that is not there. Hunt instead: accept a *complete*, CRC-valid
+  // frame at any offset, dropping whatever garbage precedes it. Read one
+  // byte at a time, the stream offers first the frames complete within
+  // its first `seen` bytes, the lowest offset winning; failing those, the
+  // frame that completes first. Incomplete candidates are not waited for.
+  std::size_t best_end = 0;  // 0: none yet.
+  std::size_t best_len = 0;
   for (std::size_t at = 0; at < buffer_.size(); ++at) {
+    if (best_end != 0 && at + 2 > best_end) break;  // None completes sooner.
     const std::span<const std::uint8_t> tail(buffer_.data() + at,
                                              buffer_.size() - at);
     const auto header = decode_varint(tail);
     if (!header || header->value > kMaxPayload) continue;
     const std::size_t len = static_cast<std::size_t>(header->value);
     const std::size_t total = header->consumed + len + 1;
-    if (tail.size() < total) continue;
-    const std::span<const std::uint8_t> payload(
-        tail.data() + header->consumed, len);
-    if (crc8(payload) != tail[header->consumed + len]) continue;
-    messages_.emplace_back(payload.begin(), payload.end());
-    cov_note(cov_recovered_);
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(at + total));
-    resync_ = false;
-    return true;
+    if (tail.size() < total || (best_end != 0 && at + total >= best_end) ||
+        crc8(tail.subspan(header->consumed, len)) !=
+            tail[header->consumed + len]) {
+      continue;
+    }
+    best_end = at + total;
+    best_len = len;
+    if (best_end <= seen) break;
   }
-  return false;
+  if (best_end == 0) {
+    // Nothing recoverable yet. A byte deeper than the longest frame (a
+    // 10-byte varint, kMaxPayload bytes and the CRC) can begin no frame
+    // the hunt would still accept, so trimming it bounds memory without
+    // losing one.
+    constexpr std::size_t kLongestFrame = kMaxPayload + 11;
+    if (buffer_.size() > kLongestFrame) {
+      buffer_.erase(buffer_.begin(),
+                    buffer_.end() - static_cast<std::ptrdiff_t>(kLongestFrame));
+    }
+    return 0;
+  }
+  // The payload sits just before the frame's CRC byte.
+  const auto crc = buffer_.begin() + static_cast<std::ptrdiff_t>(best_end - 1);
+  frames_.emplace_back(crc - static_cast<std::ptrdiff_t>(best_len), crc);
+  note(recovered);
+  buffer_.erase(buffer_.begin(), crc + 1);
+  return best_end;
 }
 
-void FrameParser::reset() {
-  if (mid_frame()) {
+void Deframer::reset(bool partial) {
+  if (partial) {
     ++corrupt_;
-    cov_note(cov_reset_);
+    note(reset_partial);
   }
   buffer_.clear();
-  partial_ = 0;
-  partial_count_ = 0;
   resync_ = false;
 }
 
-void FrameParser::set_coverage(obs::cov::CovMap* map) noexcept {
-  cov_ = map;
-  if (cov_ == nullptr) return;
-  cov_accept_ = cov_->state("frame.accept");
-  cov_corrupt_varint_ = cov_->state("frame.corrupt_varint");
-  cov_corrupt_len_ = cov_->state("frame.corrupt_len");
-  cov_corrupt_crc_ = cov_->state("frame.corrupt_crc");
-  cov_recovered_ = cov_->state("frame.recovered");
-  cov_reset_ = cov_->state("frame.reset");
-  // The first outcome's edge starts from an explicit start state.
-  cov_prev_ = cov_->state("frame.start");
-}
-
-std::vector<std::vector<std::uint8_t>> FrameParser::take_messages() {
-  std::vector<std::vector<std::uint8_t>> out;
-  out.swap(messages_);
-  return out;
+void FrameParser::push_bit(std::uint8_t bit) {
+  ++bits_;
+  partial_ = static_cast<std::uint8_t>((partial_ << 1) | (bit & 1U));
+  if (++partial_count_ == 8) {
+    const std::uint8_t byte = partial_;
+    partial_ = 0;
+    partial_count_ = 0;
+    deframer_.feed(std::span<const std::uint8_t>(&byte, 1));
+  }
 }
 
 }  // namespace stig::encode

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "par/seed.hpp"
 #include "sim/placement.hpp"
 #include "sim/rng.hpp"
@@ -218,12 +219,9 @@ std::string canonical(const FuzzConfig& cfg) {
       << ";protocol=" << core::protocol_kind_name(cfg.protocol)
       << ";scheduler=" << core::scheduler_kind_name(cfg.scheduler)
       << ";p=" << cfg.p << ";subset=" << cfg.subset_size
-      << ";bound=" << cfg.fairness_bound << ";n=" << cfg.n << ";payload=";
-  static const char* hex = "0123456789abcdef";
-  for (std::uint8_t b : cfg.payload) {
-    out << hex[b >> 4] << hex[b & 0xf];
-  }
-  out << ";broadcast=" << (cfg.broadcast ? 1 : 0)
+      << ";bound=" << cfg.fairness_bound << ";n=" << cfg.n
+      << ";payload=" << obs::hex_bytes(cfg.payload)
+      << ";broadcast=" << (cfg.broadcast ? 1 : 0)
       << ";max_instants=" << instant_budget(cfg);
   if (cfg.fault) {
     out << ";fault=" << cfg.fault->robot << ":" << cfg.fault->nth_bit;

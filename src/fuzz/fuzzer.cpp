@@ -17,6 +17,29 @@ namespace {
 using DeliverySig =
     std::tuple<std::size_t, std::size_t, std::vector<std::uint8_t>>;
 
+/// Sends `payload` from robot 0 as the case does: to everyone, or to
+/// robot 1.
+template <typename Net>
+void send_case(Net& net, const FuzzConfig& cfg,
+               const std::vector<std::uint8_t>& payload) {
+  if (cfg.broadcast) {
+    net.broadcast(0, payload);
+  } else {
+    net.send(0, 1, payload);
+  }
+}
+
+/// The sorted signatures of every delivery `of(i)` lists, i < n.
+template <typename Of>
+std::vector<DeliverySig> signatures(std::size_t n, const Of& of) {
+  std::vector<DeliverySig> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto& d : of(i)) out.emplace_back(i, d.from, d.payload);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 struct RunOutcome {
   bool constructed = false;  ///< Reached the end without throwing.
   bool watchdog = false;     ///< WatchdogError unwound the run.
@@ -46,23 +69,15 @@ RunOutcome run_one(const FuzzConfig& cfg, core::ProtocolKind kind,
     if (apply_fault && cfg.fault) {
       net.inject_decode_fault(cfg.fault->robot % cfg.n, cfg.fault->nth_bit);
     }
-    if (cfg.broadcast) {
-      net.broadcast(0, cfg.payload);
-    } else {
-      net.send(0, 1, cfg.payload);
-    }
+    send_case(net, cfg, cfg.payload);
     out.quiescent = net.run_until_quiescent(instant_budget(cfg));
     // Settle: quiescence means the sender finished. A timed-out run skips
     // the tail — it is already a failure, and running on would let a
     // shrunk budget "pass" on work done past the budget.
     if (out.quiescent) net.run(settle_instants(kind));
     out.instants = net.engine().now();
-    for (std::size_t i = 0; i < cfg.n; ++i) {
-      for (const core::Delivery& d : net.received(i)) {
-        out.deliveries.emplace_back(i, d.from, d.payload);
-      }
-    }
-    std::sort(out.deliveries.begin(), out.deliveries.end());
+    out.deliveries = signatures(
+        cfg.n, [&](std::size_t i) -> auto& { return net.received(i); });
     out.constructed = true;
   } catch (const obs::WatchdogError& e) {
     out.watchdog = true;
@@ -173,11 +188,7 @@ CaseResult run_case_masked(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
       net.attach_lane_sink(l, lane_dogs.back().get());
     }
     net.set_event_sink(&mask_dog);
-    if (cfg.broadcast) {
-      net.broadcast(0, cfg.payload);
-    } else {
-      net.send(0, 1, cfg.payload);
-    }
+    send_case(net, cfg, cfg.payload);
     const auto res = net.run_until_settled(budget, stall_window,
                                            settle_instants(cfg.protocol));
 
@@ -215,13 +226,8 @@ CaseResult run_case_masked(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
       result.detail = out.str();
       return result;
     }
-    std::vector<DeliverySig> got;
-    for (std::size_t i = 0; i < cfg.n; ++i) {
-      for (const fault::VotedDelivery& v : net.voted(i)) {
-        got.emplace_back(i, v.from, v.payload);
-      }
-    }
-    std::sort(got.begin(), got.end());
+    const std::vector<DeliverySig> got = signatures(
+        cfg.n, [&](std::size_t i) -> auto& { return net.voted(i); });
     const std::vector<DeliverySig> want = expected_deliveries(cfg);
     if (got != want) {
       result.kind = FailureKind::payload_mismatch;
@@ -292,37 +298,20 @@ CaseResult run_case_corrupted(const FuzzConfig& cfg, obs::cov::CovMap* cov) {
       net.attach_event_sink(&dog);
       net.attach_coverage(cmap);
       if (corrupt) fault::arm_corruptions(net, cfg.fault_plan);
-      if (cfg.broadcast) {
-        net.broadcast(0, cfg.payload);
-      } else {
-        net.send(0, 1, cfg.payload);
-      }
+      const auto received = [&](std::size_t i) -> auto& {
+        return net.received(i);
+      };
+      send_case(net, cfg, cfg.payload);
       out.quiescent_a = net.run_until_quiescent(budget);
       if (out.quiescent_a) {
         net.run(settle);
-        for (std::size_t i = 0; i < cfg.n; ++i) {
-          for (const core::Delivery& d : net.received(i)) {
-            out.phase_a.emplace_back(i, d.from, d.payload);
-          }
-        }
-        if (cfg.broadcast) {
-          net.broadcast(0, probe);
-        } else {
-          net.send(0, 1, probe);
-        }
+        out.phase_a = signatures(cfg.n, received);
+        send_case(net, cfg, probe);
         out.quiescent_b = net.run_until_quiescent(budget);
         if (out.quiescent_b) net.run(settle);
-        std::vector<DeliverySig> all;
-        for (std::size_t i = 0; i < cfg.n; ++i) {
-          for (const core::Delivery& d : net.received(i)) {
-            all.emplace_back(i, d.from, d.payload);
-          }
-        }
         // received() accumulates in arrival order per robot, so phase B is
-        // the per-robot suffix: everything not already counted in phase A.
-        std::sort(out.phase_a.begin(), out.phase_a.end());
-        std::sort(all.begin(), all.end());
-        out.phase_b = all;
+        // everything not already counted in phase A.
+        out.phase_b = signatures(cfg.n, received);
         for (const DeliverySig& sig : out.phase_a) {
           const auto it = std::find(out.phase_b.begin(), out.phase_b.end(),
                                     sig);

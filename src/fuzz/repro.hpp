@@ -5,9 +5,8 @@
 // between stigfuzz (which writes `repro_<hash>.json` and `repro_last.json`
 // on every shrunk failure) and `stigsim --replay` (which re-executes the
 // config and verifies kind *and* schedule digest match — the bit-for-bit
-// reproduction check). The format is intentionally flat so the hand-rolled
-// parser below stays trivial; keys are stable and documented in
-// docs/FUZZING.md.
+// reproduction check). It is read back through obs::json_object; keys are
+// stable and documented in docs/FUZZING.md.
 #pragma once
 
 #include <optional>

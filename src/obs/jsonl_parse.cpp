@@ -1,44 +1,11 @@
 #include "obs/jsonl_parse.hpp"
 
 #include <charconv>
-#include <cstdlib>
+
+#include "obs/json.hpp"
 
 namespace stig::obs {
 namespace {
-
-/// Finds `"key":` in `line` and returns the index just past the colon, or
-/// npos. Keys never appear inside values in this schema (values are
-/// numbers, bare words, or labels that contain no '"key":' patterns).
-std::size_t value_pos(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  return pos == std::string_view::npos ? pos : pos + needle.size();
-}
-
-std::optional<double> number_at(std::string_view line, std::string_view key) {
-  const std::size_t pos = value_pos(line, key);
-  if (pos == std::string_view::npos) return std::nullopt;
-  double out = 0.0;
-  const char* begin = line.data() + pos;
-  const char* end = line.data() + line.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec != std::errc{} || ptr == begin) return std::nullopt;
-  return out;
-}
-
-std::optional<std::string_view> string_at(std::string_view line,
-                                          std::string_view key) {
-  std::size_t pos = value_pos(line, key);
-  if (pos == std::string_view::npos || pos >= line.size() ||
-      line[pos] != '"') {
-    return std::nullopt;
-  }
-  ++pos;
-  const std::size_t close = line.find('"', pos);
-  if (close == std::string_view::npos) return std::nullopt;
-  // Labels in this schema are identifiers; escapes never appear.
-  return line.substr(pos, close - pos);
-}
 
 std::optional<EventType> type_of(std::string_view name) {
   for (unsigned i = 0; i < kEventTypeCount; ++i) {
@@ -55,29 +22,31 @@ const char* EventLog::intern(std::string_view s) {
 }
 
 std::optional<Event> EventLog::parse_line(std::string_view line) {
-  const auto type_name = string_at(line, "type");
-  if (!type_name) return std::nullopt;
-  const auto type = type_of(*type_name);
+  const auto members = json_object(line);
+  if (!members) return std::nullopt;
+  const auto type_raw = json_member(*members, "type");
+  const auto type_name = type_raw ? json_unquote(*type_raw) : std::nullopt;
+  const auto type = type_name ? type_of(*type_name) : std::nullopt;
   if (!type) return std::nullopt;
   Event e;
   e.type = *type;
-  const auto u64 = [&](std::string_view key, auto& out) {
-    if (const auto v = number_at(line, key)) {
-      out = static_cast<std::remove_reference_t<decltype(out)>>(*v);
+  for (const auto& [key, raw] : *members) {
+    if (key == "label") {
+      if (const auto label = json_unquote(raw)) e.label = intern(*label);
+      continue;
     }
-  };
-  u64("t", e.t);
-  u64("robot", e.robot);
-  u64("peer", e.peer);
-  u64("aux", e.aux);
-  if (const auto v = number_at(line, "x")) e.x = *v;
-  if (const auto v = number_at(line, "y")) e.y = *v;
-  if (const auto v = number_at(line, "value")) e.value = *v;
-  if (const auto v = number_at(line, "bit")) {
-    e.bit = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto label = string_at(line, "label")) {
-    e.label = intern(*label);
+    // A non-finite value was written as null and keeps its default.
+    double v = 0.0;
+    const char* end = raw.data() + raw.size();
+    if (std::from_chars(raw.data(), end, v).ptr != end) continue;
+    if (key == "t") e.t = static_cast<std::uint64_t>(v);
+    if (key == "robot") e.robot = static_cast<std::int64_t>(v);
+    if (key == "peer") e.peer = static_cast<std::int64_t>(v);
+    if (key == "aux") e.aux = static_cast<std::int64_t>(v);
+    if (key == "x") e.x = v;
+    if (key == "y") e.y = v;
+    if (key == "value") e.value = v;
+    if (key == "bit") e.bit = static_cast<std::uint32_t>(v);
   }
   return e;
 }

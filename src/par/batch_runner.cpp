@@ -11,10 +11,9 @@ BatchRunner::BatchRunner(BatchOptions options)
   if (jobs == 0) {
     jobs = std::max<unsigned>(std::thread::hardware_concurrency(), 1);
   }
-  deques_.resize(jobs);
   workers_.reserve(jobs);
   for (std::size_t i = 0; i < jobs; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -22,7 +21,7 @@ BatchRunner::~BatchRunner() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     // Drain (a destructor must not abandon queued work), then stop.
-    idle_cv_.wait(lock, [this] { return queued_ == 0 && active_ == 0; });
+    idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
     stop_ = true;
   }
   work_cv_.notify_all();
@@ -31,18 +30,16 @@ BatchRunner::~BatchRunner() {
 
 void BatchRunner::submit(Task task) {
   std::unique_lock<std::mutex> lock(mutex_);
-  space_cv_.wait(lock, [this] { return queued_ < queue_bound_; });
-  deques_[next_worker_].push_back(std::move(task));
-  next_worker_ = (next_worker_ + 1) % deques_.size();
-  ++queued_;
-  stats_.peak_queued = std::max(stats_.peak_queued, queued_);
+  space_cv_.wait(lock, [this] { return queue_.size() < queue_bound_; });
+  queue_.push_back(std::move(task));
+  stats_.peak_queued = std::max(stats_.peak_queued, queue_.size());
   lock.unlock();
   work_cv_.notify_one();
 }
 
 void BatchRunner::wait() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queued_ == 0 && active_ == 0; });
+  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
   if (first_error_) {
     std::exception_ptr e = std::exchange(first_error_, nullptr);
     lock.unlock();
@@ -55,54 +52,27 @@ BatchStats BatchRunner::stats() const {
   return stats_;
 }
 
-bool BatchRunner::pop_task(std::size_t self, Task& task) {
-  if (!deques_[self].empty()) {
-    task = std::move(deques_[self].front());
-    deques_[self].pop_front();
-    return true;
-  }
-  // Steal from the back of the fullest peer: the owner works the front of
-  // its deque, thieves take the opposite end (least disturbance, and the
-  // fullest peer heuristic balances a skewed round-robin deal).
-  std::size_t victim = deques_.size();
-  std::size_t victim_depth = 0;
-  for (std::size_t i = 0; i < deques_.size(); ++i) {
-    if (i != self && deques_[i].size() > victim_depth) {
-      victim = i;
-      victim_depth = deques_[i].size();
-    }
-  }
-  if (victim == deques_.size()) return false;
-  task = std::move(deques_[victim].back());
-  deques_[victim].pop_back();
-  ++stats_.stolen;
-  return true;
-}
-
-void BatchRunner::worker_loop(std::size_t self) {
+void BatchRunner::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    Task task;
-    if (pop_task(self, task)) {
-      --queued_;
-      ++active_;
-      lock.unlock();
-      space_cv_.notify_one();
-      try {
-        task();
-      } catch (...) {
-        std::lock_guard<std::mutex> error_lock(mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      task = nullptr;  // Destroy captures outside the relock below.
-      lock.lock();
-      --active_;
-      ++stats_.executed;
-      if (queued_ == 0 && active_ == 0) idle_cv_.notify_all();
-      continue;
+    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // Stopped with nothing left to run.
+    Task task = std::move(queue_.front());
+    queue_.pop_front();
+    ++active_;
+    lock.unlock();
+    space_cv_.notify_one();
+    try {
+      task();
+    } catch (...) {
+      std::lock_guard<std::mutex> error_lock(mutex_);
+      if (!first_error_) first_error_ = std::current_exception();
     }
-    if (stop_) return;
-    work_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
+    task = nullptr;  // Destroy captures outside the relock below.
+    lock.lock();
+    --active_;
+    ++stats_.executed;
+    if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
   }
 }
 

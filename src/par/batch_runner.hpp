@@ -1,4 +1,4 @@
-// BatchRunner — a work-stealing thread pool for independent simulation runs.
+// BatchRunner — a thread pool for independent simulation runs.
 //
 // SSM executions are embarrassingly parallel across *runs*: a fuzz case, a
 // bench row or a soak round touches no state outside its own ChatNetwork,
@@ -6,11 +6,9 @@
 // threads and put the results back in submission order. The pool is built
 // for that grain:
 //
-//   * each worker owns a deque; `submit` deals tasks round-robin, the owner
-//     pops from the front, idle workers steal from the back of the busiest
-//     peer — classic work stealing, sized for tasks that each run for
-//     >= hundreds of microseconds;
-//   * the injection queue is bounded: `submit` blocks while `queue_bound`
+//   * one FIFO queue that every worker pops, sized for tasks that each run
+//     for >= hundreds of microseconds;
+//   * the queue is bounded: `submit` blocks while `queue_bound`
 //     tasks are already waiting (backpressure), so a producer enumerating
 //     millions of soak cases never buffers more than a constant number of
 //     closures;
@@ -24,7 +22,7 @@
 //     obs::MetricsRegistry per task merged on join) is per-case. That
 //     contract is what the job-count-invariance suite asserts.
 //
-// Synchronization is deliberately coarse — one mutex guards the deques and
+// Synchronization is deliberately coarse — one mutex guards the queue and
 // counters. At the pool's task grain (entire simulations) the lock round
 // per task is noise, and a single lock keeps the pool trivially clean
 // under ThreadSanitizer, which gates this subsystem in CI.
@@ -45,14 +43,13 @@ namespace stig::par {
 struct BatchOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency (at least 1).
   std::size_t jobs = 0;
-  /// Max tasks waiting in deques before `submit` blocks (>= 1).
+  /// Max tasks waiting in the queue before `submit` blocks (>= 1).
   std::size_t queue_bound = 256;
 };
 
 /// Pool counters, readable at any time (values are monotone snapshots).
 struct BatchStats {
   std::uint64_t executed = 0;     ///< Tasks that finished running.
-  std::uint64_t stolen = 0;       ///< Tasks run by a non-assigned worker.
   std::size_t peak_queued = 0;    ///< High-water mark of waiting tasks —
                                   ///< never exceeds queue_bound.
 };
@@ -111,10 +108,7 @@ class BatchRunner {
   }
 
  private:
-  void worker_loop(std::size_t self);
-  /// Pops the next task for worker `self` (own front, else steal from the
-  /// back of the fullest peer). Caller holds `mutex_`.
-  [[nodiscard]] bool pop_task(std::size_t self, Task& task);
+  void worker_loop();
 
   const std::size_t queue_bound_;
 
@@ -123,10 +117,8 @@ class BatchRunner {
   std::condition_variable space_cv_;  ///< Producers: queue dropped below bound.
   std::condition_variable idle_cv_;   ///< wait(): everything drained.
 
-  std::vector<std::deque<Task>> deques_;  ///< One per worker.
-  std::size_t next_worker_ = 0;           ///< Round-robin submit target.
-  std::size_t queued_ = 0;                ///< Tasks sitting in deques.
-  std::size_t active_ = 0;                ///< Tasks currently executing.
+  std::deque<Task> queue_;  ///< Tasks waiting, oldest first.
+  std::size_t active_ = 0;  ///< Tasks currently executing.
   bool stop_ = false;
   std::exception_ptr first_error_;
   BatchStats stats_;

@@ -58,12 +58,6 @@ class KSegmentRobot final : public ChatRobot {
 
   [[nodiscard]] const SlicedCore& core() const noexcept { return core_; }
 
-  /// Movement symbols needed per message of `payload_bits` framed bits:
-  /// the digit prefix plus the payload.
-  [[nodiscard]] std::size_t symbols_for(std::size_t payload_bits) const {
-    return digits_ + payload_bits;
-  }
-
  protected:
   void corrupt_protocol_state(CorruptKind kind,
                               std::uint64_t garbage) override;

@@ -1,6 +1,5 @@
 #include "serve/wire.hpp"
 
-#include "encode/crc.hpp"
 #include "encode/varint.hpp"
 
 namespace stig::serve {
@@ -45,24 +44,10 @@ struct Cursor {
   [[nodiscard]] bool done() const { return ok && pos == bytes.size(); }
 };
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  encode::append_varint(out, v);
-}
-
 void put_blob(std::vector<std::uint8_t>& out,
               std::span<const std::uint8_t> blob) {
-  put_varint(out, blob.size());
+  encode::append_varint(out, blob.size());
   out.insert(out.end(), blob.begin(), blob.end());
-}
-
-/// Wraps a finished body into varint(len) | body | crc8(body).
-std::vector<std::uint8_t> frame(std::span<const std::uint8_t> body) {
-  std::vector<std::uint8_t> out;
-  out.reserve(body.size() + 4);
-  put_varint(out, body.size());
-  out.insert(out.end(), body.begin(), body.end());
-  out.push_back(encode::crc8(body));
-  return out;
 }
 
 }  // namespace
@@ -96,36 +81,36 @@ std::vector<std::uint8_t> encode_request(const Request& req) {
   body.push_back(static_cast<std::uint8_t>(req.verb));
   switch (req.verb) {
     case Verb::open_session:
-      put_varint(body, req.seed);
-      put_varint(body, req.robots);
+      encode::append_varint(body, req.seed);
+      encode::append_varint(body, req.robots);
       body.push_back(req.protocol);
       body.push_back(req.scheduler);
       body.push_back(req.flags);
       break;
     case Verb::send_message:
-      put_varint(body, req.session);
-      put_varint(body, req.from);
-      put_varint(body, req.to);
+      encode::append_varint(body, req.session);
+      encode::append_varint(body, req.from);
+      encode::append_varint(body, req.to);
       body.push_back(req.flags);
       put_blob(body, req.payload);
       break;
     case Verb::step:
-      put_varint(body, req.session);
-      put_varint(body, req.instants);
+      encode::append_varint(body, req.session);
+      encode::append_varint(body, req.instants);
       break;
     case Verb::poll_delivery:
-      put_varint(body, req.session);
-      put_varint(body, req.robot);
-      put_varint(body, req.max_messages);
+      encode::append_varint(body, req.session);
+      encode::append_varint(body, req.robot);
+      encode::append_varint(body, req.max_messages);
       break;
     case Verb::get_report:
     case Verb::close_session:
-      put_varint(body, req.session);
+      encode::append_varint(body, req.session);
       break;
     case Verb::none:
       break;
   }
-  return frame(body);
+  return encode::frame_bytes(body);
 }
 
 std::vector<std::uint8_t> encode_response(const Response& res) {
@@ -137,24 +122,24 @@ std::vector<std::uint8_t> encode_response(const Response& res) {
                        reinterpret_cast<const std::uint8_t*>(
                            res.detail.data()),
                        res.detail.size()));
-    return frame(body);
+    return encode::frame_bytes(body);
   }
   switch (res.verb) {
     case Verb::open_session:
-      put_varint(body, res.session);
+      encode::append_varint(body, res.session);
       break;
     case Verb::send_message:
-      put_varint(body, res.queued);
+      encode::append_varint(body, res.queued);
       break;
     case Verb::step:
-      put_varint(body, res.instants);
+      encode::append_varint(body, res.instants);
       body.push_back(res.flags);
       break;
     case Verb::poll_delivery:
-      put_varint(body, res.deliveries.size());
+      encode::append_varint(body, res.deliveries.size());
       for (const WireDelivery& d : res.deliveries) {
-        put_varint(body, d.from);
-        put_varint(body, d.to);
+        encode::append_varint(body, d.from);
+        encode::append_varint(body, d.to);
         body.push_back(d.flags);
         put_blob(body, d.payload);
       }
@@ -166,7 +151,7 @@ std::vector<std::uint8_t> encode_response(const Response& res) {
     case Verb::none:
       break;
   }
-  return frame(body);
+  return encode::frame_bytes(body);
 }
 
 std::optional<Request> decode_request(std::span<const std::uint8_t> body) {
@@ -264,84 +249,6 @@ std::optional<Response> decode_response(std::span<const std::uint8_t> body) {
   }
   if (!c.done()) return std::nullopt;
   return res;
-}
-
-void WireParser::feed(std::span<const std::uint8_t> bytes) {
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  bytes_ += bytes.size();
-  parse();
-}
-
-std::vector<std::vector<std::uint8_t>> WireParser::take_frames() {
-  std::vector<std::vector<std::uint8_t>> out;
-  out.swap(frames_);
-  return out;
-}
-
-void WireParser::parse() {
-  while (true) {
-    if (resync_) {
-      if (!try_resync()) return;
-    }
-    const auto len = encode::decode_varint(buffer_);
-    if (!len) {
-      // Truncated varint: wait for more bytes. Ten bytes without a
-      // terminator is overlong — that prefix can never become a length.
-      if (buffer_.size() < 10) return;
-      ++corrupt_;
-      buffer_.erase(buffer_.begin());
-      resync_ = true;
-      continue;
-    }
-    if (len->value > max_body_) {
-      ++corrupt_;
-      buffer_.erase(buffer_.begin());
-      resync_ = true;
-      continue;
-    }
-    const std::size_t body_len = static_cast<std::size_t>(len->value);
-    const std::size_t need = len->consumed + body_len + 1;
-    if (buffer_.size() < need) return;
-    const std::span<const std::uint8_t> body(buffer_.data() + len->consumed,
-                                             body_len);
-    if (encode::crc8(body) == buffer_[len->consumed + body_len]) {
-      frames_.emplace_back(body.begin(), body.end());
-      buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<long>(need));
-      continue;
-    }
-    ++corrupt_;
-    buffer_.erase(buffer_.begin());
-    resync_ = true;
-  }
-}
-
-bool WireParser::try_resync() {
-  for (std::size_t off = 0; off < buffer_.size(); ++off) {
-    const std::span<const std::uint8_t> tail(buffer_.data() + off,
-                                             buffer_.size() - off);
-    const auto len = encode::decode_varint(tail);
-    if (!len || len->value > max_body_) continue;
-    const std::size_t body_len = static_cast<std::size_t>(len->value);
-    const std::size_t need = len->consumed + body_len + 1;
-    if (tail.size() < need) continue;
-    const std::span<const std::uint8_t> body = tail.subspan(len->consumed,
-                                                            body_len);
-    if (encode::crc8(body) != tail[len->consumed + body_len]) continue;
-    frames_.emplace_back(body.begin(), body.end());
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<long>(off + need));
-    resync_ = false;
-    return true;
-  }
-  // Nothing recoverable yet: bound the hunt buffer so garbage cannot grow
-  // it without limit (a valid frame never needs more than this window).
-  const std::size_t window = max_body_ + 16;
-  if (buffer_.size() > window) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() +
-                      static_cast<long>(buffer_.size() - window));
-  }
-  return false;
 }
 
 }  // namespace stig::serve

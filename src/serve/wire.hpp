@@ -1,8 +1,8 @@
 // stigd wire protocol — compact framed request/response codec.
 //
 // The serving layer talks over a byte stream (a local socket in stigd, a
-// memory buffer in tests) using the same framing conventions as the motion
-// channel (src/encode): a frame is
+// memory buffer in tests) in the motion channel's frames
+// (encode/framing.hpp):
 //
 //   frame := varint(body_length) | body bytes | crc8(body)
 //
@@ -23,6 +23,8 @@
 #include <span>
 #include <string>
 #include <vector>
+
+#include "encode/framing.hpp"
 
 namespace stig::serve {
 
@@ -133,65 +135,39 @@ struct Response {
 [[nodiscard]] std::optional<Response> decode_response(
     std::span<const std::uint8_t> body);
 
-/// Frames larger than this are treated as corruption: the parser drops a
-/// byte and hunts for the next valid frame rather than buffering without
-/// bound. Sized for get_report responses on the largest session.
-inline constexpr std::size_t kMaxFrameBody = 1 << 20;
-
-/// Incremental byte-stream deframer; one instance per in-order stream.
-///
-/// Mirrors encode::FrameParser's corruption discipline on a byte stream: a
-/// bad varint, an oversized declared length or a CRC mismatch counts one
-/// corrupt frame, drops one byte, and resynchronizes by scanning for the
-/// next complete, CRC-valid frame at any offset (garbage before it is
-/// discarded) — so a client joining mid-stream, or a stream damaged by a
-/// truncated write, heals at the next frame boundary.
-class WireParser {
+/// Incremental byte-stream deframer; one instance per in-order stream: the
+/// motion channel's encode::Deframer with a byte count. A client joining
+/// mid-stream, or a stream damaged by a truncated write, heals at the next
+/// frame boundary, whatever sizes the reads came in; bodies over
+/// encode::kMaxPayload (1 MiB, enough for get_report on the largest
+/// session) count as corruption.
+class WireParser : public encode::Deframer {
  public:
-  explicit WireParser(std::size_t max_body = kMaxFrameBody)
-      : max_body_(max_body) {}
-
   /// Feeds bytes as they arrive from the stream.
-  void feed(std::span<const std::uint8_t> bytes);
-
-  /// Completed, CRC-valid frame bodies accumulated so far; caller takes
-  /// ownership and the internal list is cleared.
-  [[nodiscard]] std::vector<std::vector<std::uint8_t>> take_frames();
-
-  /// Frames dropped due to CRC mismatch, malformed or oversized length.
-  [[nodiscard]] std::uint64_t corrupt_frames() const noexcept {
-    return corrupt_;
+  void feed(std::span<const std::uint8_t> bytes) {
+    bytes_ += bytes.size();
+    Deframer::feed(bytes);
   }
+
   /// Bytes consumed over the parser's lifetime.
   [[nodiscard]] std::uint64_t bytes_consumed() const noexcept {
     return bytes_;
   }
   /// True when a frame is partially assembled.
-  [[nodiscard]] bool mid_frame() const noexcept { return !buffer_.empty(); }
+  [[nodiscard]] bool mid_frame() const noexcept { return buffered(); }
 
   /// Transient-corruption hook (stabilization suite): overwrites the
-  /// assembly buffer with garbage, as a `corrupt:parser` fault does to the
-  /// motion-channel FrameParser. Counters are preserved — they are
-  /// monotone telemetry, not parse state — and the next feed() must
-  /// re-align at a frame boundary through the standard resync scan.
+  /// assembly buffer with 1–16 bytes of garbage, as a `corrupt:parser`
+  /// fault does to the motion-channel FrameParser. Counters are preserved
+  /// — they are monotone telemetry, not parse state — and the next feed()
+  /// must re-align at a frame boundary through the standard hunt.
   void scramble(std::uint64_t garbage) {
-    buffer_.assign(1 + (garbage & 15), static_cast<std::uint8_t>(garbage));
-    resync_ = (garbage & 1) != 0;
+    Deframer::scramble(1 + (garbage & 15),
+                       static_cast<std::uint8_t>(garbage), (garbage & 1) != 0);
   }
 
  private:
-  void parse();
-  /// Post-corruption recovery: accepts the first complete, CRC-valid frame
-  /// at *any* buffer offset. Returns true when one was recovered and
-  /// normal parsing may resume.
-  bool try_resync();
-
-  std::size_t max_body_;
-  std::vector<std::uint8_t> buffer_;
-  std::vector<std::vector<std::uint8_t>> frames_;
-  std::uint64_t corrupt_ = 0;
   std::uint64_t bytes_ = 0;
-  bool resync_ = false;
 };
 
 }  // namespace stig::serve

@@ -22,6 +22,9 @@ To compare two checkouts, pass --parent DIR (with --parent-label, and
 --parent-commit when DIR is not a git work tree): each workload then runs
 seed by seed on DIR and on --root in turn, so drift of the host between
 runs lands on both sides alike, and both lines are appended, DIR's first.
+The side that runs first alternates seed by seed, so a bias of the first
+(or second) run of a pair lands on both sides alike too; each line's
+"run_position" lists, seed by seed, when that side ran (0 = first).
 Lines measured one checkout at a time put all seeds of a side in one block
 and cannot resolve a 20% change at a few seeds.
 
@@ -95,15 +98,23 @@ def table_c(root, build_dir):
             for n in TABLE_C_SIZES}
 
 
+def run_position(side, k, sides):
+    """When `side` runs seed number `k`: the first side rotates by one
+    every seed."""
+    return (side - k) % sides
+
+
 def measure(roots, spec, seeds, seconds):
     """Per root, each workload's summary: every seed runs on every root in
-    turn before the next seed."""
+    turn before the next seed, starting with a different root each seed."""
     runs = [{w["name"]: [] for w in spec["workloads"]} for _ in roots]
     for w in spec["workloads"]:
-        for s in seeds:
-            for side, root in zip(runs, roots):
-                side[w["name"]].append(run_workload(root, w["name"], s,
-                                                    seconds))
+        for k, s in enumerate(seeds):
+            order = sorted(range(len(roots)),
+                           key=lambda i: run_position(i, k, len(roots)))
+            for i in order:
+                runs[i][w["name"]].append(run_workload(roots[i], w["name"],
+                                                       s, seconds))
     summaries = []
     for side in runs:
         workloads = {}
@@ -174,8 +185,8 @@ def main():
 
     summaries = measure([side[0] for side in sides], spec, seeds, seconds)
     lines = []
-    for (where, label, commit, build_dir), workloads in zip(sides,
-                                                            summaries):
+    for i, ((where, label, commit, build_dir), workloads) in enumerate(
+            zip(sides, summaries)):
         lines.append({
             "commit": commit,
             "dirty": bool(git(where, "status", "--porcelain",
@@ -183,6 +194,8 @@ def main():
             "label": label,
             "date": datetime.date.today().isoformat(),
             "seeds": seeds,
+            "run_position": [run_position(i, k, len(sides))
+                             for k in range(len(seeds))],
             "seconds": seconds,
             "alternated": len(sides) > 1,
             "workloads": workloads,

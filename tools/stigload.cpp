@@ -45,6 +45,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "obs/json.hpp"
 #include "obs/metric_keys.hpp"
 #include "obs/metrics.hpp"
 #include "par/seed.hpp"
@@ -330,17 +331,6 @@ struct RunResult {
   std::string error;
 };
 
-std::string hex_bytes(const std::vector<std::uint8_t>& bytes) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const std::uint8_t b : bytes) {
-    out += kHex[b >> 4];
-    out += kHex[b & 0xF];
-  }
-  return out;
-}
-
 /// Runs the seed-determined request mix against `transport`. Every random
 /// draw happens before the request ships, and bookkeeping depends only on
 /// response fields that are themselves deterministic — so the transcript
@@ -481,7 +471,7 @@ RunResult run_workload(const Args& args, const Mix& mix,
           note("d " + std::to_string(req.session) + " " +
                std::to_string(req.robot) + " " + std::to_string(d.from) +
                " " + std::to_string(static_cast<unsigned>(d.flags)) + " " +
-               hex_bytes(d.payload));
+               obs::hex_bytes(d.payload));
         }
         break;
       case serve::Verb::get_report:
@@ -502,47 +492,20 @@ RunResult run_workload(const Args& args, const Mix& mix,
   return out;
 }
 
-/// The gated (deterministic) subset of a flat metrics JSON object: every
+/// The gated (deterministic) subset of the registry's metrics: every
 /// top-level "key": value pair whose key has no informational marker
-/// (src/obs/metric_keys.hpp). Values are either numbers or one-level
-/// histogram objects, which is all write_json emits.
-std::string gated_metric_lines(const std::string& json) {
-  std::string out;
-  std::size_t i = 0;
-  while (i < json.size()) {
-    const std::size_t q0 = json.find('"', i);
-    if (q0 == std::string::npos) break;
-    const std::size_t q1 = json.find('"', q0 + 1);
-    if (q1 == std::string::npos) break;
-    const std::string key = json.substr(q0 + 1, q1 - q0 - 1);
-    std::size_t v = json.find(':', q1 + 1);
-    if (v == std::string::npos) break;
-    ++v;
-    std::size_t end = v;
-    if (v < json.size() && json[v] == '{') {
-      end = json.find('}', v);
-      if (end == std::string::npos) break;
-      ++end;
-    } else {
-      while (end < json.size() && json[end] != ',' && json[end] != '}') {
-        ++end;
-      }
-    }
-    if (!obs::is_informational_key(key)) {
-      out += key;
-      out += '=';
-      out += json.substr(v, end - v);
-      out += '\n';
-    }
-    i = end;
-  }
-  return out;
-}
-
-std::string metrics_json(serve::ShardedRegistry& registry) {
+/// (src/obs/metric_keys.hpp), one "key=value" line each.
+std::string gated_metric_lines(serve::ShardedRegistry& registry) {
   std::ostringstream ss;
   registry.write_metrics_json(ss);
-  return ss.str();
+  const std::string json = ss.str();
+  std::string out;
+  for (const auto& [key, raw] : obs::json_object(json).value_or(
+           std::vector<obs::JsonMember>{})) {
+    if (obs::is_informational_key(key)) continue;
+    out += key + '=' + std::string(raw) + '\n';
+  }
+  return out;
 }
 
 serve::ShardedOptions inproc_options(const Args& args, std::size_t jobs) {
@@ -653,9 +616,8 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << (a.ok ? b.error : a.error) << "\n";
       return kExitRuntime;
     }
-    const std::string ga = gated_metric_lines(metrics_json(wide.registry()));
-    const std::string gb =
-        gated_metric_lines(metrics_json(narrow.registry()));
+    const std::string ga = gated_metric_lines(wide.registry());
+    const std::string gb = gated_metric_lines(narrow.registry());
     if (a.digest != b.digest || a.deliveries != b.deliveries ||
         a.transcript != b.transcript || ga != gb) {
       std::cerr << "DETERMINISM VIOLATION: jobs=" << args.jobs

@@ -13,18 +13,16 @@
 //   stigreport diff --baseline PATH <BENCH_*.json ...>
 //       Compare bench artifacts against committed baselines. PATH is a
 //       baseline file or a directory searched by filename. Numeric values
-//       must stay within a relative threshold (default 0.05; override
-//       globally with --threshold R or per bench with
-//       --bench-threshold NAME=R); string values must match exactly.
-//       Informational keys per the obs/metric_keys.hpp convention — any
-//       key containing "wall", "cycles", "_per_sec", "_pct" or "_ns" —
-//       are skipped. Prints one verdict line per key.
+//       must stay within a relative threshold of 0.05; string values must
+//       match exactly. Informational keys per the obs/metric_keys.hpp
+//       convention — any key containing "wall", "cycles", "_per_sec",
+//       "_pct" or "_ns" — are skipped. Prints one verdict line per key.
 //
 //   stigreport perf --baseline PATH <PERF_*.json ...>
-//       The same gate for stigperf artifacts, with a zero default
-//       threshold: the gated keys (allocation counts, bytes, event
-//       counts) are deterministic functions of (code, seed), so any drift
-//       is a real regression. When either side of a comparison was
+//       The same gate for stigperf artifacts, with a zero threshold: the
+//       gated keys (allocation counts, bytes, event counts) are
+//       deterministic functions of (code, seed), so any drift is a real
+//       regression. When either side of a comparison was
 //       produced without allocation tracking (sanitizer build,
 //       "alloc_tracking": false), allocation-derived keys are skipped
 //       instead of failing.
@@ -54,6 +52,7 @@
 #include <vector>
 
 #include "analyze/span.hpp"
+#include "obs/json.hpp"
 #include "obs/jsonl_parse.hpp"
 #include "obs/metric_keys.hpp"
 
@@ -67,20 +66,18 @@ constexpr int kExitIo = 3;
 void usage(std::ostream& out) {
   out << "stigreport — span analysis and bench/perf regression gating\n\n"
       << "  stigreport spans <events.jsonl> [--json FILE|-] [--trace FILE]\n"
-      << "  stigreport diff --baseline PATH [--threshold R]\n"
-      << "                  [--bench-threshold NAME=R] <BENCH_*.json ...>\n"
-      << "  stigreport perf --baseline PATH [--threshold R]\n"
-      << "                  [--bench-threshold NAME=R] <PERF_*.json ...>\n"
+      << "  stigreport diff --baseline PATH <BENCH_*.json ...>\n"
+      << "  stigreport perf --baseline PATH <PERF_*.json ...>\n"
       << "  stigreport cov --baseline PATH <COV_*.json ...>\n"
       << "  stigreport --help\n\n"
       << "spans: rebuild message spans from a stigsim --events log and\n"
       << "print latency attribution (percentiles, phases, critical path).\n\n"
       << "diff: gate BENCH_*.json artifacts against committed baselines.\n"
-      << "Numeric values compared with a relative threshold (default\n"
-      << "0.05); informational keys — containing \"wall\", \"cycles\",\n"
+      << "Numeric values compared with a relative threshold of 0.05;\n"
+      << "informational keys — containing \"wall\", \"cycles\",\n"
       << "\"_per_sec\", \"_pct\" or \"_ns\" — are machine-speed dependent\n"
       << "and skipped; strings must match exactly.\n\n"
-      << "perf: the same gate for stigperf artifacts with a zero default\n"
+      << "perf: the same gate for stigperf artifacts with a zero\n"
       << "threshold — the gated keys are deterministic, so any drift is a\n"
       << "regression. Allocation-derived keys are skipped when either\n"
       << "side reports \"alloc_tracking\": false (sanitizer build).\n\n"
@@ -107,21 +104,12 @@ int run_spans(const std::vector<std::string>& args) {
   std::string trace_out;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto need = [&](const char* flag) -> std::optional<std::string> {
+    if (a == "--json" || a == "--trace") {
       if (i + 1 >= args.size()) {
-        std::cerr << "stigreport: " << flag << " needs a value\n";
-        return std::nullopt;
+        std::cerr << "stigreport: " << a << " needs a value\n";
+        return kExitUsage;
       }
-      return args[++i];
-    };
-    if (a == "--json") {
-      const auto v = need("--json");
-      if (!v) return kExitUsage;
-      json_out = *v;
-    } else if (a == "--trace") {
-      const auto v = need("--trace");
-      if (!v) return kExitUsage;
-      trace_out = *v;
+      (a == "--json" ? json_out : trace_out) = args[++i];
     } else if (!a.empty() && a[0] == '-' && a != "-") {
       std::cerr << "stigreport: unknown spans flag " << a << "\n";
       return kExitUsage;
@@ -257,25 +245,6 @@ struct BenchValues {
   std::vector<std::pair<std::string, std::string>> values;
 };
 
-/// Extracts the quoted string starting at `pos` (which must point at the
-/// opening quote). The schema never escapes quotes inside strings.
-std::optional<std::string> quoted_at(std::string_view text,
-                                     std::size_t pos) {
-  if (pos >= text.size() || text[pos] != '"') return std::nullopt;
-  const std::size_t close = text.find('"', pos + 1);
-  if (close == std::string_view::npos) return std::nullopt;
-  return std::string(text.substr(pos + 1, close - pos - 1));
-}
-
-std::size_t skip_ws(std::string_view text, std::size_t pos) {
-  while (pos < text.size() &&
-         (text[pos] == ' ' || text[pos] == '\n' || text[pos] == '\t' ||
-          text[pos] == '\r')) {
-    ++pos;
-  }
-  return pos;
-}
-
 /// Parses a BENCH_*.json artifact: the "bench" name and the flat scalar
 /// "values" object. Tables are ignored — headline values are the gate.
 std::optional<BenchValues> parse_bench(const std::string& path) {
@@ -284,47 +253,15 @@ std::optional<BenchValues> parse_bench(const std::string& path) {
   std::stringstream ss;
   ss << in.rdbuf();
   const std::string text = ss.str();
-
-  BenchValues out;
-  const std::size_t bench_key = text.find("\"bench\":");
-  if (bench_key == std::string::npos) return std::nullopt;
-  const auto name = quoted_at(text, skip_ws(text, bench_key + 8));
-  if (!name) return std::nullopt;
-  out.bench = *name;
-
-  const std::size_t values_key = text.find("\"values\":");
-  if (values_key == std::string::npos) return std::nullopt;
-  std::size_t pos = skip_ws(text, values_key + 9);
-  if (pos >= text.size() || text[pos] != '{') return std::nullopt;
-  pos = skip_ws(text, pos + 1);
-  while (pos < text.size() && text[pos] != '}') {
-    const auto key = quoted_at(text, pos);
-    if (!key) return std::nullopt;
-    pos = text.find('"', pos + 1) + 1;  // Past the key's closing quote.
-    pos = skip_ws(text, pos);
-    if (pos >= text.size() || text[pos] != ':') return std::nullopt;
-    pos = skip_ws(text, pos + 1);
-    std::string value;
-    if (text[pos] == '"') {
-      const auto v = quoted_at(text, pos);
-      if (!v) return std::nullopt;
-      value = "\"" + *v + "\"";
-      pos = text.find('"', pos + 1) + 1;
-    } else {
-      // A bare scalar: runs to the next comma or closing brace.
-      const std::size_t end = text.find_first_of(",}", pos);
-      if (end == std::string::npos) return std::nullopt;
-      value = text.substr(pos, end - pos);
-      while (!value.empty() &&
-             (value.back() == ' ' || value.back() == '\n')) {
-        value.pop_back();
-      }
-      pos = end;
-    }
-    out.values.emplace_back(*key, value);
-    pos = skip_ws(text, pos);
-    if (pos < text.size() && text[pos] == ',') pos = skip_ws(text, pos + 1);
-  }
+  const auto top = stig::obs::json_object(text);
+  if (!top) return std::nullopt;
+  const auto bench = stig::obs::json_member(*top, "bench");
+  const auto name = bench ? stig::obs::json_unquote(*bench) : std::nullopt;
+  const auto values = stig::obs::json_member(*top, "values");
+  const auto members = values ? stig::obs::json_object(*values) : std::nullopt;
+  if (!name || !members) return std::nullopt;
+  BenchValues out{*name, {}};
+  for (const auto& [key, raw] : *members) out.values.emplace_back(key, raw);
   return out;
 }
 
@@ -338,15 +275,9 @@ std::optional<double> as_number(const std::string& raw) {
   return v;
 }
 
-/// Machine-speed dependent keys never gate: they vary run to run on the
-/// same commit. The marker convention lives in obs/metric_keys.hpp so
-/// producers (stigperf, bench::Report users) and this gate agree.
-bool is_speed_key(const std::string& key) {
-  return stig::obs::is_informational_key(key);
-}
-
 /// True for keys derived from operator-new interposition counters, which
-/// read zero in builds where interposition is compiled out (sanitizers).
+/// read zero in builds where interposition is compiled out (sanitizers),
+/// and for "alloc_tracking" itself.
 bool is_alloc_key(const std::string& key) {
   for (const char* marker : {"alloc", "bytes", "frees"}) {
     if (key.find(marker) != std::string::npos) return true;
@@ -362,110 +293,104 @@ bool alloc_tracking_off(const BenchValues& v) {
   return false;
 }
 
-/// Shared gate for `diff` (bench artifacts, relative threshold) and
-/// `perf` (stigperf artifacts, exact by default + alloc-key skip).
-int run_gate(const std::vector<std::string>& args, bool perf_mode) {
-  std::string baseline_path;
-  double threshold = perf_mode ? 0.0 : 0.05;
-  const char* cmd = perf_mode ? "perf" : "diff";
-  std::map<std::string, double> bench_thresholds;
-  std::vector<std::string> artifacts;
+/// Reads `--baseline PATH ARTIFACT...` for gate `cmd` over `kind`_*.json
+/// artifacts; false after reporting a usage error.
+bool gate_args(const std::vector<std::string>& args, const char* cmd,
+               const char* kind, std::string& baseline_path,
+               std::vector<std::string>& artifacts) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto need = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= args.size()) {
-        std::cerr << "stigreport: " << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      return args[++i];
-    };
     if (a == "--baseline") {
-      const auto v = need("--baseline");
-      if (!v) return kExitUsage;
-      baseline_path = *v;
-    } else if (a == "--threshold") {
-      const auto v = need("--threshold");
-      if (!v) return kExitUsage;
-      const auto t = as_number(*v);
-      if (!t || *t < 0.0) {
-        std::cerr << "stigreport: bad --threshold " << *v << "\n";
-        return kExitUsage;
+      if (i + 1 >= args.size()) {
+        std::cerr << "stigreport: --baseline needs a value\n";
+        return false;
       }
-      threshold = *t;
-    } else if (a == "--bench-threshold") {
-      const auto v = need("--bench-threshold");
-      if (!v) return kExitUsage;
-      const std::size_t eq = v->find('=');
-      const auto t = eq == std::string::npos
-                         ? std::nullopt
-                         : as_number(v->substr(eq + 1));
-      if (!t || *t < 0.0) {
-        std::cerr << "stigreport: --bench-threshold wants NAME=R, got "
-                  << *v << "\n";
-        return kExitUsage;
-      }
-      bench_thresholds[v->substr(0, eq)] = *t;
+      baseline_path = args[++i];
     } else if (!a.empty() && a[0] == '-') {
       std::cerr << "stigreport: unknown " << cmd << " flag " << a << "\n";
-      return kExitUsage;
+      return false;
     } else {
       artifacts.push_back(a);
     }
   }
   if (baseline_path.empty()) {
     std::cerr << "stigreport: " << cmd << " needs --baseline\n";
-    return kExitUsage;
+    return false;
   }
   if (artifacts.empty()) {
-    std::cerr << "stigreport: " << cmd << " needs "
-              << (perf_mode ? "PERF" : "BENCH") << "_*.json artifacts\n";
+    std::cerr << "stigreport: " << cmd << " needs " << kind
+              << "_*.json artifacts\n";
+    return false;
+  }
+  return true;
+}
+
+/// An artifact, its baseline, and the baseline's file.
+struct GatePair {
+  BenchValues current;
+  BenchValues baseline;
+  std::string base_file;
+};
+
+/// Parses `artifact` and its baseline: `baseline_path` itself, or the file
+/// of the same name when it is a directory. nullopt after reporting.
+std::optional<GatePair> load_pair(const std::string& artifact,
+                                  const std::string& baseline_path) {
+  namespace fs = std::filesystem;
+  auto current = parse_bench(artifact);
+  if (!current) {
+    std::cerr << "stigreport: cannot parse " << artifact << "\n";
+    return std::nullopt;
+  }
+  std::string base_file =
+      fs::is_directory(baseline_path)
+          ? (fs::path(baseline_path) / fs::path(artifact).filename()).string()
+          : baseline_path;
+  auto baseline = parse_bench(base_file);
+  if (!baseline) {
+    std::cerr << "stigreport: cannot parse baseline " << base_file << " for "
+              << artifact << "\n";
+    return std::nullopt;
+  }
+  return GatePair{std::move(*current), std::move(*baseline),
+                  std::move(base_file)};
+}
+
+/// Shared gate for `diff` (bench artifacts, relative threshold) and
+/// `perf` (stigperf artifacts, exact, with the alloc-key skip).
+int run_gate(const std::vector<std::string>& args, bool perf_mode) {
+  const double threshold = perf_mode ? 0.0 : 0.05;
+  std::string baseline_path;
+  std::vector<std::string> artifacts;
+  if (!gate_args(args, perf_mode ? "perf" : "diff",
+                 perf_mode ? "PERF" : "BENCH", baseline_path, artifacts)) {
     return kExitUsage;
   }
-
-  namespace fs = std::filesystem;
-  const bool baseline_is_dir = fs::is_directory(baseline_path);
 
   int regressions = 0;
   int compared = 0;
   for (const std::string& artifact : artifacts) {
-    const auto current = parse_bench(artifact);
-    if (!current) {
-      std::cerr << "stigreport: cannot parse " << artifact << "\n";
-      return kExitIo;
-    }
-    const std::string base_file =
-        baseline_is_dir
-            ? (fs::path(baseline_path) / fs::path(artifact).filename())
-                  .string()
-            : baseline_path;
-    const auto baseline = parse_bench(base_file);
-    if (!baseline) {
-      std::cerr << "stigreport: cannot parse baseline " << base_file
-                << " for " << artifact << "\n";
-      return kExitIo;
-    }
-
-    const auto th_it = bench_thresholds.find(current->bench);
-    const double th =
-        th_it != bench_thresholds.end() ? th_it->second : threshold;
-    std::cout << current->bench << " vs " << base_file
-              << " (threshold " << th << "):\n";
+    const auto pair = load_pair(artifact, baseline_path);
+    if (!pair) return kExitIo;
+    const auto& [current, baseline, base_file] = *pair;
+    std::cout << current.bench << " vs " << base_file
+              << " (threshold " << threshold << "):\n";
 
     // Allocation-derived keys are only comparable when both sides counted
     // allocations; a sanitizer build (alloc_tracking:false) on either side
     // skips them — in `perf` and `diff` mode alike, so BENCH artifacts
     // that record memory-per-session stay gateable under ASan/TSan lanes.
     const bool skip_alloc_keys =
-        alloc_tracking_off(*current) || alloc_tracking_off(*baseline);
+        alloc_tracking_off(current) || alloc_tracking_off(baseline);
 
     std::map<std::string, std::string> base_map(
-        baseline->values.begin(), baseline->values.end());
-    for (const auto& [key, raw] : current->values) {
-      if (is_speed_key(key)) {
+        baseline.values.begin(), baseline.values.end());
+    for (const auto& [key, raw] : current.values) {
+      if (stig::obs::is_informational_key(key)) {
         std::cout << "  skip  " << key << " (machine-speed)\n";
         continue;
       }
-      if (skip_alloc_keys && (is_alloc_key(key) || key == "alloc_tracking")) {
+      if (skip_alloc_keys && is_alloc_key(key)) {
         std::cout << "  skip  " << key << " (alloc tracking off)\n";
         base_map.erase(key);
         continue;
@@ -482,7 +407,7 @@ int run_gate(const std::vector<std::string>& args, bool perf_mode) {
       if (cur_n && base_n) {
         const double denom = std::max(std::abs(*base_n), 1e-12);
         const double rel = std::abs(*cur_n - *base_n) / denom;
-        if (rel > th) {
+        if (rel > threshold) {
           std::cout << "  FAIL  " << key << ": " << raw << " vs baseline "
                     << base_it->second << " (rel delta " << rel << ")\n";
           ++regressions;
@@ -499,8 +424,8 @@ int run_gate(const std::vector<std::string>& args, bool perf_mode) {
       base_map.erase(base_it);
     }
     for (const auto& [key, raw] : base_map) {
-      if (is_speed_key(key)) continue;
-      if (skip_alloc_keys && (is_alloc_key(key) || key == "alloc_tracking")) {
+      if (stig::obs::is_informational_key(key)) continue;
+      if (skip_alloc_keys && is_alloc_key(key)) {
         continue;
       }
       std::cout << "  FAIL  " << key << " missing (baseline has " << raw
@@ -522,32 +447,9 @@ int run_gate(const std::vector<std::string>& args, bool perf_mode) {
 int run_cov(const std::vector<std::string>& args) {
   std::string baseline_path;
   std::vector<std::string> artifacts;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--baseline") {
-      if (i + 1 >= args.size()) {
-        std::cerr << "stigreport: --baseline needs a value\n";
-        return kExitUsage;
-      }
-      baseline_path = args[++i];
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "stigreport: unknown cov flag " << a << "\n";
-      return kExitUsage;
-    } else {
-      artifacts.push_back(a);
-    }
-  }
-  if (baseline_path.empty()) {
-    std::cerr << "stigreport: cov needs --baseline\n";
+  if (!gate_args(args, "cov", "COV", baseline_path, artifacts)) {
     return kExitUsage;
   }
-  if (artifacts.empty()) {
-    std::cerr << "stigreport: cov needs COV_*.json artifacts\n";
-    return kExitUsage;
-  }
-
-  namespace fs = std::filesystem;
-  const bool baseline_is_dir = fs::is_directory(baseline_path);
 
   const auto is_edge_key = [](const std::string& key) {
     return key.rfind("edge.", 0) == 0;
@@ -557,27 +459,14 @@ int run_cov(const std::vector<std::string>& args) {
   int checked = 0;
   int gained = 0;
   for (const std::string& artifact : artifacts) {
-    const auto current = parse_bench(artifact);
-    if (!current) {
-      std::cerr << "stigreport: cannot parse " << artifact << "\n";
-      return kExitIo;
-    }
-    const std::string base_file =
-        baseline_is_dir
-            ? (fs::path(baseline_path) / fs::path(artifact).filename())
-                  .string()
-            : baseline_path;
-    const auto baseline = parse_bench(base_file);
-    if (!baseline) {
-      std::cerr << "stigreport: cannot parse baseline " << base_file
-                << " for " << artifact << "\n";
-      return kExitIo;
-    }
-    std::cout << current->bench << " vs " << base_file << ":\n";
+    const auto pair = load_pair(artifact, baseline_path);
+    if (!pair) return kExitIo;
+    const auto& [current, baseline, base_file] = *pair;
+    std::cout << current.bench << " vs " << base_file << ":\n";
 
-    std::map<std::string, std::string> cur_map(current->values.begin(),
-                                               current->values.end());
-    for (const auto& [key, raw] : baseline->values) {
+    std::map<std::string, std::string> cur_map(current.values.begin(),
+                                               current.values.end());
+    for (const auto& [key, raw] : baseline.values) {
       if (!is_edge_key(key)) continue;
       ++checked;
       const auto cur_it = cur_map.find(key);

@@ -406,9 +406,7 @@ int main(int argc, char** argv) {
       sinks.add(metrics_sink.get());
     }
     if (!sinks.empty()) net.attach_event_sink(&sinks);
-    if (!args.report.empty() || !args.metrics.empty()) {
-      net.attach_metrics(&metrics);
-    }
+    if (!args.metrics.empty()) net.attach_metrics(&metrics);
     const auto payload = encode::bytes_of(args.message);
     if (args.broadcast) {
       net.broadcast(args.from, payload);
